@@ -19,7 +19,6 @@
 //   --out     explicit output path (overrides both defaults)
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,18 +49,8 @@ bool modes_identical(const parallel::RunOutput& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_batch [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "batch");
+  const bool smoke = args.smoke;
 
   // Two cosmologies x three grid variants, serial driver per job (the
   // pool parallelism lives at the job level here).
@@ -151,9 +140,7 @@ int main(int argc, char** argv) {
       .metric("pool_utilization", rep.pool_utilization)
       .metric("bitwise_identical", identical ? 1.0 : 0.0);
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written = report.write_file(
-      out_path.empty() && smoke ? "BENCH_batch.json" : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return identical ? 0 : 1;
 }

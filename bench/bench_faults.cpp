@@ -15,40 +15,20 @@
 //             the cwd (ctest wiring, `check-fault` target)
 //   --out     explicit output path (overrides both defaults)
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/timing.hpp"
 #include "io/bench_json.hpp"
 #include "mp/fault_world.hpp"
 #include "run/plan.hpp"
 
-namespace {
-
 using namespace plinger;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_faults [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "faults");
+  const bool smoke = args.smoke;
 
   const std::size_t n_modes = smoke ? 6 : 24;
   const int n_workers = 4;
@@ -109,9 +89,9 @@ int main(int argc, char** argv) {
       plan.setup().fault.timeout_seconds = sc.timeout_seconds;
       plan.setup().fault.timeout_floor_seconds = 0.05;
     }
-    const double t0 = now_s();
+    const double t0 = wallclock_seconds();
     const auto out = plan.execute();
-    const double wall = now_s() - t0;
+    const double wall = wallclock_seconds() - t0;
     if (std::strcmp(sc.name, "no-fault") == 0) wall_clean = wall;
     const double overhead = wall_clean > 0.0 ? wall / wall_clean : 1.0;
     report.add(sc.name)
@@ -132,10 +112,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written =
-      report.write_file(out_path.empty() && smoke ? "BENCH_faults.json"
-                                                  : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return 0;
 }

@@ -15,17 +15,16 @@
 //   --out     explicit output path (overrides both defaults)
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "boltzmann/equations.hpp"
 #include "boltzmann/mode_evolution.hpp"
+#include "common/timing.hpp"
 #include "cosmo/background.hpp"
 #include "cosmo/recombination.hpp"
 #include "cosmo/thermo_cache.hpp"
@@ -35,12 +34,6 @@ namespace {
 
 using namespace plinger;
 using boltzmann::StateLayout;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Replica of the pre-overhaul rhs_full: direct spline lookups and
 /// per-multipole divides, structured exactly as the old ModeEquations
@@ -194,9 +187,9 @@ double time_ns(Fn&& fn, int iters) {
   const int per_rep = std::max(iters / kReps, 1);
   double best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double t0 = now_s();
+    const double t0 = wallclock_seconds();
     for (int i = 0; i < per_rep; ++i) fn();
-    best = std::min(best, (now_s() - t0) / per_rep);
+    best = std::min(best, (wallclock_seconds() - t0) / per_rep);
   }
   return best * 1e9;
 }
@@ -204,18 +197,8 @@ double time_ns(Fn&& fn, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_hotpath [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "hotpath");
+  const bool smoke = args.smoke;
 
   const auto params = cosmo::CosmoParams::standard_cdm();
   const cosmo::Background bg(params);
@@ -281,9 +264,9 @@ int main(int argc, char** argv) {
     for (const double k : ks) {
       boltzmann::EvolveRequest req;
       req.k = k;
-      const double t0 = now_s();
+      const double t0 = wallclock_seconds();
       const auto r = evolver.evolve(req);
-      const double wall = now_s() - t0;
+      const double wall = wallclock_seconds() - t0;
       char kbuf[32];
       std::snprintf(kbuf, sizeof kbuf, "%g", k);
       report.add("evolve_optimized")
@@ -304,9 +287,9 @@ int main(int argc, char** argv) {
       boltzmann::ModeEvolver dop_evolver(
           bg, rec, dcfg,
           std::make_shared<const cosmo::ThermoCache>(bg, rec));
-      const double t1 = now_s();
+      const double t1 = wallclock_seconds();
       const auto rd = dop_evolver.evolve(req);
-      const double wall_dop = now_s() - t1;
+      const double wall_dop = wallclock_seconds() - t1;
       report.add("evolve_dop853")
           .label("k", kbuf)
           .label("variant", "dop853")
@@ -324,10 +307,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written =
-      report.write_file(out_path.empty() && smoke ? "BENCH_hotpath.json"
-                                                  : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return 0;
 }

@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -66,19 +65,8 @@ Measurement measure(const boltzmann::ModeEvolver& evolver,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_integrator [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "integrator");
+  const bool smoke = args.smoke;
 
   // Standard CDM background, fixed photon tower so both integrators
   // solve the identical ODE system at every point of the sweep.
@@ -213,9 +201,7 @@ int main(int argc, char** argv) {
         .metric("wall_seconds_dop853", dp.wall_seconds);
   }
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written = report.write_file(
-      out_path.empty() && smoke ? "BENCH_integrator.json" : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("\nwrote %s\n", written.c_str());
 
   // The headline gate: at tight tolerance the 8th-order core must cut

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,18 +49,8 @@ struct DecadeCost {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_los [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "los");
+  const bool smoke = args.smoke;
 
   // The hierarchy's per-mode cost grows ~ (k tau0)^2 (tower height x
   // step count) while LOS stays flat; the >= 10x headline lives at the
@@ -299,9 +288,7 @@ int main(int argc, char** argv) {
   std::printf("\nhighest-k decade speedup: %.1fx%s\n", speedup_highest,
               smoke ? " (smoke scale; the full run is the record)" : "");
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written = report.write_file(
-      out_path.empty() && smoke ? "BENCH_los.json" : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
 
   // Structural gates (both scales): every mode present both ways, and

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -73,18 +72,8 @@ struct TierTimes {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_serve [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "serve");
+  const bool smoke = args.smoke;
 
   const std::size_t n_distinct = smoke ? 3 : 12;
   const std::size_t lru_repeats = smoke ? 8 : 40;
@@ -241,9 +230,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(stream.stats().computes));
     }
 
-    // Smoke runs land in the cwd so ctest never dirties the repo root.
-    const std::string written = report.write_file(
-        out_path.empty() && smoke ? "BENCH_serve.json" : out_path);
+    const std::string written = report.write_file(args.out);
     std::printf("\nwrote %s\n", written.c_str());
 
     std::filesystem::remove_all(jdir);

@@ -16,7 +16,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,18 +27,8 @@
 using namespace plinger;
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_tca [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "tca");
+  const bool smoke = args.smoke;
 
   run::RunConfig base;
   base.grid = "linear";
@@ -115,9 +104,7 @@ int main(int argc, char** argv) {
   std::printf("\n(early exit costs steps; the default 8e-3 keeps the "
               "error at the 1e-3 level)\n");
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written = report.write_file(
-      out_path.empty() && smoke ? "BENCH_tca.json" : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return 0;
 }

@@ -19,7 +19,6 @@
 //   --out     explicit output path (overrides both defaults)
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -27,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timing.hpp"
 #include "io/bench_json.hpp"
 #include "mp/tcp_world.hpp"
 #include "plinger/driver.hpp"
@@ -36,12 +36,6 @@
 namespace {
 
 using namespace plinger;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// p50 of a sample set (destructive: sorts in place).
 double median(std::vector<double>& xs) {
@@ -73,11 +67,11 @@ std::vector<double> ping_pong(std::size_t iters, std::size_t n_doubles) {
   std::vector<double> payload(n_doubles, 1.0);
   std::vector<double> back(n_doubles);
   for (std::size_t i = 0; i < iters; ++i) {
-    const double t0 = now_s();
+    const double t0 = wallclock_seconds();
     master->send(0, 1, 2, payload);
     master->probe(0, 1, 3);
     master->recv(0, 1, 3, back);
-    rtt.push_back(now_s() - t0);
+    rtt.push_back(wallclock_seconds() - t0);
   }
   echo.join();
   return rtt;
@@ -118,18 +112,8 @@ bool wire_equal(const parallel::RunOutput& a, const parallel::RunOutput& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_transport [--smoke] [--out FILE]\n");
-      return 2;
-    }
-  }
+  const io::BenchArgs args = io::parse_bench_args(argc, argv, "transport");
+  const bool smoke = args.smoke;
 
   io::BenchReport report("transport");
 
@@ -171,11 +155,11 @@ int main(int argc, char** argv) {
   const std::size_t n_modes = plan.schedule().size();
   std::printf("== sweep: %zu modes, %d workers ==\n", n_modes, cfg.workers);
 
-  const double t_threads0 = now_s();
+  const double t_threads0 = wallclock_seconds();
   const auto out_threads = parallel::run_plinger_threads(
       ctx->background(), ctx->recombination(), plan.perturbation(),
       plan.schedule(), plan.setup(), cfg.workers);
-  const double wall_threads = now_s() - t_threads0;
+  const double wall_threads = wallclock_seconds() - t_threads0;
 
   parallel::RunOutput out_tcp;
   double wall_tcp = 0.0;
@@ -195,12 +179,12 @@ int main(int argc, char** argv) {
       });
     }
     world->accept_workers();
-    const double t0 = now_s();
+    const double t0 = wallclock_seconds();
     out_tcp = parallel::run_plinger_tcp(ctx->background(),
                                         ctx->recombination(),
                                         plan.perturbation(), plan.schedule(),
                                         plan.setup(), *world);
-    wall_tcp = now_s() - t0;
+    wall_tcp = wallclock_seconds() - t0;
     world.reset();  // GOODBYE lets the worker loops return
     for (auto& t : workers) t.join();
   }
@@ -280,10 +264,7 @@ int main(int argc, char** argv) {
       .metric("predicted_over_measured", predicted_ratio)
       .metric("predicted_efficiency", virt.parallel_efficiency());
 
-  // Smoke runs land in the cwd so ctest never dirties the repo root.
-  const std::string written =
-      report.write_file(out_path.empty() && smoke ? "BENCH_transport.json"
-                                                  : out_path);
+  const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return 0;
 }

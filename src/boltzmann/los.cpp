@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "boltzmann/source_table.hpp"
 #include "common/error.hpp"
 #include "math/bessel.hpp"
 
@@ -149,31 +148,6 @@ void BesselTable::eval(double x, std::span<double> jl) const {
     jl[l] = h00 * j0[l] + h01 * j1[l] +
             dx_ * (h10 * p0[l] + h11 * p1[l]);
   }
-}
-
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode,
-                                std::size_t l_max) {
-  const SourceTable src = build_source_table(bg, rec, mode);
-  return project_source_table(src, l_max).f_gamma;
-}
-
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode, std::size_t l_max,
-                                const BesselTable& table) {
-  // Validate the table range before the sources are built so a
-  // misconfigured run fails on the configuration, not on the data.
-  if (l_max + 1 > table.l_max()) {
-    std::ostringstream os;
-    os << "los_f_gamma: l_max = " << l_max
-       << " is above the Bessel table range (table carries l <= "
-       << table.l_max() << " and the projection needs l_max + 1)";
-    throw InvalidArgument(os.str());
-  }
-  const SourceTable src = build_source_table(bg, rec, mode);
-  return project_source_table(src, l_max, table).f_gamma;
 }
 
 }  // namespace plinger::boltzmann

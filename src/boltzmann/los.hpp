@@ -15,14 +15,15 @@
 ///                         + g (Pi/16) (3 j_l''(x) + j_l(x)) ],
 ///
 /// with x = k (tau0 - tau), g the visibility function, and all fluid
-/// quantities in the conformal Newtonian gauge.  The source extraction
-/// and the projection themselves live in the SourceTable layer
-/// (boltzmann/source_table.hpp), which also projects the polarization
-/// moment G_l for C_l^EE/C_l^TE; the los_f_gamma entry points here are
-/// temperature-only wrappers kept for the benches and tests.  The ctest
-/// `accuracy` gate (tests/golden/test_accuracy.cpp) pins the per-l
-/// error of every projected spectrum against the full hierarchy so the
-/// fast path cannot silently drift.
+/// quantities in the conformal Newtonian gauge.  This header holds the
+/// LOS run options, the shared source sample times and the BesselTable;
+/// the source extraction and the projection itself (temperature and the
+/// polarization moment G_l for C_l^EE/C_l^TE) live in the SourceTable
+/// layer (boltzmann/source_table.hpp: build_source_table +
+/// project_source_table).  The ctest `accuracy` gate
+/// (tests/golden/test_accuracy.cpp) pins the per-l error of every
+/// projected spectrum against the full hierarchy so the fast path
+/// cannot silently drift.
 
 #include <cstddef>
 #include <span>
@@ -97,23 +98,5 @@ class BesselTable {
   std::vector<double> j_;   ///< node-major: j_[i*(l_max+1) + l]
   std::vector<double> jp_;  ///< node-major derivatives, same layout
 };
-
-/// Project Theta_l(k, tau0) for l = 0..l_max from a mode evolution that
-/// recorded TransferSamples at los_sample_taus().  Returns F_l = 4
-/// Theta_l in the MB95 convention so the result feeds ClAccumulator
-/// exactly like ModeResult::f_gamma does.  This overload evaluates the
-/// Bessel functions directly per sample (the reference path).
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode,
-                                std::size_t l_max);
-
-/// The production fast path: identical projection, but j_l comes from a
-/// shared BesselTable (built once per run).  Requires l_max <=
-/// table.l_max() and every sample's argument within the table range.
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode, std::size_t l_max,
-                                const BesselTable& table);
 
 }  // namespace plinger::boltzmann

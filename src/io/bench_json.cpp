@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -103,6 +104,27 @@ std::string bench_default_output_path(const std::string& bench_name) {
 #else
   return "BENCH_" + bench_name + ".json";
 #endif
+}
+
+BenchArgs parse_bench_args(int argc, char** argv,
+                           const std::string& bench_name) {
+  BenchArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg == "--out" && i + 1 < argc) {
+      args.out = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: bench_%s [--smoke] [--out FILE]\n",
+                   bench_name.c_str());
+      std::exit(2);
+    }
+  }
+  if (args.out.empty() && args.smoke) {
+    args.out = "BENCH_" + bench_name + ".json";
+  }
+  return args;
 }
 
 }  // namespace plinger::io

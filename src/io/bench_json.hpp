@@ -17,7 +17,7 @@
 /// so CI (or a human with jq) can diff runs without scraping stdout.
 /// The conventional location is `BENCH_<name>.json` at the repository
 /// root (default_output_path()); benches accept `--out FILE` to place it
-/// elsewhere.
+/// elsewhere (parse_bench_args()).
 
 #include <ostream>
 #include <string>
@@ -59,5 +59,22 @@ struct BenchReport {
 /// `<repo root>/BENCH_<name>.json` when the build knows the repository
 /// root (PLINGER_REPO_ROOT), else `BENCH_<name>.json` in the cwd.
 std::string bench_default_output_path(const std::string& bench_name);
+
+/// The command line every JSON bench takes:
+/// `bench_<name> [--smoke] [--out FILE]`.
+struct BenchArgs {
+  bool smoke = false;  ///< reduced sizes (the ctest smoke runs)
+  /// Where BenchReport::write_file() goes: --out FILE, else
+  /// `BENCH_<name>.json` in the cwd for a smoke run (so a smoke run never
+  /// clobbers the committed snapshot), else empty, which selects
+  /// bench_default_output_path().
+  std::string out;
+};
+
+/// Parse the bench command line.  Any other argument prints
+/// "usage: bench_<name> [--smoke] [--out FILE]" to stderr and exits
+/// with status 2.
+BenchArgs parse_bench_args(int argc, char** argv,
+                           const std::string& bench_name);
 
 }  // namespace plinger::io

@@ -5,10 +5,12 @@
 /// The paper integrates the Einstein-Boltzmann system with DVERK, Hull,
 /// Enright & Jackson's implementation of Verner's 8-stage 6(5) pair
 /// (obtained from netlib).  We reproduce that pair exactly
-/// (VernerDverkTableau) and also provide the Cash-Karp 4(5) pair as a
-/// comparison baseline for the integrator ablation bench.
+/// (VernerDverkTableau, driven by EmbeddedRk as Dverk) and also provide
+/// Dormand-Prince 8(5,3) with dense output (Dop853), the
+/// `integrator = dop853` alternative that bench_integrator compares
+/// against DVERK.
 ///
-/// The driver is a standard step-doubling-free embedded-pair controller:
+/// EmbeddedRk is a standard step-doubling-free embedded-pair controller:
 /// each step computes a high-order solution and an embedded lower-order
 /// error estimate; steps are accepted when the weighted RMS error is <= 1
 /// and the step size is rescaled by err^(-1/order) with a safety factor.
@@ -73,31 +75,6 @@ struct VernerDverkTableau {
                                           2375.0 / 5984.0, 5.0 / 16.0,
                                           12.0 / 85.0,     3.0 / 44.0,
                                           0.0,             0.0};
-};
-
-/// Cash-Karp 4(5) pair (Cash & Karp 1990): the classic RKF-style baseline
-/// used in the integrator ablation bench.
-struct CashKarpTableau {
-  static constexpr int stages = 6;
-  static constexpr int order = 5;
-  static constexpr double c[stages] = {0.0,       1.0 / 5.0, 3.0 / 10.0,
-                                       3.0 / 5.0, 1.0,       7.0 / 8.0};
-  static constexpr double a[stages][stages] = {
-      {},
-      {1.0 / 5.0},
-      {3.0 / 40.0, 9.0 / 40.0},
-      {3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0},
-      {-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0},
-      {1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0,
-       253.0 / 4096.0},
-  };
-  /// 5th-order solution weights.
-  static constexpr double b[stages] = {37.0 / 378.0,  0.0, 250.0 / 621.0,
-                                       125.0 / 594.0, 0.0, 512.0 / 1771.0};
-  /// Embedded 4th-order weights.
-  static constexpr double bhat[stages] = {
-      2825.0 / 27648.0, 0.0,           18575.0 / 48384.0,
-      13525.0 / 55296.0, 277.0 / 14336.0, 1.0 / 4.0};
 };
 
 /// Generic embedded Runge-Kutta driver parameterized on a Butcher tableau.
@@ -275,8 +252,6 @@ class EmbeddedRk {
 
 /// The paper's integrator: Verner 6(5) as in netlib DVERK.
 using Dverk = EmbeddedRk<VernerDverkTableau>;
-/// Comparison baseline for bench_integrator.
-using CashKarp = EmbeddedRk<CashKarpTableau>;
 
 /// Dormand-Prince 8(5,3) coefficients as in Hairer, Norsett & Wanner's
 /// dop853 (Solving Ordinary Differential Equations I, 2nd ed.): the

@@ -1,13 +1,23 @@
 #pragma once
 
-/// Run drivers.
+/// Run drivers: four ways to run one map over the k-schedule, plus the
+/// worker side of the cross-process one.
 ///
-///  * LINGER  — the serial code: the master loop is an ordinary for-loop
-///    over the schedule (no message passing), exactly one ModeEvolver.
-///  * PLINGER — the parallel code: rank 0 runs the master loop on the
-///    calling thread, ranks 1..n run worker loops on std::jthread, all
-///    over the wrapper API.  Results are identical to LINGER mode for
-///    mode (a protocol test asserts bitwise equality).
+///  * run_linger_serial   — LINGER, the serial code: an inline loop in k.
+///  * run_linger_autotask — the C90 Autotasking route: threads pulling
+///    work items from an atomic cursor, no messages.
+///  * run_plinger_threads — PLINGER: rank 0 runs the Appendix-A master
+///    loop on the calling thread, worker ranks run on std::jthread, all
+///    over an in-process World.
+///  * run_plinger_tcp     — the same master over a TcpWorld whose worker
+///    ranks are plinger_worker processes (run_plinger_tcp_worker).
+///
+/// Every driver computes a mode through one per-mode path (driver.cpp's
+/// run_mode: resolve tau_end = 0 to the conformal age, shape the request
+/// from RunSetup, evolve) and lands it in one sink (journal append, then
+/// counters, then RunOutput::results), so results are identical mode for
+/// mode whoever computes them (the driver-equivalence sweep asserts it
+/// bitwise).
 ///
 /// Timing mirrors the paper's Figure 1: total CPU time summed over
 /// workers (their etime) and master wallclock.
@@ -23,6 +33,7 @@
 #include "plinger/protocol.hpp"
 #include "plinger/schedule.hpp"
 #include "plinger/trace.hpp"
+#include "store/identity.hpp"
 
 namespace plinger::parallel {
 
@@ -70,6 +81,15 @@ struct RunOutput {
   }
 };
 
+/// The checkpoint-store identity of a run: the base hash over the
+/// cosmology, perturbation config, k-grid, tau_end and lmax_cap, salted
+/// with the LOS shaping when setup.los is enabled.  Drivers stamp and
+/// check journals with it; run::RunPlan::identity() reports it.
+store::RunIdentity store_identity(const cosmo::CosmoParams& params,
+                                  const boltzmann::PerturbationConfig& cfg,
+                                  const KSchedule& schedule,
+                                  const RunSetup& setup);
+
 /// Serial LINGER run.
 RunOutput run_linger_serial(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
@@ -113,10 +133,13 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           mp::TcpWorld& world);
 
 /// Worker side of a cross-process run: serve the remote master until
-/// stopped.  Applies the same host-side LOS/auto request shaping as the
-/// in-process drivers (the tag-1 broadcast does not carry it), so
-/// results are bitwise identical.  Returns quietly when the master link
-/// goes down — a worker outliving its master has nothing left to do.
+/// stopped.  Shapes every request from `setup` exactly as the in-process
+/// drivers do (the tag-1 broadcast does not carry the LOS/auto shaping),
+/// so results are bitwise identical; a broadcast whose tau_end or
+/// lmax_cap disagrees with `setup` is refused (plinger::Error), as is
+/// one whose n_k disagrees with `schedule`.  Returns quietly when the
+/// master link goes down — a worker outliving its master has nothing
+/// left to do.
 void run_plinger_tcp_worker(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,

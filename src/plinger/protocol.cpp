@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
@@ -438,7 +439,8 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
 }
 
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace) {
+                const EvolveFn& evolve, TraceRecorder* trace,
+                const RunSetup* shaped_from) {
   PLINGER_REQUIRE(!ctx.is_master(), "run_worker called on the master rank");
 
   // Receive initial data from master (tag 1).
@@ -449,6 +451,15 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
   PLINGER_REQUIRE(static_cast<std::size_t>(std::llround(setup.n_k)) ==
                       schedule.size(),
                   "worker: schedule size disagrees with broadcast");
+  if (shaped_from != nullptr && (shaped_from->tau_end != setup.tau_end ||
+                                 shaped_from->lmax_cap != setup.lmax_cap)) {
+    throw Error("worker: tau_end/lmax_cap " +
+                std::to_string(shaped_from->tau_end) + "/" +
+                std::to_string(shaped_from->lmax_cap) +
+                " disagree with the broadcast " +
+                std::to_string(setup.tau_end) + "/" +
+                std::to_string(setup.lmax_cap));
+  }
 
   // Ask for a wavenumber (tag 2; no data, 1 double as in the paper).
   const double zero = 0.0;
@@ -468,15 +479,10 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
     const auto ik = static_cast<std::size_t>(std::llround(value));
     boltzmann::EvolveRequest req;
     req.k = schedule.k_of_ik(ik);
-    const double tau_end = setup.tau_end;
-    if (setup.lmax_cap > 0.0 && tau_end > 0.0) {
-      req.lmax_photon = boltzmann::lmax_photon_for_k(
-          req.k, tau_end, static_cast<std::size_t>(setup.lmax_cap));
-    }
     const double t_start = trace ? trace->now() : 0.0;
     const double cpu0 = trace ? thread_cpu_seconds() : 0.0;
     try {
-      const boltzmann::ModeResult result = evolve(req, tau_end);
+      const boltzmann::ModeResult result = evolve(req, setup.tau_end);
       if (trace) {
         trace->record_span(ik, req.k, ctx.mytid, /*completed=*/true,
                            t_start, trace->now(), result.cpu_seconds,
@@ -498,26 +504,6 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
                      ctx.mastid);
     }
   }
-}
-
-void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const boltzmann::ModeEvolver& evolver,
-                TraceRecorder* trace) {
-  run_worker(ctx, schedule,
-             [&evolver](const boltzmann::EvolveRequest& req,
-                        double tau_end) {
-               const double end =
-                   tau_end > 0.0
-                       ? tau_end
-                       : evolver.background().conformal_age();
-               boltzmann::EvolveRequest r = req;
-               if (r.lmax_photon == 0) {
-                 // tau_end was 0 in the broadcast: size lmax here.
-                 r.lmax_photon = boltzmann::lmax_photon_for_k(r.k, end);
-               }
-               return evolver.evolve(r, end);
-             },
-             trace);
 }
 
 }  // namespace plinger::parallel

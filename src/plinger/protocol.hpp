@@ -194,16 +194,18 @@ using EvolveFn = std::function<boltzmann::ModeResult(
     const boltzmann::EvolveRequest&, double tau_end)>;
 
 /// The worker loop ("kidsub"): receive setup, request work, integrate,
-/// report, repeat until stopped.  An exception from the evolve function
-/// is reported to the master as tag 7 and the worker keeps serving.
+/// report, repeat until stopped.  `evolve` gets a request carrying only
+/// k, plus the broadcast tau_end; sizing the hierarchy is its business
+/// (the drivers shape in one place, driver.cpp's run_mode).  An
+/// exception from the evolve function is reported to the master as
+/// tag 7 and the worker keeps serving.  A broadcast whose n_k disagrees
+/// with `schedule` is refused (plinger::Error), and so is one whose
+/// tau_end or lmax_cap disagrees with `shaped_from`, the host setup
+/// `evolve` shapes requests from (optional; null skips the check).
 /// `trace` (optional) records one ModeSpan per attempt, including the
 /// failed attempts behind every tag-7 report; null disables.
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace = nullptr);
-
-/// Convenience overload binding a ModeEvolver (must outlive the call).
-void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const boltzmann::ModeEvolver& evolver,
-                TraceRecorder* trace = nullptr);
+                const EvolveFn& evolve, TraceRecorder* trace = nullptr,
+                const RunSetup* shaped_from = nullptr);
 
 }  // namespace plinger::parallel

@@ -55,15 +55,7 @@ RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
 }
 
 store::RunIdentity RunPlan::identity() const {
-  if (setup_.los.enabled) {
-    return store::run_identity(
-        ctx_->params(), pcfg_, schedule_.k_grid(), setup_.tau_end,
-        setup_.lmax_cap,
-        store::LosIdentity{setup_.los.lmax_evolve, setup_.los.sample_taus,
-                           setup_.los.k_crossover});
-  }
-  return store::run_identity(ctx_->params(), pcfg_, schedule_.k_grid(),
-                             setup_.tau_end, setup_.lmax_cap);
+  return parallel::store_identity(ctx_->params(), pcfg_, schedule_, setup_);
 }
 
 double RunPlan::estimated_cost() const {

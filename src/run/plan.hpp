@@ -58,9 +58,10 @@ class RunPlan {
   const parallel::RunSetup& setup() const { return setup_; }
 
   /// The checkpoint-store identity this plan's execution stamps on (and
-  /// requires of) a journal — computed from the same materialized
-  /// quantities the drivers hash internally, so a journal written by a
-  /// pre-run-layer entry point with the same physics still matches.
+  /// requires of) a journal — parallel::store_identity() over the same
+  /// materialized quantities execute() hands the driver, so a journal
+  /// written by a pre-run-layer entry point with the same physics still
+  /// matches.
   store::RunIdentity identity() const;
 
   /// Deterministic relative cost estimate (arbitrary units): per-mode

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 
 #include "boltzmann/los.hpp"
 #include "boltzmann/source_table.hpp"
@@ -27,48 +28,38 @@ SpectrumSet make_spectra(const RunPlan& plan,
   spectra::PowerLawSpectrum primordial;
   primordial.n_s = plan.config().n_s;
   spectra::ClAccumulator acc(l_max, primordial);
-  const parallel::KSchedule& schedule = plan.schedule();
+  // solver = los|auto: the master-side half of the line of sight.  One
+  // Bessel table serves every mode that recorded source samples, each
+  // projected in temperature AND polarization, so C_l^EE and C_l^TE
+  // ride the fast path with C_l^TT.
+  std::optional<boltzmann::BesselTable> table;
   if (plan.setup().los.enabled) {
-    // The master-side half of solver = los: build each mode's
-    // SourceTable from the recorded samples and project temperature
-    // AND polarization through one shared Bessel table, so C_l^EE and
-    // C_l^TE ride the fast path with C_l^TT.
     double x_max = 1.0;
     for (const auto& [ik, r] : out.results) {
       (void)ik;
       x_max = std::max(x_max, r.k * r.tau_end);
     }
-    const boltzmann::BesselTable table(l_max + 1, x_max);
-    const cosmo::Background& bg = plan.context().background();
-    const cosmo::Recombination& rec = plan.context().recombination();
-    for (const auto& [ik, r] : out.results) {
-      const double w = schedule.weight_of_ik(ik);
-      if (r.samples.empty()) {
-        // solver=auto routed this mode through the full hierarchy (k
-        // below the crossover): its F_l / G_l moments are exact, no
-        // projection needed, and each spectrum keeps its per-mode
-        // routing (the G tower is the configured lmax_polarization,
-        // which bounds this mode's polarization reach).
-        acc.add_mode(r.k, w, r.f_gamma);
-        acc.add_mode_polarization(r.k, w, r.g_gamma);
-        acc.add_mode_cross(r.k, w, r.f_gamma, r.g_gamma);
-        continue;
-      }
-      const boltzmann::SourceTable src =
-          boltzmann::build_source_table(bg, rec, r);
-      const boltzmann::ProjectedMode pm =
-          boltzmann::project_source_table(src, l_max, table);
-      acc.add_mode(r.k, w, pm.f_gamma);
-      acc.add_mode_polarization(r.k, w, pm.g_gamma);
-      acc.add_mode_cross(r.k, w, pm.f_gamma, pm.g_gamma);
-    }
-  } else {
-    for (const auto& [ik, r] : out.results) {
-      const double w = schedule.weight_of_ik(ik);
-      acc.add_mode(r.k, w, r.f_gamma);
-      acc.add_mode_polarization(r.k, w, r.g_gamma);
-      acc.add_mode_cross(r.k, w, r.f_gamma, r.g_gamma);
-    }
+    table.emplace(l_max + 1, x_max);
+  }
+  const cosmo::Background& bg = plan.context().background();
+  const cosmo::Recombination& rec = plan.context().recombination();
+  for (const auto& [ik, r] : out.results) {
+    // A mode without samples (every hierarchy mode, and a solver=auto
+    // mode below the crossover) carries exact F_l / G_l moments; its G
+    // tower, the configured lmax_polarization, bounds its polarization
+    // reach.
+    const bool project = table && !r.samples.empty();
+    const boltzmann::ProjectedMode pm =
+        project ? boltzmann::project_source_table(
+                      boltzmann::build_source_table(bg, rec, r), l_max,
+                      *table)
+                : boltzmann::ProjectedMode{};
+    const std::vector<double>& f = project ? pm.f_gamma : r.f_gamma;
+    const std::vector<double>& g = project ? pm.g_gamma : r.g_gamma;
+    const double w = plan.schedule().weight_of_ik(ik);
+    acc.add_mode(r.k, w, f);
+    acc.add_mode_polarization(r.k, w, g);
+    acc.add_mode_cross(r.k, w, f, g);
   }
   // Silent-zero fence: a run that produced modes but never reached an
   // l >= 2 polarization contribution would hand the caller EE/TE

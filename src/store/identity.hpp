@@ -12,9 +12,10 @@
 /// (the driver-equivalence sweep holds this bitwise), so a store written
 /// largest-first may be resumed natural-order and vice versa.
 ///
-/// The canonical producer of these inputs is the run layer:
-/// run::RunPlan::identity() materializes a RunConfig and calls
-/// run_identity() with the exact values its execute() hands the driver.
+/// The canonical producer of these inputs is parallel::store_identity()
+/// (plinger/driver.hpp): the drivers stamp journals with it, and
+/// run::RunPlan::identity() calls it with the exact values its execute()
+/// hands the driver.
 /// tests/run/test_equivalence.cpp pins both the agreement with the
 /// legacy hand-rolled wiring and the hash value itself, so journals
 /// written by pre-RunConfig entry points keep resuming.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boltzmann/source_table.hpp"
 #include "common/error.hpp"
 #include "math/bessel.hpp"
 
@@ -61,7 +62,9 @@ TEST(LineOfSight, MatchesFullBoltzmannAtPercentLevel) {
   los_req.lmax_photon = 40;
   los_req.sample_taus = w.taus;
   const auto los_mode = ev.evolve(los_req);
-  const auto f_los = pb::los_f_gamma(w.bg, w.rec, los_mode, 220);
+  const auto f_los = pb::project_source_table(
+                         pb::build_source_table(w.bg, w.rec, los_mode), 220)
+                         .f_gamma;
 
   // Compare where Theta_l is not near a zero crossing.
   int checked = 0;
@@ -96,7 +99,7 @@ TEST(LineOfSight, RequiresSources) {
   pb::ModeResult empty;
   empty.k = 0.01;
   empty.tau_end = w.bg.conformal_age();
-  EXPECT_THROW(pb::los_f_gamma(w.bg, w.rec, empty, 50),
+  EXPECT_THROW(pb::build_source_table(w.bg, w.rec, empty),
                plinger::InvalidArgument);
 }
 
@@ -175,14 +178,14 @@ TEST(LineOfSightOptions, AccuracyTiersAreOrderedAndValid) {
 TEST(LineOfSight, TooFewSourceSamplesErrorsCleanly) {
   // A mode evolved with a sample list that mostly fell outside its
   // integration window carries a handful of samples — not enough to
-  // resolve the visibility peak.  The projection must say so, not
-  // quietly integrate garbage.
+  // resolve the visibility peak.  Building its source table must say
+  // so, not quietly integrate garbage.
   const auto& w = world();
   pb::ModeResult mode;
   mode.k = 0.01;
   mode.tau_end = w.bg.conformal_age();
   mode.samples.resize(8);
-  EXPECT_THROW(pb::los_f_gamma(w.bg, w.rec, mode, 50),
+  EXPECT_THROW(pb::build_source_table(w.bg, w.rec, mode),
                plinger::InvalidArgument);
 }
 
@@ -207,17 +210,21 @@ TEST(BesselTableTest, RejectsXOutsideTableRange) {
 }
 
 TEST(BesselTableTest, ProjectionRejectsLmaxAboveTable) {
-  // The table overload needs l_max + 1 tabled multipoles (the j_l'
-  // recurrence reads one l past the request) and must say which range
-  // the table actually carries.  Checked before the sources are built,
-  // so an empty mode exercises it.
+  // The projection needs l_max + 1 tabled multipoles (the j_l'
+  // recurrence reads one l past the request): a table carrying l <= 20
+  // projects l_max = 19 and refuses l_max = 20, naming its range.
   const auto& w = world();
-  pb::ModeResult mode;
-  mode.k = 0.01;
-  mode.tau_end = w.bg.conformal_age();
-  const pb::BesselTable table(20, 10.0);
+  pb::ModeEvolver ev(w.bg, w.rec, w.cfg);
+  pb::EvolveRequest req;
+  req.k = 0.02;
+  req.lmax_photon = 40;
+  req.sample_taus = w.taus;
+  const auto mode = ev.evolve(req);
+  const auto src = pb::build_source_table(w.bg, w.rec, mode);
+  const pb::BesselTable table(20, mode.k * mode.tau_end);
+  EXPECT_NO_THROW((void)pb::project_source_table(src, 19, table));
   const std::string msg = thrown_message(
-      [&] { (void)pb::los_f_gamma(w.bg, w.rec, mode, 20, table); });
+      [&] { (void)pb::project_source_table(src, 20, table); });
   EXPECT_NE(msg.find("above the Bessel table range"), std::string::npos);
 }
 
@@ -232,30 +239,5 @@ TEST(BesselTableTest, InterpolatesBesselToTabulatedAccuracy) {
     for (std::size_t l = 0; l <= 40; ++l) {
       EXPECT_NEAR(jl[l], ref[l], 2e-6) << "l=" << l << " x=" << x;
     }
-  }
-}
-
-TEST(BesselTableTest, TablePathMatchesDirectProjection) {
-  // The production (shared-table) projection and the reference
-  // (direct-evaluation) projection are the same integral; the only
-  // difference is Bessel interpolation error.
-  const auto& w = world();
-  pb::ModeEvolver ev(w.bg, w.rec, w.cfg);
-  pb::EvolveRequest req;
-  req.k = 0.02;
-  req.lmax_photon = 40;
-  req.sample_taus = w.taus;
-  const auto mode = ev.evolve(req);
-
-  const std::size_t l_max = 120;
-  const auto direct = pb::los_f_gamma(w.bg, w.rec, mode, l_max);
-  const pb::BesselTable table(l_max + 1, mode.k * mode.tau_end);
-  const auto tabled = pb::los_f_gamma(w.bg, w.rec, mode, l_max, table);
-  ASSERT_EQ(direct.size(), tabled.size());
-  double scale = 0.0;
-  for (const double v : direct) scale = std::max(scale, std::abs(v));
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t l = 2; l <= l_max; ++l) {
-    EXPECT_NEAR(tabled[l], direct[l], 1e-4 * scale) << "l=" << l;
   }
 }

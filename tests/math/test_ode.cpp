@@ -84,26 +84,6 @@ TEST(Dverk, SixthOrderConvergence) {
   EXPECT_LT(order, 7.5);
 }
 
-TEST(CashKarp, FifthOrderConvergence) {
-  Oscillator osc{1.0};
-  auto run_err = [&](double h) {
-    pm::CashKarp ode;
-    std::vector<double> y = {1.0, 0.0};
-    pm::OdeOptions opts;
-    opts.rtol = 1.0;
-    opts.atol = 1.0;
-    opts.h_init = h;
-    opts.h_max = h;
-    ode.integrate(osc, 0.0, 1.0, y, opts);
-    return std::abs(y[0] - std::cos(1.0));
-  };
-  const double e1 = run_err(0.05);
-  const double e2 = run_err(0.025);
-  const double order = std::log2(e1 / e2);
-  EXPECT_GT(order, 4.3);
-  EXPECT_LT(order, 6.5);
-}
-
 TEST(Dverk, ToleranceControlsError) {
   Oscillator osc{1.0};
   auto run_err = [&](double rtol) {
@@ -193,15 +173,6 @@ TEST(Dverk, VernerTableauRowSumsMatchNodes) {
   }
   EXPECT_NEAR(bsum, 1.0, 1e-14);
   EXPECT_NEAR(bhatsum, 1.0, 1e-14);
-}
-
-TEST(CashKarp, TableauRowSumsMatchNodes) {
-  using T = pm::CashKarpTableau;
-  for (int i = 0; i < T::stages; ++i) {
-    double sum = 0.0;
-    for (int j = 0; j < i; ++j) sum += T::a[i][j];
-    EXPECT_NEAR(sum, T::c[i], 1e-14) << "row " << i;
-  }
 }
 
 TEST(Dop853, TableauRowSumsMatchNodes) {

@@ -14,7 +14,9 @@
 //  * multi-process E2E — fork/exec real plinger_worker processes
 //    against a listening master and require C_l bitwise identical to
 //    the in-process threads driver, including when one worker is
-//    SIGKILLed mid-run and its modes are reassigned.
+//    SIGKILLed mid-run and its modes are reassigned, and require a
+//    worker whose own tau_end/lmax_cap disagree with the master's
+//    broadcast to refuse it.
 
 #include <gtest/gtest.h>
 
@@ -509,45 +511,91 @@ void expect_wire_bitwise_equal(
 }
 
 TEST(TcpE2E, TwoProcessRunMatchesThreadsDriverBitwise) {
-  const run::RunConfig cfg = e2e_config();
+  // The second input evolves to today (tau_end = 0) under a binding
+  // lmax_cap: the worker processes must resolve the conformal age and
+  // size the photon tower from the cap exactly as the serial driver.
+  run::RunConfig today = e2e_config();
+  today.tau_end = 0.0;
+  for (const run::RunConfig& cfg : {e2e_config(), today}) {
+    SCOPED_TRACE("tau_end " + std::to_string(cfg.tau_end));
+    const auto ctx = run::make_context(cfg);
+    const run::RunPlan plan(cfg, ctx);
+
+    // In-process references.
+    const auto ref = pp::run_plinger_threads(
+        ctx->background(), ctx->recombination(), plan.perturbation(),
+        plan.schedule(), plan.setup(), cfg.workers);
+    const auto serial = pp::run_linger_serial(
+        ctx->background(), ctx->recombination(), plan.perturbation(),
+        plan.schedule(), plan.setup());
+
+    // Cross-process run: listen on an ephemeral port, fork two real
+    // plinger_worker processes pointed at the same parameter file.
+    auto world = pm::TcpWorld::listen("127.0.0.1", 0, cfg.workers);
+    const auto params = write_params(cfg, "tcp_e2e");
+    std::vector<pid_t> pids;
+    for (int i = 0; i < cfg.workers; ++i) {
+      pids.push_back(spawn_worker(params, world->port()));
+    }
+    ASSERT_EQ(world->accept_workers(30.0), cfg.workers);
+    const auto out = pp::run_plinger_tcp(
+        ctx->background(), ctx->recombination(), plan.perturbation(),
+        plan.schedule(), plan.setup(), *world);
+    world.reset();  // GOODBYE: lets the workers exit cleanly
+    for (const pid_t pid : pids) {
+      const int status = wait_exit(pid);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+    }
+    std::filesystem::remove(params);
+
+    EXPECT_FALSE(out.completed_degraded);
+    EXPECT_EQ(out.n_workers, cfg.workers);
+    expect_wire_bitwise_equal(out.results, ref.results);
+    expect_wire_bitwise_equal(out.results, serial.results);
+
+    // The acceptance criterion proper: bitwise-identical C_l.
+    const auto cl_ref = run::make_spectra(plan, ref, cfg.lmax_photon);
+    const auto cl_tcp = run::make_spectra(plan, out, cfg.lmax_photon);
+    ASSERT_EQ(cl_tcp.temperature.cl.size(), cl_ref.temperature.cl.size());
+    for (std::size_t l = 0; l < cl_ref.temperature.cl.size(); ++l) {
+      EXPECT_EQ(cl_tcp.temperature.cl[l], cl_ref.temperature.cl[l])
+          << "l " << l;
+    }
+  }
+}
+
+TEST(TcpE2E, WorkerRefusesABroadcastItDoesNotShapeFrom) {
+  // A worker process shapes every request from its own parameter file,
+  // while the master stamps the journal with the tau_end and lmax_cap it
+  // broadcasts.  A worker whose file disagrees must refuse the tag-1
+  // broadcast (exit 1) rather than compute modes the master would sink
+  // under the wrong identity; the master's stall deadline then retires
+  // it and the run ends degraded with nothing computed.
+  run::RunConfig cfg = e2e_config();
+  cfg.workers = 1;
+  cfg.fault_timeout = 1.0;
   const auto ctx = run::make_context(cfg);
   const run::RunPlan plan(cfg, ctx);
-
-  // In-process reference.
-  const auto ref = pp::run_plinger_threads(
-      ctx->background(), ctx->recombination(), plan.perturbation(),
-      plan.schedule(), plan.setup(), cfg.workers);
-
-  // Cross-process run: listen on an ephemeral port, fork two real
-  // plinger_worker processes pointed at the same parameter file.
-  auto world = pm::TcpWorld::listen("127.0.0.1", 0, cfg.workers);
-  const auto params = write_params(cfg, "tcp_e2e");
-  std::vector<pid_t> pids;
-  for (int i = 0; i < cfg.workers; ++i) {
-    pids.push_back(spawn_worker(params, world->port()));
-  }
-  ASSERT_EQ(world->accept_workers(30.0), cfg.workers);
-  const auto out = pp::run_plinger_tcp(
-      ctx->background(), ctx->recombination(), plan.perturbation(),
-      plan.schedule(), plan.setup(), *world);
-  world.reset();  // GOODBYE: lets the workers exit cleanly
-  for (const pid_t pid : pids) {
+  run::RunConfig other_cap = cfg;
+  other_cap.lmax_cap = 30;
+  run::RunConfig other_end = cfg;
+  other_end.tau_end = 0.0;
+  for (const run::RunConfig& worker_cfg : {other_cap, other_end}) {
+    auto world = pm::TcpWorld::listen("127.0.0.1", 0, cfg.workers);
+    const auto params = write_params(worker_cfg, "tcp_refuse");
+    const pid_t pid = spawn_worker(params, world->port());
+    ASSERT_EQ(world->accept_workers(30.0), cfg.workers);
+    const auto out = pp::run_plinger_tcp(
+        ctx->background(), ctx->recombination(), plan.perturbation(),
+        plan.schedule(), plan.setup(), *world);
+    world.reset();
     const int status = wait_exit(pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
-  }
-  std::filesystem::remove(params);
+    std::filesystem::remove(params);
 
-  EXPECT_FALSE(out.completed_degraded);
-  EXPECT_EQ(out.n_workers, cfg.workers);
-  expect_wire_bitwise_equal(out.results, ref.results);
-
-  // The acceptance criterion proper: bitwise-identical C_l.
-  const auto cl_ref = run::make_spectra(plan, ref, cfg.lmax_photon);
-  const auto cl_tcp = run::make_spectra(plan, out, cfg.lmax_photon);
-  ASSERT_EQ(cl_tcp.temperature.cl.size(), cl_ref.temperature.cl.size());
-  for (std::size_t l = 0; l < cl_ref.temperature.cl.size(); ++l) {
-    EXPECT_EQ(cl_tcp.temperature.cl[l], cl_ref.temperature.cl[l])
-        << "l " << l;
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+    EXPECT_TRUE(out.results.empty());
+    EXPECT_TRUE(out.master.all_workers_lost);
+    EXPECT_TRUE(out.completed_degraded);
   }
 }
 

@@ -5,6 +5,9 @@
 // policy and worker counts {1, 2, 4}.  The reference is a single serial
 // natural-order run; since results are keyed by the ascending work index
 // ik, neither the issue order nor the transport may change a single bit.
+// One more configuration evolves to today (tau_end = 0) under a binding
+// lmax_cap, where every driver must resolve the conformal age and size
+// the photon tower from the cap the same way.
 
 #include <gtest/gtest.h>
 
@@ -40,22 +43,26 @@ pp::KSchedule schedule_with(pp::IssueOrder order) {
                        order);
 }
 
-pp::RunSetup setup_for(const pp::KSchedule& s) {
+pp::RunSetup setup_for(const pp::KSchedule& s, double tau_end) {
   pp::RunSetup setup;
-  setup.tau_end = 600.0;  // stop well before today: keeps the sweep fast
+  setup.tau_end = tau_end;
   setup.lmax_cap = 24;
   setup.n_k = static_cast<double>(s.size());
   return setup;
 }
 
-/// The serial natural-order reference every configuration must match.
+/// The serial natural-order run a configuration must match.
+std::map<std::size_t, pb::ModeResult> serial_reference(double tau_end) {
+  const auto& w = world();
+  const auto s = schedule_with(pp::IssueOrder::natural);
+  return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup_for(s, tau_end))
+      .results;
+}
+
+/// The sweep's reference, computed once.  tau_end = 600 stops well
+/// before today, which keeps the sweep fast.
 const std::map<std::size_t, pb::ModeResult>& reference() {
-  static const auto ref = [] {
-    const auto& w = world();
-    const auto s = schedule_with(pp::IssueOrder::natural);
-    return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup_for(s))
-        .results;
-  }();
+  static const auto ref = serial_reference(600.0);
   return ref;
 }
 
@@ -107,13 +114,34 @@ void expect_bitwise_equal(const pb::ModeResult& a, const pb::ModeResult& b,
 
 void expect_matches_reference(
     const std::map<std::size_t, pb::ModeResult>& results,
-    bool wire_fields_only = false) {
-  const auto& ref = reference();
+    bool wire_fields_only,
+    const std::map<std::size_t, pb::ModeResult>& ref) {
   ASSERT_EQ(results.size(), ref.size());
   for (const auto& [ik, r_ref] : ref) {
     ASSERT_TRUE(results.count(ik)) << ik;
     expect_bitwise_equal(results.at(ik), r_ref, ik, wire_fields_only);
   }
+}
+
+/// Serial, autotask and message-passing runs under `order` and `workers`
+/// against the serial natural-order reference for the same tau_end.
+void expect_all_drivers_match(
+    pp::IssueOrder order, int workers, double tau_end,
+    const std::map<std::size_t, pb::ModeResult>& ref) {
+  const auto& w = world();
+  const auto s = schedule_with(order);
+  const auto setup = setup_for(s, tau_end);
+
+  const auto serial = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
+  expect_matches_reference(serial.results, false, ref);
+
+  const auto autotask =
+      pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, workers);
+  expect_matches_reference(autotask.results, false, ref);
+
+  const auto plinger =
+      pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, workers);
+  expect_matches_reference(plinger.results, /*wire_fields_only=*/true, ref);
 }
 
 struct SweepCase {
@@ -137,21 +165,8 @@ class DriverEquivalence : public ::testing::TestWithParam<SweepCase> {};
 }  // namespace
 
 TEST_P(DriverEquivalence, AllDriversBitwiseIdentical) {
-  const auto& w = world();
   const auto [order, workers] = GetParam();
-  const auto s = schedule_with(order);
-  const auto setup = setup_for(s);
-
-  const auto serial = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
-  expect_matches_reference(serial.results);
-
-  const auto autotask =
-      pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, workers);
-  expect_matches_reference(autotask.results);
-
-  const auto plinger =
-      pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, workers);
-  expect_matches_reference(plinger.results, /*wire_fields_only=*/true);
+  expect_all_drivers_match(order, workers, /*tau_end=*/600.0, reference());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,3 +182,11 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{pp::IssueOrder::random_shuffle, 2},
         SweepCase{pp::IssueOrder::random_shuffle, 4}),
     case_name);
+
+TEST(DriverEquivalenceToday, LmaxCapBindsUnderEveryDriver) {
+  const auto ref = serial_reference(/*tau_end=*/0.0);
+  // The cap is below the tower's 60-moment floor, so it binds at every k.
+  for (const auto& [ik, r] : ref) EXPECT_EQ(r.lmax, 24u) << ik;
+  expect_all_drivers_match(pp::IssueOrder::largest_first, 2,
+                           /*tau_end=*/0.0, ref);
+}

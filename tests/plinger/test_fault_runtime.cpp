@@ -476,6 +476,10 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   // A delayed result (stalled link) trips the per-mode deadline; the
   // mode is recomputed elsewhere and the late original deduplicated.
   // The trace must show the recovery: a stall fault plus a reassign.
+  // Modes here cost ~1 ms of CPU, but the healthy worker's deadline is
+  // wall-clock: the 1 s floor keeps a descheduled healthy thread on a
+  // loaded host from being declared stalled too, and the delay stays
+  // well past the stalled worker's 1.3 s allowance.
   const auto& w = phys();
   const auto s = phys_schedule();
   auto setup = phys_setup(s);
@@ -483,10 +487,10 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   a.kind = pm::FaultKind::delay_message;
   a.rank = 1;
   a.tag = 4;
-  a.delay_seconds = 1.5;
+  a.delay_seconds = 3.0;
   setup.inject.actions.push_back(a);
   setup.fault.timeout_seconds = 0.3;
-  setup.fault.timeout_floor_seconds = 0.05;
+  setup.fault.timeout_floor_seconds = 1.0;
   setup.trace.enabled = true;
   const auto out =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2);

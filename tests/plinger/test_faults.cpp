@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -71,7 +72,15 @@ TEST(FaultTolerance, TransientFailureIsRetried) {
     }
     return fake_result(req);
   };
-  pp::EvolveFn good = [](const pb::EvolveRequest& req, double) {
+  // The good worker holds its first result until the flaky one has
+  // failed three times (valve: 5 s): on a loaded machine it could
+  // otherwise drain the schedule before the flaky thread ever runs.
+  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req, double) {
+    const auto t0 = std::chrono::steady_clock::now();
+    while (fail_count->load() < 3 &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+      std::this_thread::yield();
+    }
     return fake_result(req);
   };
   const auto sched = sched_n(12);

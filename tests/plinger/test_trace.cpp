@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -222,7 +223,15 @@ TEST(TraceInvariants, RequeuedFaultsLeaveDuplicateAttemptSpans) {
     }
     return fake_result(req);
   };
-  pp::EvolveFn good = [](const pb::EvolveRequest& req, double) {
+  // The good worker holds its first result until the flaky one has
+  // failed three times (valve: 5 s): on a loaded machine it could
+  // otherwise drain the schedule before the flaky thread ever runs.
+  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req, double) {
+    const auto t0 = std::chrono::steady_clock::now();
+    while (fail_count->load() < 3 &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+      std::this_thread::yield();
+    }
     return fake_result(req);
   };
   const std::size_t n_modes = 12;

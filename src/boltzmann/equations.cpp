@@ -13,50 +13,15 @@ namespace {
 
 /// Interior Boltzmann-hierarchy rows, l in [l_begin, l_end):
 ///   df[l] = lo[l] f[l-1] - hi[l] f[l+1] [- opac f[l]]
-/// These streams are the hottest loops in the code.  target_clones adds
-/// a 4-wide AVX2 path dispatched at load time on hardware that has it,
-/// while the build stays runnable on any x86-64: both clones perform
-/// the identical per-element multiply/subtract sequence (no FMA
-/// contraction), so the results are bitwise independent of which clone
-/// runs.
-__attribute__((target_clones("avx2", "default"))) void
-hierarchy_interior_damped(const double* __restrict__ f,
-                          double* __restrict__ df,
-                          const double* __restrict__ lo,
-                          const double* __restrict__ hi, double opac,
-                          std::size_t l_begin, std::size_t l_end) {
-  for (std::size_t l = l_begin; l < l_end; ++l) {
-    df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1] - opac * f[l];
-  }
-}
-
-__attribute__((target_clones("avx2", "default"))) void
-hierarchy_interior(const double* __restrict__ f, double* __restrict__ df,
-                   const double* __restrict__ lo,
-                   const double* __restrict__ hi, std::size_t l_begin,
-                   std::size_t l_end) {
-  for (std::size_t l = l_begin; l < l_end; ++l) {
-    df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1];
-  }
-}
-
-/// Below this many interior rows the dispatched kernel call costs more
-/// than the loop body; the wrappers run short hierarchies (the low-k
-/// modes) in place.  Both paths compute the identical per-element
-/// expression, so the cutoff never affects results.
-constexpr std::size_t kShortHierarchy = 16;
-
+/// These streams are the hottest loops in the code: plain scalar loops
+/// over precomputed couplings, unrolled for this file (CMakeLists.txt).
 inline void run_hierarchy_damped(const double* __restrict__ f,
                                  double* __restrict__ df,
                                  const double* __restrict__ lo,
                                  const double* __restrict__ hi, double opac,
                                  std::size_t l_begin, std::size_t l_end) {
-  if (l_end < l_begin + kShortHierarchy) {
-    for (std::size_t l = l_begin; l < l_end; ++l) {
-      df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1] - opac * f[l];
-    }
-  } else {
-    hierarchy_interior_damped(f, df, lo, hi, opac, l_begin, l_end);
+  for (std::size_t l = l_begin; l < l_end; ++l) {
+    df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1] - opac * f[l];
   }
 }
 
@@ -65,12 +30,8 @@ inline void run_hierarchy(const double* __restrict__ f,
                           const double* __restrict__ lo,
                           const double* __restrict__ hi,
                           std::size_t l_begin, std::size_t l_end) {
-  if (l_end < l_begin + kShortHierarchy) {
-    for (std::size_t l = l_begin; l < l_end; ++l) {
-      df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1];
-    }
-  } else {
-    hierarchy_interior(f, df, lo, hi, l_begin, l_end);
+  for (std::size_t l = l_begin; l < l_end; ++l) {
+    df[l] = lo[l] * f[l - 1] - hi[l] * f[l + 1];
   }
 }
 
@@ -403,7 +364,7 @@ void ModeEquations::rhs_full(double tau, std::span<const double> y,
   // Interior multipoles: the fg block is contiguous (f[l] = y[L.fg(l)]),
   // the couplings are precomputed, and the body is a pure multiply-add
   // stream — the single hottest loop in the code.  y and dy are distinct
-  // integrator workspaces, satisfying the kernel's restrict contract.
+  // integrator workspaces, satisfying the loop's restrict contract.
   run_hierarchy_damped(y.data() + (L.fg(2) - 2), dy.data() + (L.fg(2) - 2),
                        lo_k_.data(), hi_k_.data(), c.opac, 3, lmax);
   dy[L.fg(lmax)] = k * y[L.fg(lmax - 1)] -

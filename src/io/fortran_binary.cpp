@@ -15,21 +15,29 @@ void FortranRecordWriter::record(std::span<const double> values) {
   ++n_records_;
 }
 
-bool FortranRecordReader::next(std::vector<double>& out) {
+FortranRecordReader::Status FortranRecordReader::next(
+    std::vector<double>& out) {
   std::uint32_t head = 0;
   is_.read(reinterpret_cast<char*>(&head), sizeof(head));
-  if (is_.eof()) return false;
-  PLINGER_REQUIRE(is_.good(), "FortranRecordReader: stream failure");
-  PLINGER_REQUIRE(head % sizeof(double) == 0,
-                  "FortranRecordReader: record is not doubles");
+  if (is_.gcount() == 0) return Status::eof;
+  if (is_.gcount() < static_cast<std::streamsize>(sizeof(head)) ||
+      head == 0 || head % sizeof(double) != 0 || head > kMaxRecordBytes) {
+    return Status::torn;
+  }
   out.resize(head / sizeof(double));
   is_.read(reinterpret_cast<char*>(out.data()),
            static_cast<std::streamsize>(head));
+  if (is_.gcount() < static_cast<std::streamsize>(head)) {
+    return Status::torn;
+  }
   std::uint32_t tail = 0;
   is_.read(reinterpret_cast<char*>(&tail), sizeof(tail));
-  PLINGER_REQUIRE(is_.good() && head == tail,
-                  "FortranRecordReader: corrupt record framing");
-  return true;
+  if (is_.gcount() < static_cast<std::streamsize>(sizeof(tail)) ||
+      tail != head) {
+    return Status::torn;
+  }
+  offset_ += 2 * sizeof(std::uint32_t) + head;
+  return Status::record;
 }
 
 }  // namespace plinger::io

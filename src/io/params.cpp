@@ -44,26 +44,4 @@ KeyValueMap read_params_file(const std::string& path) {
   return parse_params(f);
 }
 
-double get_double(const KeyValueMap& kv, const std::string& key,
-                  double dflt) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return dflt;
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(it->second, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  PLINGER_REQUIRE(used == it->second.size() && !it->second.empty(),
-                  key + ": not a number: '" + it->second + "'");
-  return v;
-}
-
-std::string get_string(const KeyValueMap& kv, const std::string& key,
-                       const std::string& dflt) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? dflt : it->second;
-}
-
 }  // namespace plinger::io

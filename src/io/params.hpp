@@ -26,11 +26,4 @@ KeyValueMap parse_params(std::istream& is);
 /// opened.
 KeyValueMap read_params_file(const std::string& path);
 
-/// Typed lookups with defaults.  get_double throws InvalidArgument when
-/// the value does not parse as a number (trailing junk included).
-double get_double(const KeyValueMap& kv, const std::string& key,
-                  double dflt);
-std::string get_string(const KeyValueMap& kv, const std::string& key,
-                       const std::string& dflt);
-
 }  // namespace plinger::io

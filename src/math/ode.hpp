@@ -166,8 +166,8 @@ class EmbeddedRk {
   ///
   /// All stage combinations run stage-major (axpy form): each inner loop
   /// streams one contiguous k_[m] row with a single scalar coefficient,
-  /// which vectorizes cleanly, and stages with a zero tableau entry are
-  /// skipped outright instead of multiplying by 0 per component.
+  /// and stages with a zero tableau entry are skipped outright instead
+  /// of multiplying by 0 per component.
   template <class F>
   double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
                       OdeStats& stats) {

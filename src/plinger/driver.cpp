@@ -288,7 +288,7 @@ RunOutput run_master_over(mp::InProcWorld& world,
   RunOutput& out = sink.out();
   mp::PassContext ctx = mp::initpass(world, 0);
   out.master = run_master(ctx, sink.issue(), setup, std::ref(sink),
-                          setup.fault.max_retries, recorder,
+                          recorder,
                           [&sink] { return sink.stop_requested(); });
   mp::endpass(ctx);
   // After a join every notice is guaranteed queued; over TCP there is no

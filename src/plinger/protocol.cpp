@@ -32,7 +32,7 @@ RunSetup RunSetup::from_buffer(std::span<const double> b) {
 
 MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
                        const RunSetup& setup, const ResultSink& sink,
-                       int max_retries, TraceRecorder* trace,
+                       TraceRecorder* trace,
                        const StopPredicate& stop_early) {
   PLINGER_REQUIRE(ctx.is_master(), "run_master called on a worker rank");
   const int n_workers = ctx.world->size() - 1;
@@ -302,9 +302,8 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
         // duplicated request from a worker that already holds work.
         want_reply = !settled[its] && assigned[its] == 0;
       } else if (msgtype == kTagHeader) {
-        // First part of a result; its y(21) tells us the tag-5 length.
+        // First part of a result.
         mp::myrecvreal(ctx, header, kTagHeader, itid);
-        const std::size_t lmax = header_lmax(header);
         // The payload (or, when the sender died mid-result, its tag-7
         // death notice) is the next message from this sender; probe
         // reports the true length, so size the buffer from the probe
@@ -337,8 +336,6 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
           std::size_t ik_done_now = 0;
           const boltzmann::ModeResult result =
               unpack_records(header, payload, ik_done_now);
-          PLINGER_REQUIRE(result.lmax == lmax,
-                          "master: header/payload lmax mismatch");
           // Live completion: this worker is still on the books and this
           // result settles its current assignment.  Anything else is a
           // duplicate or the late result of a worker already declared
@@ -383,7 +380,7 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
               ++mstats.n_unissued;  // winding down: no further retries
             } else if (done.count(ik_failed) != 0) {
               // Already computed by another worker after a reassignment.
-            } else if (++attempts[ik_failed] <= max_retries) {
+            } else if (++attempts[ik_failed] <= fc.max_retries) {
               deferred.push_back(ik_failed);
               ++mstats.n_requeued;
             } else {

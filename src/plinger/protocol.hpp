@@ -169,13 +169,14 @@ using StopPredicate = std::function<bool()>;
 /// The master loop ("parentsub"): broadcast setup, serve wavenumbers,
 /// collect results, stop every worker.  Returns when all of both has
 /// happened.  A wavenumber reported failed (tag 7, code 0) is retried —
-/// after the rest of the schedule, as backoff — up to max_retries
-/// times, then recorded in MasterStats::failed_ik.  A worker declared
-/// dead (tag-7 death notice, or a missed per-mode deadline when
-/// setup.fault.timeout_seconds > 0) has its outstanding mode reassigned
-/// largest-k-first, bounded by setup.fault.max_reassignments; results
-/// are deduplicated, so a stalled-but-alive worker's late result and
-/// its replacement's cannot both reach the sink.
+/// after the rest of the schedule, as backoff — up to
+/// setup.fault.max_retries times, then recorded in
+/// MasterStats::failed_ik.  A worker declared dead (tag-7 death notice,
+/// or a missed per-mode deadline when setup.fault.timeout_seconds > 0)
+/// has its outstanding mode reassigned largest-k-first, bounded by
+/// setup.fault.max_reassignments; results are deduplicated, so a
+/// stalled-but-alive worker's late result and its replacement's cannot
+/// both reach the sink.
 /// `trace` (optional) records tag-3 assignment events; null disables.
 /// `stop_early` (optional) ends the run before the schedule is
 /// exhausted; unissued wavenumbers are counted in MasterStats.
@@ -185,7 +186,7 @@ using StopPredicate = std::function<bool()>;
 /// caller's joins cannot deadlock.
 MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
                        const RunSetup& setup, const ResultSink& sink,
-                       int max_retries = 2, TraceRecorder* trace = nullptr,
+                       TraceRecorder* trace = nullptr,
                        const StopPredicate& stop_early = {});
 
 /// What a worker does for one wavenumber; lets tests and alternative

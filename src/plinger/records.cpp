@@ -80,6 +80,17 @@ std::vector<double> pack_payload(std::size_t ik, const ModeResult& r) {
   return y;
 }
 
+namespace {
+
+constexpr double kTwo53 = 9007199254740992.0;  // every count is exact below
+constexpr double kTwo64 = 18446744073709551616.0;
+
+}  // namespace
+
+bool castable_field(double v, double limit) {
+  return std::isfinite(v) && v >= 0.0 && v < limit && v == std::floor(v);
+}
+
 double payload_version(const std::vector<double>& payload) {
   PLINGER_REQUIRE(payload.size() >= 8, "payload_version: bad record");
   return payload[7];
@@ -87,12 +98,9 @@ double payload_version(const std::vector<double>& payload) {
 
 std::size_t header_lmax(const std::vector<double>& header) {
   PLINGER_REQUIRE(header.size() == kHeaderLength, "header_lmax: bad record");
-  return static_cast<std::size_t>(std::llround(header[20]));
-}
-
-std::size_t payload_lmax_pol(const std::vector<double>& payload) {
-  PLINGER_REQUIRE(payload.size() >= 8, "payload_lmax_pol: bad record");
-  return static_cast<std::size_t>(std::llround(payload[3]));
+  PLINGER_REQUIRE(castable_field(header[20], kTwo53),
+                  "header_lmax: lmax slot is not a count");
+  return static_cast<std::size_t>(header[20]);
 }
 
 ModeResult unpack_records(const std::vector<double>& header,
@@ -100,8 +108,51 @@ ModeResult unpack_records(const std::vector<double>& header,
                           std::size_t& ik) {
   PLINGER_REQUIRE(header.size() == kHeaderLength,
                   "unpack_records: bad header length");
+  const double version = payload_version(payload);
+  if (version == kPayloadWithSamples) {
+    throw RetiredPayloadVersion(
+        "unpack_records: retired version-2 line-of-sight record (it "
+        "predates the SourceTable pipeline: its Pi column is zero "
+        "through tight coupling, so E-mode sources cannot be rebuilt "
+        "from it) — delete the journal and rerun the line-of-sight "
+        "modes instead of resuming it");
+  }
+  PLINGER_REQUIRE(version == kPayloadClassic ||
+                      version == kPayloadSourceTable,
+                  "unpack_records: unknown payload record version");
+  // Count slots before any length arithmetic: each must be a count that
+  // fits in what is left of the payload.
+  PLINGER_REQUIRE(castable_field(header[0], kTwo53) &&
+                      payload[0] == header[0],
+                  "unpack_records: bad or mismatched header/payload ik");
+  ik = static_cast<std::size_t>(header[0]);
+  const std::size_t lmax = header_lmax(header);
+  PLINGER_REQUIRE(payload[2] == header[20] && lmax < payload.size() - 8,
+                  "unpack_records: lmax mismatched or overruns the payload");
+  const std::size_t pol_room = payload.size() - 9 - lmax;  // after F_l
+  PLINGER_REQUIRE(castable_field(payload[3], static_cast<double>(pol_room)),
+                  "unpack_records: lmax_pol overruns the payload");
+  const auto lmax_pol = static_cast<std::size_t>(payload[3]);
+  const std::size_t base = payload_length(lmax, lmax_pol);
+  std::size_t n_samples = 0;
+  if (version == kPayloadClassic) {
+    PLINGER_REQUIRE(payload.size() == base,
+                    "unpack_records: bad payload length");
+  } else {
+    PLINGER_REQUIRE(payload.size() > base,
+                    "unpack_records: truncated sample-bearing payload");
+    const std::size_t room = payload.size() - base - 1;
+    PLINGER_REQUIRE(
+        castable_field(payload[base],
+                       static_cast<double>(room / kSampleStride + 1)) &&
+            kSampleStride * static_cast<std::size_t>(payload[base]) == room,
+        "unpack_records: bad sample-bearing payload length");
+    n_samples = static_cast<std::size_t>(payload[base]);
+  }
+  PLINGER_REQUIRE(castable_field(header[17], kTwo64),
+                  "unpack_records: flop count slot is not a count");
+
   ModeResult r;
-  ik = static_cast<std::size_t>(std::llround(header[0]));
   r.k = header[1];
   r.tau_end = header[2];
   TransferSample& f = r.final_state;
@@ -123,60 +174,29 @@ ModeResult unpack_records(const std::vector<double>& header,
   r.flops = static_cast<std::uint64_t>(header[17]);
   r.cpu_seconds = header[18];
   r.tau_switch = header[19];
-  r.lmax = header_lmax(header);
-
-  const std::size_t ik2 =
-      static_cast<std::size_t>(std::llround(payload[0]));
-  PLINGER_REQUIRE(ik2 == ik, "unpack_records: header/payload ik mismatch");
-  const std::size_t lmax_pol = payload_lmax_pol(payload);
-  const double version = payload_version(payload);
-  PLINGER_REQUIRE(
-      version != kPayloadWithSamples,
-      "unpack_records: version-2 line-of-sight records predate the "
-      "SourceTable pipeline (their Pi column is zero through tight "
-      "coupling, so E-mode sources cannot be rebuilt from them) — "
-      "rerun the line-of-sight modes instead of resuming this journal");
-  PLINGER_REQUIRE(version == kPayloadClassic ||
-                      version == kPayloadSourceTable,
-                  "unpack_records: unknown payload record version");
-  const std::size_t base = payload_length(r.lmax, lmax_pol);
-  if (version == kPayloadClassic) {
-    PLINGER_REQUIRE(payload.size() == base,
-                    "unpack_records: bad payload length");
-  } else {
-    PLINGER_REQUIRE(payload.size() >= base + 1,
-                    "unpack_records: truncated sample-bearing payload");
-  }
+  r.lmax = lmax;
   r.tau_init = payload[4];
-  r.f_gamma.assign(payload.begin() + 8,
-                   payload.begin() + 8 + static_cast<long>(r.lmax) + 1);
-  r.g_gamma.assign(payload.begin() + 8 + static_cast<long>(r.lmax) + 1,
-                   payload.begin() + static_cast<long>(base));
-  if (version == kPayloadSourceTable) {
-    const std::size_t n_samples =
-        static_cast<std::size_t>(std::llround(payload[base]));
-    PLINGER_REQUIRE(
-        payload.size() == payload_length_los(r.lmax, lmax_pol, n_samples),
-        "unpack_records: bad sample-bearing payload length");
-    r.samples.resize(n_samples);
-    std::size_t at = base + 1;
-    for (TransferSample& s : r.samples) {
-      s.tau = payload[at++];
-      s.a = payload[at++];
-      s.delta_c = payload[at++];
-      s.delta_b = payload[at++];
-      s.delta_g = payload[at++];
-      s.delta_nu = payload[at++];
-      s.delta_m = payload[at++];
-      s.theta_b = payload[at++];
-      s.theta_g = payload[at++];
-      s.eta = payload[at++];
-      s.h = payload[at++];
-      s.phi = payload[at++];
-      s.psi = payload[at++];
-      s.alpha = payload[at++];
-      s.pi_pol = payload[at++];
-    }
+  const auto g_begin = payload.begin() + 9 + static_cast<long>(lmax);
+  r.f_gamma.assign(payload.begin() + 8, g_begin);
+  r.g_gamma.assign(g_begin, payload.begin() + static_cast<long>(base));
+  r.samples.resize(n_samples);
+  std::size_t at = base + 1;
+  for (TransferSample& s : r.samples) {
+    s.tau = payload[at++];
+    s.a = payload[at++];
+    s.delta_c = payload[at++];
+    s.delta_b = payload[at++];
+    s.delta_g = payload[at++];
+    s.delta_nu = payload[at++];
+    s.delta_m = payload[at++];
+    s.theta_b = payload[at++];
+    s.theta_g = payload[at++];
+    s.eta = payload[at++];
+    s.h = payload[at++];
+    s.phi = payload[at++];
+    s.psi = payload[at++];
+    s.alpha = payload[at++];
+    s.pi_pol = payload[at++];
   }
   return r;
 }

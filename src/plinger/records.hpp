@@ -37,11 +37,19 @@
 /// pack_payload() picks the version from ModeResult::samples, so
 /// hierarchy runs keep emitting version-0 bits; unpack_records()
 /// dispatches on y[7] and rejects versions it does not know.
+///
+/// unpack_records() is the one decoder of the pair, for the wire, the
+/// checkpoint journal and unit_2 alike.  Records arrive from peers and
+/// from disk, so every count slot (ik, lmax, lmax_pol, n_samples) is
+/// checked with castable_field() — and against the payload it must fit
+/// in — before it sizes or indexes anything.
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "boltzmann/mode_evolution.hpp"
+#include "common/error.hpp"
 
 namespace plinger::parallel {
 
@@ -57,6 +65,19 @@ inline constexpr double kPayloadSourceTable = 3.0;
 /// delta_c, delta_b, delta_g, delta_nu, delta_m, theta_b, theta_g, eta,
 /// h, phi, psi, alpha, pi_pol).
 inline constexpr std::size_t kSampleStride = 15;
+
+/// A CRC-clean record of the retired version-2 layout.  It is not
+/// damage, so the checkpoint store refuses the whole journal instead of
+/// truncating it as a torn tail.
+class RetiredPayloadVersion : public InvalidArgument {
+ public:
+  explicit RetiredPayloadVersion(const std::string& what)
+      : InvalidArgument(what) {}
+};
+
+/// True when `v` is an exact non-negative integer below `limit`, i.e. a
+/// record slot that is safe to cast to an unsigned count of that range.
+bool castable_field(double v, double limit);
 
 /// Payload length in doubles for given hierarchy sizes (version 0).
 inline constexpr std::size_t payload_length(std::size_t lmax,
@@ -87,18 +108,16 @@ std::vector<double> pack_payload(std::size_t ik,
 
 /// Reassemble a ModeResult from the two records: version 0 restores
 /// everything but samples, version 3 restores the samples too.
-/// Version 2 (pre-SourceTable samples) is rejected with a message
-/// naming the incompatibility.  Returns the work index ik through the
+/// Version 2 (pre-SourceTable samples) throws RetiredPayloadVersion
+/// with a message naming the incompatibility; any other inconsistency
+/// throws InvalidArgument.  Returns the work index ik through the
 /// out-parameter.
 boltzmann::ModeResult unpack_records(const std::vector<double>& header,
                                      const std::vector<double>& payload,
                                      std::size_t& ik);
 
 /// lmax as stored in a header (slot 21, i.e. index 20 — "y(21)" in the
-/// paper's Fortran), needed by the master to size the tag-5 receive.
+/// paper's Fortran).  Throws InvalidArgument unless the slot is a count.
 std::size_t header_lmax(const std::vector<double>& header);
-
-/// Polarization lmax stored in the payload preamble.
-std::size_t payload_lmax_pol(const std::vector<double>& payload);
 
 }  // namespace plinger::parallel

@@ -98,19 +98,6 @@ spectra::MatterPower make_matter_power(const parallel::RunOutput& out,
   return mp;
 }
 
-TransferTable make_transfer_table(const parallel::RunOutput& out) {
-  TransferTable t;
-  t.k.reserve(out.results.size());
-  t.rows.reserve(out.results.size());
-  // The result map is keyed by work index, which ascends with k.
-  for (const auto& [ik, r] : out.results) {
-    (void)ik;
-    t.k.push_back(r.k);
-    t.rows.push_back(r.final_state);
-  }
-  return t;
-}
-
 UnitFileStats write_unit_files(const parallel::RunOutput& out,
                                const std::string& unit1_path,
                                const std::string& unit2_path) {

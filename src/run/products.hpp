@@ -65,15 +65,6 @@ spectra::MatterPower make_matter_power(const parallel::RunOutput& out,
                                        double n_s,
                                        double cobe_factor = 1.0);
 
-/// Transfer table: one row per mode, ascending k — the final
-/// TransferSample of every result (species overdensities, velocities,
-/// metric and Newtonian potentials at tau_end).
-struct TransferTable {
-  std::vector<double> k;
-  std::vector<boltzmann::TransferSample> rows;
-};
-TransferTable make_transfer_table(const parallel::RunOutput& out);
-
 /// The original LINGER output pair: unit_1, the ASCII stream of
 /// 21-value header records, and unit_2, the Fortran-unformatted binary
 /// of photon moment arrays.  Byte-identical to the historical

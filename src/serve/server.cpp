@@ -18,6 +18,12 @@ namespace plinger::serve {
 
 namespace {
 
+/// What the daemon buffers per client: a request line longer than
+/// kMaxLineBytes, or a RUN body longer than kMaxBodyLines lines, gets
+/// one ERR line and the connection is closed.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+constexpr std::size_t kMaxBodyLines = 1024;
+
 void close_if_open(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -42,8 +48,9 @@ bool send_all(int fd, const std::string& text) {
 }
 
 /// Line-buffered reads over a polled socket.  next_line() returns false
-/// on EOF/error; while waiting it checks the caller's stop predicate
-/// every poll tick so an idle connection notices a shutdown.
+/// on EOF/error and on a line past kMaxLineBytes (overlong() is then
+/// set); while waiting it checks the caller's stop predicate every poll
+/// tick so an idle connection notices a shutdown.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
@@ -54,11 +61,15 @@ class LineReader {
   bool next_line(std::string& line, bool idle, const StopFn& stop) {
     while (true) {
       const auto nl = buf_.find('\n');
-      if (nl != std::string::npos) {
+      if (nl != std::string::npos && nl <= kMaxLineBytes) {
         line = buf_.substr(0, nl);
         buf_.erase(0, nl + 1);
         if (!line.empty() && line.back() == '\r') line.pop_back();
         return true;
+      }
+      if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
+        overlong_ = true;
+        return false;
       }
       if (idle && stop()) return false;
       struct pollfd pfd{fd_, POLLIN, 0};
@@ -79,9 +90,12 @@ class LineReader {
     }
   }
 
+  bool overlong() const { return overlong_; }
+
  private:
   int fd_;
   std::string buf_;
+  bool overlong_ = false;
 };
 
 }  // namespace
@@ -180,6 +194,7 @@ void SpectrumServer::handle_connection(int fd) {
   LineReader reader(fd);
   const auto stop = [this] { return stopping_.load(); };
   std::string line;
+  bool body_overlong = false;
   while (reader.next_line(line, /*idle=*/true, stop)) {
     std::vector<std::string> body;
     bool truncated = false;
@@ -193,9 +208,13 @@ void SpectrumServer::handle_connection(int fd) {
           break;
         }
         if (body_line == "END") break;
+        if (body.size() == kMaxBodyLines) {
+          body_overlong = true;
+          break;
+        }
         body.push_back(body_line);
       }
-      if (truncated) break;
+      if (truncated || body_overlong) break;
     }
     const RequestParse parsed = parse_request(line, body);
     if (!parsed.error.empty()) {
@@ -249,6 +268,13 @@ void SpectrumServer::handle_connection(int fd) {
       }
     }
     if (!keep) break;
+  }
+  if (reader.overlong()) {
+    send_all(fd, "ERR request line exceeds " +
+                     std::to_string(kMaxLineBytes) + " bytes\n");
+  } else if (body_overlong) {
+    send_all(fd, "ERR RUN body exceeds " + std::to_string(kMaxBodyLines) +
+                     " lines\n");
   }
   ::close(fd);
 }

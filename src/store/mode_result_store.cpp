@@ -5,9 +5,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "io/fortran_binary.hpp"
 #include "plinger/records.hpp"
@@ -25,10 +25,6 @@ constexpr double kMagic = 1347440199.0;  // 0x504C4E47, "PLNG"
 constexpr double kVersion = 1.0;
 constexpr std::size_t kFileHeaderLength = 6;
 
-/// Reject absurd framing lengths before allocating (a torn tail can
-/// leave arbitrary garbage where a length marker should be).
-constexpr std::uint32_t kMaxRecordBytes = 1u << 26;
-
 std::string hex64(std::uint64_t v) {
   char buf[19];
   std::snprintf(buf, sizeof(buf), "0x%016llx",
@@ -36,59 +32,9 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Reads length-framed records like io::FortranRecordReader, but damage
-/// tolerant: instead of throwing on a torn frame it reports `torn`, and
-/// it tracks the byte offset of the end of the last good record so the
-/// caller can truncate there.
-class RawReader {
- public:
-  enum class Status { record, eof, torn };
-
-  explicit RawReader(std::istream& is) : is_(is) {}
-
-  Status next(std::vector<double>& out) {
-    std::uint32_t head = 0;
-    is_.read(reinterpret_cast<char*>(&head), sizeof(head));
-    if (is_.gcount() == 0) return Status::eof;
-    if (is_.gcount() < static_cast<std::streamsize>(sizeof(head))) {
-      return Status::torn;
-    }
-    if (head == 0 || head % sizeof(double) != 0 || head > kMaxRecordBytes) {
-      return Status::torn;
-    }
-    out.resize(head / sizeof(double));
-    is_.read(reinterpret_cast<char*>(out.data()),
-             static_cast<std::streamsize>(head));
-    if (is_.gcount() < static_cast<std::streamsize>(head)) {
-      return Status::torn;
-    }
-    std::uint32_t tail = 0;
-    is_.read(reinterpret_cast<char*>(&tail), sizeof(tail));
-    if (is_.gcount() < static_cast<std::streamsize>(sizeof(tail)) ||
-        tail != head) {
-      return Status::torn;
-    }
-    offset_ += 2 * sizeof(std::uint32_t) + head;
-    return Status::record;
-  }
-
-  /// Byte offset just past the last good record.
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  std::istream& is_;
-  std::uint64_t offset_ = 0;
-};
-
-/// True when `v` is an exact non-negative integer below `limit` — i.e.
-/// safe to cast to an unsigned integer type of that range.
-bool castable_field(double v, double limit) {
-  return std::isfinite(v) && v >= 0.0 && v < limit && v == std::floor(v);
-}
-
-/// Parse the file header record; throws StoreCorrupt when it is not one.
-void parse_file_header(const std::vector<double>& rec, std::uint64_t& id,
-                       std::size_t& n_k) {
+/// Parse the file header record into `c`; throws StoreCorrupt when it
+/// is not one.
+void parse_file_header(const std::vector<double>& rec, JournalContents& c) {
   if (rec.size() != kFileHeaderLength || rec[0] != kMagic ||
       rec[1] != kVersion) {
     throw StoreCorrupt(
@@ -99,48 +45,71 @@ void parse_file_header(const std::vector<double>& rec, std::uint64_t& id,
   // here — casting it first would be undefined behavior.
   constexpr double kTwo32 = 4294967296.0;
   constexpr double kTwo53 = 9007199254740992.0;
+  using parallel::castable_field;
   if (!castable_field(rec[2], kTwo32) || !castable_field(rec[3], kTwo32) ||
       !castable_field(rec[4], kTwo53)) {
     throw StoreCorrupt(
         "ModeResultStore: checkpoint journal header fields are corrupt");
   }
-  id = (static_cast<std::uint64_t>(rec[2]) << 32) |
-       static_cast<std::uint64_t>(rec[3]);
-  n_k = static_cast<std::size_t>(rec[4]);
+  c.identity.value = (static_cast<std::uint64_t>(rec[2]) << 32) |
+                     static_cast<std::uint64_t>(rec[3]);
+  c.n_k = static_cast<std::size_t>(rec[4]);
 }
 
-/// Validate and unpack one mode record (21-double header + payload +
-/// trailing CRC).  Returns false on any damage — the caller treats the
-/// record, and everything after it, as the torn tail.
-bool parse_mode_record(const std::vector<double>& rec, std::size_t& ik,
-                       boltzmann::ModeResult& result) {
+/// Check and decode one mode record (21-double header + payload +
+/// trailing CRC) into `c`.  Returns false on any damage — the caller
+/// treats the record, and everything after it, as the torn tail.
+bool parse_mode_record(const std::vector<double>& rec,
+                       const std::string& path, JournalContents& c) {
   using parallel::kHeaderLength;
-  // Minimum: header + 8-slot preamble + one moment each + CRC.
-  if (rec.size() < kHeaderLength + 8 + 2 + 1) return false;
+  if (rec.size() <= kHeaderLength) return false;
   const std::span<const double> body(rec.data(), rec.size() - 1);
   if (static_cast<double>(crc32_doubles(body)) != rec.back()) return false;
   const std::vector<double> header(rec.begin(),
                                    rec.begin() + kHeaderLength);
   const std::vector<double> payload(rec.begin() + kHeaderLength,
                                     rec.end() - 1);
-  // A CRC-clean record of the retired version-2 layout is not damage —
-  // treating it as a torn tail would silently drop and recompute it.
-  // Refuse the journal loudly instead.
-  if (payload.size() >= 8 &&
-      payload[7] == parallel::kPayloadWithSamples) {
-    throw StoreCorrupt(
-        "ModeResultStore: journal holds retired version-2 line-of-sight "
-        "records (pre-SourceTable: their Pi column is zero through tight "
-        "coupling, so E-mode sources cannot be rebuilt from them) — "
-        "delete the journal and rerun the line-of-sight modes instead "
-        "of resuming it");
-  }
+  std::size_t ik = 0;
   try {
-    result = parallel::unpack_records(header, payload, ik);
+    boltzmann::ModeResult r = parallel::unpack_records(header, payload, ik);
+    c.iks.push_back(ik);
+    c.results.emplace(ik, std::move(r));  // first record wins
+  } catch (const parallel::RetiredPayloadVersion& e) {
+    // A CRC-clean retired record is not damage — treating it as a torn
+    // tail would silently drop and recompute it.  Refuse the journal.
+    throw StoreCorrupt("journal " + path + ": " + e.what());
   } catch (const Error&) {
-    return false;  // inconsistent lengths / ik mismatch
+    return false;
   }
   return true;
+}
+
+/// The one journal walk, behind read_journal() and the store's open.
+/// Returns nullopt when the header frame is torn or absent (a crash
+/// before the header was flushed); throws StoreCorrupt as documented on
+/// read_journal().
+std::optional<JournalContents> walk_journal(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    throw StoreCorrupt("read_journal: cannot open " + path);
+  }
+  io::FortranRecordReader reader(in);
+  std::vector<double> rec;
+  if (reader.next(rec) != io::FortranRecordReader::Status::record) {
+    return std::nullopt;
+  }
+  JournalContents c;
+  parse_file_header(rec, c);
+  for (;;) {
+    c.good_bytes = reader.offset();
+    const auto st = reader.next(rec);
+    if (st == io::FortranRecordReader::Status::eof) return c;
+    if (st == io::FortranRecordReader::Status::torn ||
+        !parse_mode_record(rec, path, c)) {
+      c.torn_tail = true;
+      return c;
+    }
+  }
 }
 
 }  // namespace
@@ -152,7 +121,7 @@ ModeResultStore::ModeResultStore(const StoreOptions& opts, RunIdentity id,
 
   // Advisory writer lock, held for the store's lifetime: a second
   // writer (a daemon and a CLI run pointed at the same journal) must
-  // fail fast instead of interleaving appends.  Taken before the scan
+  // fail fast instead of interleaving appends.  Taken before the read
   // below so no writer ever reads a journal another writer is mutating.
   lock_fd_ = ::open(opts_.path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   PLINGER_REQUIRE(lock_fd_ >= 0,
@@ -182,71 +151,44 @@ ModeResultStore::ModeResultStore(const StoreOptions& opts, RunIdentity id,
 }
 
 void ModeResultStore::open_journal() {
+  // The lock above created the file if it was absent.  A non-regular
+  // file (a device) reports an error size and is read like any other.
   std::error_code ec;
-  const std::uint64_t file_size =
-      fs::exists(opts_.path, ec) ? fs::file_size(opts_.path, ec) : 0;
-
-  bool fresh = file_size == 0;
-  if (!fresh) {
-    std::ifstream in(opts_.path, std::ios::binary);
-    PLINGER_REQUIRE(in.is_open(),
-                    "ModeResultStore: cannot open " + opts_.path);
-    RawReader raw(in);
-    std::vector<double> rec;
-    const auto first = raw.next(rec);
-    if (first == RawReader::Status::torn) {
-      // Crash before even the file header was flushed: no result can
-      // have been recorded, so start over.
-      fresh = true;
-      torn_tail_recovered_ = true;
-    } else {
-      PLINGER_REQUIRE(first == RawReader::Status::record,
-                      "ModeResultStore: empty journal frame");
-      std::uint64_t journal_id = 0;
-      std::size_t journal_n_k = 0;
-      parse_file_header(rec, journal_id, journal_n_k);
-      if (journal_id != id_.value || journal_n_k != n_k_) {
-        throw StoreIdentityMismatch(
-            "ModeResultStore: journal " + opts_.path + " belongs to run " +
-            hex64(journal_id) + " over " + std::to_string(journal_n_k) +
-            " modes, but this run is " + hex64(id_.value) + " over " +
-            std::to_string(n_k_) +
-            " modes; refusing to mix results from different physics");
-      }
-      std::uint64_t good = raw.offset();
-      for (;;) {
-        const auto st = raw.next(rec);
-        if (st != RawReader::Status::record) break;
-        std::size_t ik = 0;
-        boltzmann::ModeResult r;
-        if (!parse_mode_record(rec, ik, r)) break;
-        good = raw.offset();
-        if (!in_journal_.insert(ik).second) {
-          ++n_duplicates_;
-          continue;
-        }
-        if (opts_.resume) loaded_.emplace(ik, std::move(r));
-      }
-      in.close();
-      if (good < file_size) {
-        // Torn tail from a crash mid-write: drop it, keep the prefix.
-        fs::resize_file(opts_.path, good);
-        torn_tail_recovered_ = true;
-      }
-    }
+  std::optional<JournalContents> journal;
+  if (fs::file_size(opts_.path, ec) != 0) {
+    journal = walk_journal(opts_.path);
+    // No header frame: the crash came before even the file header was
+    // flushed, so no result can have been recorded — start over.
+    torn_tail_recovered_ = !journal;
   }
 
-  if (fresh) {
+  if (journal) {
+    if (journal->identity != id_ || journal->n_k != n_k_) {
+      throw StoreIdentityMismatch(
+          "ModeResultStore: journal " + opts_.path + " belongs to run " +
+          hex64(journal->identity.value) + " over " +
+          std::to_string(journal->n_k) + " modes, but this run is " +
+          hex64(id_.value) + " over " + std::to_string(n_k_) +
+          " modes; refusing to mix results from different physics");
+    }
+    for (const auto& [ik, r] : journal->results) in_journal_.insert(ik);
+    n_duplicates_ = journal->iks.size() - journal->results.size();
+    if (opts_.resume) loaded_ = std::move(journal->results);
+    if (journal->torn_tail) {
+      // Torn tail from a crash mid-write: drop it, keep the prefix.
+      fs::resize_file(opts_.path, journal->good_bytes);
+      torn_tail_recovered_ = true;
+    }
+    out_.open(opts_.path, std::ios::binary | std::ios::app);
+    PLINGER_REQUIRE(out_.is_open(),
+                    "ModeResultStore: cannot append to " + opts_.path);
+  } else {
     out_.open(opts_.path, std::ios::binary | std::ios::trunc);
     PLINGER_REQUIRE(out_.is_open(),
                     "ModeResultStore: cannot create " + opts_.path);
     write_file_header();
     out_.flush();
     require_writable("file header flush");
-  } else {
-    out_.open(opts_.path, std::ios::binary | std::ios::app);
-    PLINGER_REQUIRE(out_.is_open(),
-                    "ModeResultStore: cannot append to " + opts_.path);
   }
 }
 
@@ -351,63 +293,10 @@ bool ModeResultStore::stop_requested() const {
   return stop_requested_;
 }
 
-JournalScan ModeResultStore::scan(const std::string& path) {
-  JournalScan s;
-  std::error_code ec;
-  const std::uint64_t file_size =
-      fs::exists(path, ec) ? fs::file_size(path, ec) : 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw StoreCorrupt("ModeResultStore::scan: cannot open " + path);
-  }
-  RawReader raw(in);
-  std::vector<double> rec;
-  if (raw.next(rec) != RawReader::Status::record) {
-    throw StoreCorrupt("ModeResultStore::scan: no file header in " + path);
-  }
-  parse_file_header(rec, s.identity.value, s.n_k);
-  s.good_bytes = raw.offset();
-  for (;;) {
-    const auto st = raw.next(rec);
-    if (st != RawReader::Status::record) break;
-    std::size_t ik = 0;
-    boltzmann::ModeResult r;
-    if (!parse_mode_record(rec, ik, r)) break;
-    s.iks.push_back(ik);
-    if (!r.samples.empty()) ++s.n_los_records;
-    s.good_bytes = raw.offset();
-  }
-  s.torn_tail = s.good_bytes < file_size;
-  return s;
-}
-
 JournalContents read_journal(const std::string& path) {
-  JournalContents c;
-  std::error_code ec;
-  const std::uint64_t file_size =
-      fs::exists(path, ec) ? fs::file_size(path, ec) : 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    throw StoreCorrupt("read_journal: cannot open " + path);
-  }
-  RawReader raw(in);
-  std::vector<double> rec;
-  if (raw.next(rec) != RawReader::Status::record) {
-    throw StoreCorrupt("read_journal: no file header in " + path);
-  }
-  parse_file_header(rec, c.identity.value, c.n_k);
-  std::uint64_t good = raw.offset();
-  for (;;) {
-    const auto st = raw.next(rec);
-    if (st != RawReader::Status::record) break;
-    std::size_t ik = 0;
-    boltzmann::ModeResult r;
-    if (!parse_mode_record(rec, ik, r)) break;
-    good = raw.offset();
-    c.results.emplace(ik, std::move(r));  // first record wins
-  }
-  c.torn_tail = good < file_size;
-  return c;
+  std::optional<JournalContents> c = walk_journal(path);
+  if (!c) throw StoreCorrupt("read_journal: no file header in " + path);
+  return std::move(*c);
 }
 
 }  // namespace plinger::store

@@ -17,7 +17,7 @@
 /// versions distinguished by payload preamble slot y[7] (see
 /// plinger/records.hpp): the classic hierarchy record (y[7] = 0,
 /// bit-identical to every journal ever written) and the sample-bearing
-/// LOS record (y[7] = 2) that appends the TransferSamples recorded at
+/// LOS record (y[7] = 3) that appends the TransferSamples recorded at
 /// los_sample_taus().  A journal holds one family or the other, never a
 /// mix: solver=los runs stamp an LOS-extended identity
 /// (store/identity.hpp), so a hierarchy run opening an LOS journal — or
@@ -28,13 +28,17 @@
 /// and one trailing checksum double per mode — era tools that skip
 /// unknown records can still walk it.
 ///
+/// Decoding has one path: io::FortranRecordReader frames the records,
+/// read_journal() walks them (the store's open included), and
+/// parallel::unpack_records() decodes each CRC-checked mode record.
+///
 /// Crash safety is the append-only contract: a record is either wholly
-/// present (framing intact, CRC matches) or it is the torn tail left by
-/// a crash mid-write.  open() truncates a torn tail instead of failing
-/// the run; everything before it is intact because nothing is ever
-/// rewritten.  A journal whose identity differs from the opening run is
-/// rejected with StoreIdentityMismatch — a store is only ever resumed
-/// against the exact same physics.
+/// present (framing intact, CRC matches, decodes) or it is the torn
+/// tail left by a crash mid-write.  Opening a store truncates a torn
+/// tail instead of failing the run; everything before it is intact
+/// because nothing is ever rewritten.  A journal whose identity differs
+/// from the opening run is rejected with StoreIdentityMismatch — a
+/// store is only ever resumed against the exact same physics.
 
 #include <cstdint>
 #include <fstream>
@@ -83,24 +87,42 @@ class StoreBusy : public Error {
   explicit StoreBusy(const std::string& what) : Error(what) {}
 };
 
-/// Raw inspection of a journal file, shared by the loader, the tests,
-/// and tooling.  Never throws on mode-record damage: scanning stops at
-/// the first bad record and reports how far the good prefix reaches.
-struct JournalScan {
+/// A journal's full read-only contents: what read_journal() recovers
+/// without opening the file for writing (and without taking the write
+/// lock).  Duplicate records keep the first occurrence.
+struct JournalContents {
   RunIdentity identity;
-  std::size_t n_k = 0;               ///< grid size stamped in the header
-  std::vector<std::size_t> iks;      ///< journal order, duplicates kept
-  std::uint64_t good_bytes = 0;      ///< prefix ending at the last good record
-  bool torn_tail = false;            ///< trailing bytes past good_bytes
-  std::size_t n_los_records = 0;     ///< sample-bearing (version-2) records
+  std::size_t n_k = 0;  ///< grid size stamped in the header
+  std::map<std::size_t, boltzmann::ModeResult> results;
+  std::vector<std::size_t> iks;  ///< journal order, duplicates kept
+  std::uint64_t good_bytes = 0;  ///< end of the prefix of good records
+  bool torn_tail = false;  ///< bytes past good_bytes were skipped
+
+  /// True when every mode of the stamped grid is present — the journal
+  /// can answer a repeat request by itself, no recompute needed.
+  bool complete() const { return n_k > 0 && results.size() == n_k; }
 };
+
+/// Read a journal without opening it for writing: the one journal walk,
+/// shared by ModeResultStore's open, the serve layer's warm-start path
+/// and any read-through consumer.  Advisory locking is writer-vs-writer
+/// only, so this works while a store holds the journal open.  A torn
+/// frame or a record that fails its CRC or its decode ends the read
+/// early (torn_tail is set) instead of failing.  Throws StoreCorrupt
+/// when the file is missing, when its header frame is torn or absent or
+/// is not a journal header, and when a CRC-clean record has the retired
+/// version-2 layout (plinger/records.hpp).
+JournalContents read_journal(const std::string& path);
 
 class ModeResultStore {
  public:
   /// Open (creating if absent) the journal at opts.path for the run
   /// identified by `id` over an n_k-point grid.  An existing journal is
-  /// identity-checked, scanned, torn-tail-truncated, and — when
-  /// opts.resume is set — its records are loaded into loaded().
+  /// read with read_journal(), identity-checked, torn-tail-truncated,
+  /// and — when opts.resume is set — its records are loaded into
+  /// loaded().  An empty file, or one whose header frame is torn (a
+  /// crash before the header was flushed), starts over as a fresh
+  /// journal.
   ModeResultStore(const StoreOptions& opts, RunIdentity id,
                   std::size_t n_k);
   ~ModeResultStore();  ///< flushes; never throws
@@ -138,12 +160,8 @@ class ModeResultStore {
   /// the drivers stop issuing fresh modes and wind down.
   bool stop_requested() const;
 
-  /// Scan a journal without opening it for writing.  Throws StoreCorrupt
-  /// when the file header itself is unreadable.
-  static JournalScan scan(const std::string& path);
-
  private:
-  void open_journal();  ///< scan/truncate/load + open for append
+  void open_journal();  ///< read/truncate/load + open for append
   void write_file_header();
   void require_writable(const char* when);  ///< throws StoreWriteError
 
@@ -164,28 +182,5 @@ class ModeResultStore {
   std::size_t n_duplicates_ = 0;
   bool torn_tail_recovered_ = false;
 };
-
-/// A journal's full read-only contents: what read_journal() recovers
-/// without opening the file for writing (and without taking the write
-/// lock).  Duplicate records keep the first occurrence, mirroring the
-/// resume loader.
-struct JournalContents {
-  RunIdentity identity;
-  std::size_t n_k = 0;  ///< grid size stamped in the header
-  std::map<std::size_t, boltzmann::ModeResult> results;
-  bool torn_tail = false;  ///< trailing damage was skipped, not repaired
-
-  /// True when every mode of the stamped grid is present — the journal
-  /// can answer a repeat request by itself, no recompute needed.
-  bool complete() const { return n_k > 0 && results.size() == n_k; }
-};
-
-/// Read a journal's records without opening it for writing — the serve
-/// layer's warm-start path (and any read-through consumer).  Advisory
-/// locking is writer-vs-writer only, so this works while a store holds
-/// the journal open; a torn tail or damaged record ends the read early
-/// (torn_tail is set) instead of failing.  Throws StoreCorrupt when the
-/// file header itself is unreadable.
-JournalContents read_journal(const std::string& path);
 
 }  // namespace plinger::store

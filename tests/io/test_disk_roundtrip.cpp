@@ -69,7 +69,8 @@ TEST(DiskRoundTrip, Unit1AndUnit2) {
   for (std::size_t i = 0; i < ks.size(); ++i) {
     ASSERT_EQ(rows[i].size(), pp::kHeaderLength);
     std::vector<double> payload;
-    ASSERT_TRUE(reader.next(payload));
+    ASSERT_EQ(reader.next(payload),
+              pio::FortranRecordReader::Status::record);
     std::size_t ik = 0;
     const auto r = pp::unpack_records(rows[i], payload, ik);
     EXPECT_EQ(ik, i + 1);
@@ -80,6 +81,6 @@ TEST(DiskRoundTrip, Unit1AndUnit2) {
     EXPECT_EQ(r.final_state.delta_c, truth.final_state.delta_c);
   }
   std::vector<double> extra;
-  EXPECT_FALSE(reader.next(extra));
+  EXPECT_EQ(reader.next(extra), pio::FortranRecordReader::Status::eof);
   fs::remove_all(dir);
 }

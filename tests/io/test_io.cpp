@@ -2,13 +2,17 @@
 #include "io/fortran_binary.hpp"
 #include "io/ppm.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 
 namespace pio = plinger::io;
+using Status = pio::FortranRecordReader::Status;
 
 TEST(AsciiTable, WriteReadRoundTrip) {
   std::stringstream ss;
@@ -52,13 +56,14 @@ TEST(FortranBinary, RoundTripRecords) {
 
   pio::FortranRecordReader reader(ss);
   std::vector<double> out;
-  ASSERT_TRUE(reader.next(out));
+  ASSERT_EQ(reader.next(out), Status::record);
   EXPECT_EQ(out, r1);
-  ASSERT_TRUE(reader.next(out));
+  ASSERT_EQ(reader.next(out), Status::record);
   EXPECT_EQ(out, r2);
-  ASSERT_TRUE(reader.next(out));
+  ASSERT_EQ(reader.next(out), Status::record);
   EXPECT_EQ(out, r3);
-  EXPECT_FALSE(reader.next(out));
+  EXPECT_EQ(reader.next(out), Status::eof);
+  EXPECT_EQ(reader.offset(), ss.str().size());
 }
 
 TEST(FortranBinary, FramingBytesAreLittleEndian32) {
@@ -76,13 +81,34 @@ TEST(FortranBinary, DetectsCorruptFraming) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   pio::FortranRecordWriter w(ss);
   w.record(std::vector<double>{7.0, 8.0});
-  std::string bytes = ss.str();
+  const std::string good = ss.str();
+  std::string bytes = good;
   bytes[bytes.size() - 1] ^= 0x7;  // damage the trailing marker
   std::stringstream corrupt(bytes,
                             std::ios::in | std::ios::out | std::ios::binary);
   pio::FortranRecordReader reader(corrupt);
   std::vector<double> out;
-  EXPECT_THROW(reader.next(out), plinger::Error);
+  EXPECT_EQ(reader.next(out), Status::torn);
+  EXPECT_EQ(reader.offset(), 0u);
+
+  // More damaged frames, each after one good record: a zero length, a
+  // length that is not whole doubles, a length past the 64 MiB cap, a
+  // body cut short, and a half-written length marker.  Each reads as
+  // torn, and offset() still ends the good prefix.
+  const auto marker = [](std::uint32_t n) {
+    return std::string(reinterpret_cast<const char*>(&n), sizeof n);
+  };
+  const std::vector<std::string> tails = {
+      marker(0) + marker(0), marker(12) + std::string(12, '\0') + marker(12),
+      marker(pio::FortranRecordReader::kMaxRecordBytes + 8),
+      marker(16) + std::string(8, '\0'), std::string(2, '\x10')};
+  for (const std::string& tail : tails) {
+    std::stringstream damaged(good + tail, std::ios::in | std::ios::binary);
+    pio::FortranRecordReader after_good(damaged);
+    ASSERT_EQ(after_good.next(out), Status::record);
+    EXPECT_EQ(after_good.next(out), Status::torn) << tail.size();
+    EXPECT_EQ(after_good.offset(), good.size());
+  }
 }
 
 TEST(Ppm, PgmHeaderAndSize) {

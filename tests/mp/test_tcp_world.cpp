@@ -630,8 +630,7 @@ TEST(TcpE2E, WorkerKilledMidRunStillCompletesBitwise) {
           killed = true;
           ::kill(pids[0], SIGKILL);
         }
-      },
-      plan.setup().fault.max_retries);
+      });
   pm::endpass(pctx);
   world.reset();
   ::kill(pids[0], SIGKILL);  // no-op if already dead

@@ -127,8 +127,7 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
       [&out](std::size_t ik, const pb::ModeResult& r) {
         ++out.sink_count[ik];
         out.sunk_k[ik] = r.k;
-      },
-      fc.max_retries);
+      });
   threads.clear();
   return out;
 }

@@ -37,6 +37,7 @@ std::pair<std::size_t, pp::MasterStats> run_protocol(
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;  // fake evolvers ignore lmax
   setup.n_k = static_cast<double>(sched.size());
+  setup.fault.max_retries = max_retries;
 
   std::vector<std::jthread> threads;
   for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -49,8 +50,7 @@ std::pair<std::size_t, pp::MasterStats> run_protocol(
   auto ctx = pm::initpass(world, 0);
   const auto stats = pp::run_master(
       ctx, sched, setup,
-      [&n_results](std::size_t, const pb::ModeResult&) { ++n_results; },
-      max_retries);
+      [&n_results](std::size_t, const pb::ModeResult&) { ++n_results; });
   threads.clear();
   return {n_results, stats};
 }

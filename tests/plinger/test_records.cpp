@@ -197,4 +197,21 @@ TEST(Records, MismatchedRecordsRejected) {
   std::vector<double> short_header(10, 0.0);
   EXPECT_THROW(pp::unpack_records(short_header, payload, ik),
                plinger::InvalidArgument);
+
+  // Count slots that would wrap the payload-length sum are refused
+  // before any length arithmetic: header lmax -5 with lmax_pol 100 over
+  // 105 doubles, and lmax 10 with lmax_pol -5 over 15 doubles.
+  auto wrapped_header = pp::pack_header(1, r);
+  std::vector<double> wrapped(105, 0.0);
+  wrapped[0] = 1.0;
+  wrapped[3] = 100.0;
+  wrapped_header[20] = -5.0;
+  EXPECT_THROW(pp::unpack_records(wrapped_header, wrapped, ik),
+               plinger::InvalidArgument);
+  wrapped.assign(15, 0.0);
+  wrapped[0] = 1.0;
+  wrapped[3] = -5.0;
+  wrapped_header[20] = 10.0;
+  EXPECT_THROW(pp::unpack_records(wrapped_header, wrapped, ik),
+               plinger::InvalidArgument);
 }

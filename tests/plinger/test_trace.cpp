@@ -108,6 +108,7 @@ std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;
   setup.n_k = static_cast<double>(sched.size());
+  setup.fault.max_retries = max_retries;
 
   std::vector<std::jthread> threads;
   for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -119,7 +120,7 @@ std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
   auto ctx = pm::initpass(world_mp, 0);
   const auto stats = pp::run_master(
       ctx, sched, setup, [](std::size_t, const pb::ModeResult&) {},
-      max_retries, &recorder);
+      &recorder);
   threads.clear();
   if (transport_out) *transport_out = world_mp.stats();
   return {stats, recorder.finish(static_cast<int>(workers.size()))};

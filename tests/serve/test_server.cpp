@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -54,13 +55,26 @@ class Client {
   bool connected() const { return connected_; }
 
   void send_text(const std::string& text) {
+    ASSERT_TRUE(try_send(text));
+  }
+
+  /// Send the whole text; false once the server has closed on us.
+  bool try_send(const std::string& text) {
     std::size_t off = 0;
     while (off < text.size()) {
       const ssize_t n = ::send(fd_, text.data() + off, text.size() - off,
                                MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
+      if (n <= 0) return false;
       off += static_cast<std::size_t>(n);
     }
+    return true;
+  }
+
+  /// Bound every later read: a reply that never comes reads as EOF.
+  void set_receive_timeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
   /// Read one '\n'-terminated line (without the newline); "" on EOF.
@@ -218,6 +232,32 @@ TEST(SpectrumServer, BadRequestsGetErrReplies) {
   c.send_text("PING\n");
   EXPECT_EQ(c.read_line(), "PONG");
   EXPECT_EQ(fx.service().stats().requests, 0u);
+}
+
+TEST(SpectrumServer, OverlongRequestsGetErrAndClose) {
+  // One client must not grow the daemon's memory without bound: 1 MiB
+  // with no newline, or a RUN body past the line cap, gets one ERR line
+  // and the connection is closed.
+  ServerFixture fx;
+  std::string long_body = "RUN\n";
+  for (int i = 0; i < 2000; ++i) long_body += "n_k = 4\n";
+  for (const std::string& request :
+       {std::string(1 << 20, 'x'), long_body}) {
+    Client c(fx.port());
+    ASSERT_TRUE(c.connected());
+    c.set_receive_timeout(10);
+    // The server stops reading mid-request, so send from another
+    // thread: the send may fail once the server closes.
+    std::thread sender([&c, &request] { (void)c.try_send(request); });
+    const std::string line = c.read_line();
+    EXPECT_EQ(line.rfind("ERR ", 0), 0u) << line;
+    EXPECT_EQ(c.read_line(), "");  // then EOF
+    sender.join();
+  }
+  // The daemon still serves other clients.
+  Client c(fx.port());
+  c.send_text("PING\n");
+  EXPECT_EQ(c.read_line(), "PONG");
 }
 
 TEST(SpectrumServer, GracefulStopDrainsInFlightRequests) {

@@ -176,9 +176,9 @@ TEST_P(CrashResume, KillAfterThreeModesThenResumeBitwise) {
   EXPECT_EQ(partial.n_modes_loaded, 0u);
 
   // The journal holds exactly the completed modes, no torn tail.
-  const auto scan = ps::ModeResultStore::scan(path);
-  EXPECT_EQ(scan.iks.size(), partial.results.size());
-  EXPECT_FALSE(scan.torn_tail);
+  const auto journal = ps::read_journal(path);
+  EXPECT_EQ(journal.iks.size(), partial.results.size());
+  EXPECT_FALSE(journal.torn_tail);
 
   // Phase 2: resume.  Only the remainder is computed; the union is
   // bitwise identical to the uninterrupted reference.
@@ -221,7 +221,7 @@ TEST_P(CrashResume, ResumeOffRecomputesFullSchedule) {
   auto setup = setup_for(s, path);
   setup.store.stop_after = 3;
   const auto partial = run_driver(d, s, setup);
-  const auto n_journaled = ps::ModeResultStore::scan(path).iks.size();
+  const auto n_journaled = ps::read_journal(path).iks.size();
   ASSERT_GE(n_journaled, 3u);
   ASSERT_LT(n_journaled, kNModes);
 
@@ -237,7 +237,7 @@ TEST_P(CrashResume, ResumeOffRecomputesFullSchedule) {
   expect_matches_reference(second);
 
   // The journal converged to one record per mode, no duplicates.
-  auto iks = ps::ModeResultStore::scan(path).iks;
+  auto iks = ps::read_journal(path).iks;
   std::sort(iks.begin(), iks.end());
   ASSERT_EQ(iks.size(), kNModes);
   for (std::size_t i = 0; i < kNModes; ++i) EXPECT_EQ(iks[i], i + 1);
@@ -328,6 +328,7 @@ TEST(CrashResumeFaults, RetriedModesCheckpointExactlyOnce) {
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;
   setup.n_k = static_cast<double>(sched.size());
+  setup.fault.max_retries = 5;
 
   auto fail_count = std::make_shared<std::atomic<int>>(0);
   const pp::EvolveFn flaky = [fail_count](const pb::EvolveRequest& req,
@@ -362,14 +363,13 @@ TEST(CrashResumeFaults, RetriedModesCheckpointExactlyOnce) {
       ctx, sched, setup,
       [&store](std::size_t ik, const pb::ModeResult& r) {
         store.append(ik, r);
-      },
-      /*max_retries=*/5);
+      });
   threads.clear();
   store.flush();
 
   EXPECT_GE(stats.n_requeued, 1u);
   EXPECT_TRUE(stats.failed_ik.empty());
-  auto iks = ps::ModeResultStore::scan(path).iks;
+  auto iks = ps::read_journal(path).iks;
   std::sort(iks.begin(), iks.end());
   std::vector<std::size_t> expected(sched.size());
   for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i + 1;

@@ -13,6 +13,7 @@
 // with a message that says what to do — never silently truncated as a
 // torn tail.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -105,10 +106,13 @@ TEST_P(LosResume, ResumedClBitwiseMatchesUninterrupted) {
   EXPECT_GE(phase1.results.size(), kStopAfter);
 
   // The journal holds sample-bearing records and the LOS identity.
-  const auto scan = ps::ModeResultStore::scan(path);
-  EXPECT_EQ(scan.identity, pr::RunPlan(cfg, ctx).identity());
-  EXPECT_EQ(scan.n_los_records, scan.iks.size());
-  EXPECT_GE(scan.n_los_records, kStopAfter);
+  const auto journal = ps::read_journal(path);
+  EXPECT_EQ(journal.identity, pr::RunPlan(cfg, ctx).identity());
+  const auto n_los_records = static_cast<std::size_t>(std::count_if(
+      journal.results.begin(), journal.results.end(),
+      [](const auto& entry) { return !entry.second.samples.empty(); }));
+  EXPECT_EQ(n_los_records, journal.iks.size());
+  EXPECT_GE(n_los_records, kStopAfter);
 
   // Phase 2: resume to completion.
   cfg.stop_after = 0;
@@ -206,7 +210,7 @@ TEST(LosResume, JournaledSamplesCarryALivePolarizationColumn) {
 TEST(LosResume, RetiredVersionTwoJournalRefusedLoudly) {
   // Rewrite a fresh version-3 journal's records to claim the retired
   // version-2 layout (re-sealing each record CRC so the frame itself is
-  // intact).  Both the scanner and a resuming run must refuse the
+  // intact).  Both the reader and a resuming run must refuse the
   // journal with a message that says what to do — a CRC-clean retired
   // record must NOT be silently truncated as a torn tail and recomputed.
   const auto ctx = shared_context();
@@ -250,10 +254,10 @@ TEST(LosResume, RetiredVersionTwoJournalRefusedLoudly) {
     ASSERT_GE(patched, kNModes);
   }
 
-  // The scanner names the problem...
+  // The reader names the problem...
   try {
-    (void)ps::ModeResultStore::scan(cfg.store);
-    FAIL() << "scan accepted a retired version-2 journal";
+    (void)ps::read_journal(cfg.store);
+    FAIL() << "read_journal accepted a retired version-2 journal";
   } catch (const ps::StoreCorrupt& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("version-2"), std::string::npos) << msg;

@@ -61,6 +61,31 @@ ps::StoreOptions opts_for(const std::string& path) {
   return o;
 }
 
+/// Append one mode record built from raw header/payload doubles, sealed
+/// with a valid CRC exactly as ModeResultStore::append frames it.
+void append_sealed(const std::string& path, std::vector<double> rec,
+                   const std::vector<double>& payload) {
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  rec.push_back(static_cast<double>(ps::crc32_doubles(rec)));
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  plinger::io::FortranRecordWriter w(f);
+  w.record(rec);
+}
+
+/// A CRC-clean classic record whose count slots wrap the payload-length
+/// sum: `which` 0 is header lmax -5 with lmax_pol 100 over 105 doubles,
+/// 1 is lmax 10 with lmax_pol -5 over 15 doubles.  Decoding either used
+/// to escape as std::length_error (or read past the payload).
+void append_wrapping_record(const std::string& path, std::size_t ik,
+                            int which) {
+  auto header = pp::pack_header(ik, fake_result(0.07));
+  std::vector<double> payload(which == 0 ? 105 : 15, 0.0);
+  payload[0] = static_cast<double>(ik);
+  header[20] = which == 0 ? -5.0 : 10.0;
+  payload[3] = which == 0 ? 100.0 : -5.0;
+  append_sealed(path, header, payload);
+}
+
 }  // namespace
 
 TEST(Crc32, KnownVector) {
@@ -153,12 +178,12 @@ TEST(ModeResultStore, FreshJournalRoundTrip) {
     EXPECT_EQ(r.final_state.delta_c, -k);
   }
 
-  const auto scan = ps::ModeResultStore::scan(path);
-  EXPECT_EQ(scan.identity, id);
-  EXPECT_EQ(scan.n_k, 4u);
-  EXPECT_EQ(scan.iks, (std::vector<std::size_t>{1, 2, 3, 4}));
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.good_bytes, fs::file_size(path));
+  const auto journal = ps::read_journal(path);
+  EXPECT_EQ(journal.identity, id);
+  EXPECT_EQ(journal.n_k, 4u);
+  EXPECT_EQ(journal.iks, (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_FALSE(journal.torn_tail);
+  EXPECT_EQ(journal.good_bytes, fs::file_size(path));
 }
 
 TEST(ModeResultStore, TornTailIsTruncatedOnOpen) {
@@ -182,7 +207,7 @@ TEST(ModeResultStore, TornTailIsTruncatedOnOpen) {
     f.write(reinterpret_cast<const char*>(partial), sizeof(partial));
   }
   ASSERT_GT(fs::file_size(path), good_size);
-  EXPECT_TRUE(ps::ModeResultStore::scan(path).torn_tail);
+  EXPECT_TRUE(ps::read_journal(path).torn_tail);
 
   {
     ps::ModeResultStore st(opts_for(path), id, 4);
@@ -219,14 +244,27 @@ TEST(ModeResultStore, CorruptRecordBodyDropsTheTail) {
     b = static_cast<char>(b ^ 0x40);
     f.write(&b, 1);
   }
-  const auto scan = ps::ModeResultStore::scan(path);
-  EXPECT_TRUE(scan.torn_tail);
-  EXPECT_EQ(scan.iks.size(), 2u);
+  const auto journal = ps::read_journal(path);
+  EXPECT_TRUE(journal.torn_tail);
+  EXPECT_EQ(journal.iks.size(), 2u);
 
-  ps::ModeResultStore st(opts_for(path), id, 4);
-  EXPECT_TRUE(st.torn_tail_recovered());
-  EXPECT_EQ(st.n_loaded(), 2u);
-  EXPECT_LT(fs::file_size(path), size);
+  {
+    ps::ModeResultStore st(opts_for(path), id, 4);
+    EXPECT_TRUE(st.torn_tail_recovered());
+    EXPECT_EQ(st.n_loaded(), 2u);
+    EXPECT_LT(fs::file_size(path), size);
+  }
+
+  // A CRC-clean record whose count slots do not fit its payload is
+  // damage too: the store truncates right after the last good record.
+  const auto good_size = fs::file_size(path);
+  for (int which = 0; which < 2; ++which) {
+    append_wrapping_record(path, 3, which);
+    ps::ModeResultStore st(opts_for(path), id, 4);
+    EXPECT_TRUE(st.torn_tail_recovered()) << "record " << which;
+    EXPECT_EQ(st.n_loaded(), 2u) << "record " << which;
+    EXPECT_EQ(fs::file_size(path), good_size) << "record " << which;
+  }
 }
 
 TEST(ModeResultStore, TornFileHeaderRecoversAsFresh) {
@@ -239,6 +277,7 @@ TEST(ModeResultStore, TornFileHeaderRecoversAsFresh) {
     const double partial = 1347440199.0;
     f.write(reinterpret_cast<const char*>(&partial), sizeof(partial));
   }
+  EXPECT_THROW(ps::read_journal(path), ps::StoreCorrupt);
   ps::ModeResultStore st(opts_for(path), test_identity(), 4);
   EXPECT_TRUE(st.torn_tail_recovered());
   EXPECT_EQ(st.n_loaded(), 0u);
@@ -276,7 +315,7 @@ TEST(ModeResultStore, ForeignFileIsNotClobbered) {
   const auto before = fs::file_size(path);
   EXPECT_THROW(ps::ModeResultStore(opts_for(path), test_identity(), 4),
                ps::StoreCorrupt);
-  EXPECT_THROW(ps::ModeResultStore::scan(path), ps::StoreCorrupt);
+  EXPECT_THROW(ps::read_journal(path), ps::StoreCorrupt);
   EXPECT_EQ(fs::file_size(path), before);
 }
 
@@ -291,15 +330,9 @@ TEST(ModeResultStore, DuplicateRecordFirstWins) {
   // run that lost its in-memory index could produce this).
   {
     const auto r = fake_result(0.09);
-    auto rec = pp::pack_header(1, r);
-    const auto payload = pp::pack_payload(1, r);
-    rec.insert(rec.end(), payload.begin(), payload.end());
-    rec.push_back(static_cast<double>(ps::crc32_doubles(rec)));
-    std::ofstream f(path, std::ios::binary | std::ios::app);
-    plinger::io::FortranRecordWriter w(f);
-    w.record(rec);
+    append_sealed(path, pp::pack_header(1, r), pp::pack_payload(1, r));
   }
-  EXPECT_EQ(ps::ModeResultStore::scan(path).iks,
+  EXPECT_EQ(ps::read_journal(path).iks,
             (std::vector<std::size_t>{1, 1}));
 
   ps::ModeResultStore st(opts_for(path), id, 4);
@@ -338,7 +371,7 @@ TEST(ModeResultStore, ResumeOffSkipsJournaledAppends) {
     EXPECT_EQ(st.n_append_skipped(), 1u);
     st.append(3, fake_result(0.03));   // fresh modes still append
     EXPECT_EQ(st.n_appended(), 1u);
-    EXPECT_EQ(ps::ModeResultStore::scan(path).iks,
+    EXPECT_EQ(ps::read_journal(path).iks,
               (std::vector<std::size_t>{1, 2, 3}));
   }
   // The journal's original record for ik 1 won, not the recompute.
@@ -356,14 +389,9 @@ TEST(ModeResultStore, FlushThenStopHook) {
   st.append(2, fake_result(0.02));
   EXPECT_TRUE(st.stop_requested());
   // The "crash" left a valid journal: both records are on disk already.
-  const auto scan = ps::ModeResultStore::scan(path);
-  EXPECT_EQ(scan.iks.size(), 2u);
-  EXPECT_FALSE(scan.torn_tail);
-}
-
-TEST(ModeResultStore, ScanMissingFileThrows) {
-  EXPECT_THROW(ps::ModeResultStore::scan(temp_path("absent")),
-               ps::StoreCorrupt);
+  const auto journal = ps::read_journal(path);
+  EXPECT_EQ(journal.iks.size(), 2u);
+  EXPECT_FALSE(journal.torn_tail);
 }
 
 TEST(ModeResultStore, CorruptHeaderFieldsAreRejectedNotCast) {
@@ -387,7 +415,7 @@ TEST(ModeResultStore, CorruptHeaderFieldsAreRejectedNotCast) {
                                        f[2], 0.0};
       w.record(rec);
     }
-    EXPECT_THROW(ps::ModeResultStore::scan(path), ps::StoreCorrupt);
+    EXPECT_THROW(ps::read_journal(path), ps::StoreCorrupt);
     EXPECT_THROW(ps::ModeResultStore(opts_for(path), test_identity(), 4),
                  ps::StoreCorrupt);
   }
@@ -476,6 +504,23 @@ TEST(ReadJournal, TornTailEndsTheReadNotTheCaller) {
   EXPECT_EQ(c.results.size(), 2u);
   EXPECT_TRUE(c.torn_tail);
   EXPECT_FALSE(c.complete());
+
+  // A CRC-clean record with wrapping count slots, right after a good
+  // record, ends the read there too.
+  for (int which = 0; which < 2; ++which) {
+    const auto wrapped = temp_path("readthrough_wrapped");
+    {
+      ps::ModeResultStore st(opts_for(wrapped), test_identity(), 4);
+      st.append(1, fake_result(0.01));
+    }
+    const auto good_size = fs::file_size(wrapped);
+    append_wrapping_record(wrapped, 2, which);
+    const ps::JournalContents w = ps::read_journal(wrapped);
+    EXPECT_EQ(w.results.size(), 1u) << "record " << which;
+    EXPECT_EQ(w.iks, (std::vector<std::size_t>{1})) << "record " << which;
+    EXPECT_TRUE(w.torn_tail) << "record " << which;
+    EXPECT_EQ(w.good_bytes, good_size) << "record " << which;
+  }
 }
 
 TEST(ReadJournal, MissingOrHeaderlessFileThrows) {

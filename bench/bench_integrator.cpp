@@ -10,8 +10,9 @@
 //     bench FAILS (exit 1) unless dop853 cuts RHS evals by >= 1.5x at
 //     every rtol <= 1e-8 point.
 //
-//   * The sampling clamp.  DVERK answers want_sample times by clamping
-//     steps onto them, so a dense transfer grid forces step endpoints;
+//   * The sampling clamp.  DVERK answers EvolveRequest::sample_taus by
+//     clamping steps onto them, so a dense transfer grid forces step
+//     endpoints;
 //     dop853's 7th-order dense output answers the same grid by
 //     interpolation inside accepted steps.  The dense entries record
 //     the eval counts for a transfer-function-scale sample grid both

@@ -10,7 +10,6 @@
 // while the daemon computes, then the OK status line and the CL table.
 // Exits 0 on OK/PONG/DONE, 2 on an ERR reply, 1 on connection trouble.
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,6 +21,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "common/error.hpp"
+#include "mp/tcp_world.hpp"
 
 namespace {
 
@@ -98,16 +100,15 @@ int main(int argc, char** argv) {
     request = "RUN\n" + body + "END\n";
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket");
   sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  try {
+    addr = plinger::mp::ipv4_address(host, port);
+  } catch (const plinger::InvalidArgument&) {
     std::fprintf(stderr, "spectrum_client: bad host '%s'\n", host.c_str());
-    ::close(fd);
     return 1;
   }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return fail("socket");
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof addr) != 0) {
     ::close(fd);

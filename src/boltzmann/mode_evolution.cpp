@@ -51,29 +51,6 @@ TransferSample make_sample(const ModeEquations& eq, double tau,
   return s;
 }
 
-/// Shared tail of both integrator paths: final transfer outputs at
-/// tau_end plus the flops/cpu accounting.
-ModeResult finalize(ModeResult& result, const ModeEquations& eq,
-                    const PerturbationConfig& cfg, const EvolveRequest& req,
-                    double tau_end, std::span<const double> y, double cpu0) {
-  result.final_state = make_sample(eq, tau_end, y, /*in_tca=*/false);
-  const StateLayout& L = eq.layout();
-  result.f_gamma.resize(cfg.lmax_photon + 1);
-  result.g_gamma.resize(L.lmax_polarization() + 1);
-  result.f_gamma[0] = y[StateLayout::delta_g];
-  result.f_gamma[1] = 4.0 / (3.0 * req.k) * y[StateLayout::theta_g];
-  for (std::size_t l = 2; l <= cfg.lmax_photon; ++l) {
-    result.f_gamma[l] = y[L.fg(l)];
-  }
-  for (std::size_t l = 0; l <= L.lmax_polarization(); ++l) {
-    result.g_gamma[l] = y[L.gg(l)];
-  }
-
-  result.flops = eq.rhs_calls() * eq.flops_per_rhs();
-  result.cpu_seconds = thread_cpu_seconds() - cpu0;
-  return result;
-}
-
 }  // namespace
 
 ModeResult ModeEvolver::evolve(const EvolveRequest& req,
@@ -126,41 +103,29 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
     }
   }
 
-  // Integration breakpoints: switch point plus every in-range sample.
-  // Each stop carries its "record a sample here" tag so the loop below
-  // does not rescan sample_taus at every breakpoint (that scan was
-  // O(n_samples) per stop, i.e. quadratic in the request size).
-  struct Stop {
-    double tau;
-    bool sample;
-  };
-  std::vector<Stop> stops;
-  stops.reserve(req.sample_taus.size() + 2);
-  for (double t : req.sample_taus) {
-    if (t > tau_init && t < tau_end) stops.push_back({t, true});
-  }
-  // The switch/end stops still count as sample points when a requested
-  // time lands on them (within the dedup tolerance) — the same semantics
-  // the per-stop scan had.
-  auto near_sample = [&req](double t) {
-    return std::any_of(req.sample_taus.begin(), req.sample_taus.end(),
-                       [t](double s) { return std::abs(s - t) < 1e-12; });
-  };
-  stops.push_back({tau_switch, near_sample(tau_switch)});
-  stops.push_back({tau_end, near_sample(tau_end)});
-  std::sort(stops.begin(), stops.end(),
-            [](const Stop& a, const Stop& b) { return a.tau < b.tau; });
-  // Dedup against the last kept stop (as std::unique does), OR-ing the
-  // sample tags of merged stops.
-  std::size_t n_kept = 0;
-  for (const Stop& s : stops) {
-    if (n_kept > 0 && std::abs(s.tau - stops[n_kept - 1].tau) < 1e-12) {
-      stops[n_kept - 1].sample = stops[n_kept - 1].sample || s.sample;
-    } else {
-      stops[n_kept++] = s;
+  // Sample times, partitioned once per RHS regime.  A time within
+  // kSameTau of a leg boundary (tau_switch when the mode starts tightly
+  // coupled, or tau_end) is answered once, from the boundary state after
+  // the handoff; every other time inside (tau_init, tau_end) goes to the
+  // leg whose RHS covers it, and near-duplicates collapse to the first.
+  constexpr double kSameTau = 1e-12;
+  bool in_tca = tau_switch > tau_init;
+  std::vector<double> ts(req.sample_taus.begin(), req.sample_taus.end());
+  std::sort(ts.begin(), ts.end());
+  std::vector<double> ts_tca, ts_full;
+  bool at_switch = false, at_end = false;
+  for (const double t : ts) {
+    if (in_tca && std::abs(t - tau_switch) < kSameTau) {
+      at_switch = true;
+    } else if (std::abs(t - tau_end) < kSameTau) {
+      at_end = true;
+    } else if (t > tau_init && t < tau_end) {
+      std::vector<double>& leg = (t < tau_switch) ? ts_tca : ts_full;
+      if (leg.empty() || std::abs(t - leg.back()) >= kSameTau) {
+        leg.push_back(t);
+      }
     }
   }
-  stops.resize(n_kept);
 
   ModeResult result;
   result.k = req.k;
@@ -174,94 +139,60 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
   opts.rtol = cfg.rtol;
   opts.atol = cfg.atol;
 
-  bool in_tca = tau_switch > tau_init;
-
-  if (cfg.integrator == IntegratorKind::dop853) {
-    // Dense-output path: one integration segment per RHS regime
-    // ([tau_init, tau_switch] tightly coupled, [tau_switch, tau_end]
-    // full hierarchy), with sample times answered by the 7th-order
-    // continuous extension inside accepted steps — the step size is
-    // never clamped to the sample grid.  Boundary semantics mirror the
-    // clamped path: times within 1e-12 of tau_switch/tau_end are
-    // answered from the boundary state (after the TCA handoff), and
-    // near-duplicate times collapse to one sample.
-    std::vector<double> ts(req.sample_taus.begin(), req.sample_taus.end());
-    std::sort(ts.begin(), ts.end());
-    std::vector<double> seg_tca, seg_full;
-    bool sample_at_switch = false, sample_at_end = false;
-    for (double t : ts) {
-      if (t <= tau_init || t >= tau_end) continue;
-      std::vector<double>& seg = (t < tau_switch) ? seg_tca : seg_full;
-      if (!seg.empty() && std::abs(t - seg.back()) < 1e-12) continue;
-      if (std::abs(t - tau_switch) < 1e-12 && in_tca) {
-        sample_at_switch = true;
-      } else if (std::abs(t - tau_end) < 1e-12) {
-        sample_at_end = true;
-      } else {
-        seg.push_back(t);
-      }
-    }
-
-    plinger::math::Dop853 integrator;
-    auto record = [&](double t, std::span<const double> yy) {
-      result.samples.push_back(make_sample(eq, t, yy, in_tca));
-    };
-    auto run_segment = [&](double t0, double t1, auto&& rhs,
-                           std::span<const double> seg) {
-      const auto stats =
-          integrator.integrate_dense(rhs, t0, t1, y, opts, seg, record);
-      result.stats.n_accepted += stats.n_accepted;
-      result.stats.n_rejected += stats.n_rejected;
-      result.stats.n_rhs += stats.n_rhs;
+  // One path for both cores: the tight-coupling leg, the handoff, then
+  // the full-hierarchy leg, each answering its own sample times through
+  // integrate_dense (clamped legs for DVERK, the continuous extension
+  // for DOP853).
+  const auto record = [&](double t, std::span<const double> yy) {
+    result.samples.push_back(make_sample(eq, t, yy, in_tca));
+  };
+  const auto run = [&](auto integrator) {
+    const auto leg = [&](double t0, double t1, auto&& rhs,
+                         std::span<const double> leg_ts) {
+      result.stats +=
+          integrator.integrate_dense(rhs, t0, t1, y, opts, leg_ts, record);
     };
     if (in_tca) {
-      run_segment(tau_init, tau_switch,
-                  [&eq](double t, std::span<const double> yy,
-                        std::span<double> dd) { eq.rhs_tca(t, yy, dd); },
-                  seg_tca);
+      leg(tau_init, tau_switch,
+          [&eq](double t, std::span<const double> yy, std::span<double> dd) {
+            eq.rhs_tca(t, yy, dd);
+          },
+          ts_tca);
       eq.tca_handoff(tau_switch, y);
       in_tca = false;
     }
-    if (sample_at_switch) record(tau_switch, y);
+    if (at_switch) record(tau_switch, y);
     if (tau_end > tau_switch) {
-      run_segment(std::max(tau_switch, tau_init), tau_end,
-                  [&eq](double t, std::span<const double> yy,
-                        std::span<double> dd) { eq.rhs_full(t, yy, dd); },
-                  seg_full);
+      leg(tau_switch, tau_end,
+          [&eq](double t, std::span<const double> yy, std::span<double> dd) {
+            eq.rhs_full(t, yy, dd);
+          },
+          ts_full);
     }
-    if (sample_at_end) record(tau_end, y);
-    return finalize(result, eq, cfg, req, tau_end, y, cpu0);
+    if (at_end) record(tau_end, y);
+  };
+  if (cfg.integrator == IntegratorKind::dop853) {
+    run(plinger::math::Dop853{});
+  } else {
+    run(plinger::math::Dverk{});
   }
 
-  plinger::math::Dverk integrator;
-  double t_cur = tau_init;
-  for (const Stop& stop : stops) {
-    const double t_next = stop.tau;
-    if (t_next <= t_cur) continue;
-    auto rhs = [&eq, in_tca](double t, std::span<const double> yy,
-                             std::span<double> dd) {
-      if (in_tca) {
-        eq.rhs_tca(t, yy, dd);
-      } else {
-        eq.rhs_full(t, yy, dd);
-      }
-    };
-    const auto stats = integrator.integrate(rhs, t_cur, t_next, y, opts);
-    result.stats.n_accepted += stats.n_accepted;
-    result.stats.n_rejected += stats.n_rejected;
-    result.stats.n_rhs += stats.n_rhs;
-    t_cur = t_next;
-
-    if (in_tca && std::abs(t_cur - tau_switch) < 1e-12) {
-      eq.tca_handoff(t_cur, y);
-      in_tca = false;
-    }
-    if (stop.sample) {
-      result.samples.push_back(make_sample(eq, t_cur, y, in_tca));
-    }
+  // Final transfer outputs at tau_end plus the flops/cpu accounting.
+  result.final_state = make_sample(eq, tau_end, y, /*in_tca=*/false);
+  const StateLayout& L = eq.layout();
+  result.f_gamma.resize(cfg.lmax_photon + 1);
+  result.g_gamma.resize(L.lmax_polarization() + 1);
+  result.f_gamma[0] = y[StateLayout::delta_g];
+  result.f_gamma[1] = 4.0 / (3.0 * req.k) * y[StateLayout::theta_g];
+  for (std::size_t l = 2; l <= cfg.lmax_photon; ++l) {
+    result.f_gamma[l] = y[L.fg(l)];
   }
-
-  return finalize(result, eq, cfg, req, tau_end, y, cpu0);
+  for (std::size_t l = 0; l <= L.lmax_polarization(); ++l) {
+    result.g_gamma[l] = y[L.gg(l)];
+  }
+  result.flops = eq.rhs_calls() * eq.flops_per_rhs();
+  result.cpu_seconds = thread_cpu_seconds() - cpu0;
+  return result;
 }
 
 }  // namespace plinger::boltzmann

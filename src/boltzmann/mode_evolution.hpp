@@ -52,8 +52,13 @@ struct EvolveRequest {
   /// full photon tower so the EE/TE columns they feed reach as far as
   /// the LOS branch projects.  Clamped to lmax_photon either way.
   std::size_t lmax_polarization = 0;
-  /// Conformal times at which to record TransferSamples (ascending,
-  /// within (tau_init, tau_end]; out-of-range entries are ignored).
+  /// Conformal times at which to record TransferSamples, in any order;
+  /// ModeResult::samples come back ascending.  A time within 1e-12 of
+  /// tau_switch (for a mode that starts tightly coupled) or of tau_end,
+  /// tau_end itself included, is recorded once at that boundary's tau,
+  /// from the state after the tight-coupling handoff.  Other times
+  /// inside (tau_init, tau_end) are recorded where requested, times
+  /// within 1e-12 of each other once; the rest are ignored.
   std::vector<double> sample_taus;
 };
 

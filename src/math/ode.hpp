@@ -5,15 +5,16 @@
 /// The paper integrates the Einstein-Boltzmann system with DVERK, Hull,
 /// Enright & Jackson's implementation of Verner's 8-stage 6(5) pair
 /// (obtained from netlib).  We reproduce that pair exactly
-/// (VernerDverkTableau, driven by EmbeddedRk as Dverk) and also provide
+/// (VernerDverkTableau, driven by Dverk) and also provide
 /// Dormand-Prince 8(5,3) with dense output (Dop853), the
 /// `integrator = dop853` alternative that bench_integrator compares
 /// against DVERK.
 ///
-/// EmbeddedRk is a standard step-doubling-free embedded-pair controller:
-/// each step computes a high-order solution and an embedded lower-order
-/// error estimate; steps are accepted when the weighted RMS error is <= 1
-/// and the step size is rescaled by err^(-1/order) with a safety factor.
+/// Both cores expose the same calls: integrate() over [t0, t1] with an
+/// optional per-step observer, and integrate_dense(), which answers a
+/// list of sample times.  They share the entry checks with the first
+/// step, the per-step guard and the stage-input loop (namespace
+/// detail); each keeps its own step controller and error estimate.
 
 #include <algorithm>
 #include <cmath>
@@ -42,7 +43,77 @@ struct OdeStats {
   long n_accepted = 0;  ///< accepted steps
   long n_rejected = 0;  ///< rejected (error too large) steps
   long n_rhs = 0;       ///< right-hand-side evaluations
+
+  OdeStats& operator+=(const OdeStats& o) {
+    n_accepted += o.n_accepted;
+    n_rejected += o.n_rejected;
+    n_rhs += o.n_rhs;
+    return *this;
+  }
 };
+
+namespace detail {
+
+/// Entry checks of every integration call, then its first trial step
+/// size: h_init if set, else a hundredth of the interval, capped at
+/// h_max.
+inline double first_step(double t0, double t1, const OdeOptions& opts) {
+  PLINGER_REQUIRE(t1 != t0, "integration interval is empty");
+  PLINGER_REQUIRE(opts.rtol > 0.0 && opts.atol >= 0.0,
+                  "tolerances must be positive");
+  double h = opts.h_init != 0.0 ? std::abs(opts.h_init)
+                                : std::abs(t1 - t0) / 100.0;
+  if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
+  return h;
+}
+
+/// Per-step guard: clamp |h| to what is left of [t, t1], then throw
+/// NumericalFailure if it underflowed the floor or the step budget is
+/// spent.
+inline void guard_step(double t, double t1, double& h,
+                       const OdeOptions& opts, const OdeStats& stats) {
+  const double h_floor =
+      opts.h_min > 0.0 ? opts.h_min
+                       : 16.0 * std::numeric_limits<double>::epsilon() *
+                             std::max(std::abs(t), std::abs(t1));
+  h = std::min(h, std::abs(t1 - t));
+  if (h < h_floor) {
+    throw NumericalFailure("ODE step size underflow at t=" +
+                           std::to_string(t));
+  }
+  if (stats.n_accepted + stats.n_rejected >= opts.max_steps) {
+    throw NumericalFailure("ODE max_steps exceeded at t=" +
+                           std::to_string(t));
+  }
+}
+
+/// out = y + h sum_{m < n_terms} row[m] k[m] for a step of size h
+/// (signed): a stage input (row = a[i]) or, for Dverk, the propagated
+/// solution (row = b).  Stage-major (axpy form): each inner loop streams
+/// one contiguous k[m] with a single scalar coefficient, and terms past
+/// the first with a zero coefficient are skipped outright instead of
+/// multiplying by 0 per component.
+inline void combine_stages(std::vector<double>& out,
+                           const std::vector<double>& y, double h,
+                           const double* row, int n_terms,
+                           const std::vector<double>* k) {
+  const std::size_t n = y.size();
+  double* op = out.data();
+  const double* yp = y.data();
+  {
+    const double a0 = h * row[0];
+    const double* k0 = k[0].data();
+    for (std::size_t j = 0; j < n; ++j) op[j] = yp[j] + a0 * k0[j];
+  }
+  for (int m = 1; m < n_terms; ++m) {
+    if (row[m] == 0.0) continue;
+    const double am = h * row[m];
+    const double* km = k[m].data();
+    for (std::size_t j = 0; j < n; ++j) op[j] += am * km[j];
+  }
+}
+
+}  // namespace detail
 
 /// Verner's 6(5) pair as used in DVERK (Hull, Enright & Jackson 1976).
 /// 8 stages; the 6th-order weights propagate the solution, the embedded
@@ -77,16 +148,21 @@ struct VernerDverkTableau {
                                           0.0,             0.0};
 };
 
-/// Generic embedded Runge-Kutta driver parameterized on a Butcher tableau.
+/// The paper's integrator: Verner 6(5) as in netlib DVERK, under a
+/// standard step-doubling-free embedded-pair controller.  Each step
+/// computes the 6th-order solution and the embedded 5th-order error
+/// estimate; a step is accepted when the weighted RMS error is <= 1,
+/// and the step size is rescaled by err^(-1/6) with a safety factor.
 ///
 /// The right-hand side is any callable f(t, y, dydt) taking
 /// (double, std::span<const double>, std::span<double>).  Workspace is
 /// reused across calls, so one integrator instance per mode avoids
 /// per-step allocation.
-template <class Tableau>
-class EmbeddedRk {
+class Dverk {
  public:
-  EmbeddedRk() = default;
+  using T = VernerDverkTableau;
+
+  Dverk() = default;
 
   /// Integrate y from t0 to t1 in place.  Throws NumericalFailure if the
   /// step size underflows or max_steps is exhausted.  The optional observer
@@ -94,39 +170,18 @@ class EmbeddedRk {
   template <class F, class Observer>
   OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
                      const OdeOptions& opts, Observer&& observer) {
-    PLINGER_REQUIRE(t1 != t0, "integration interval is empty");
-    PLINGER_REQUIRE(opts.rtol > 0.0 && opts.atol >= 0.0,
-                    "tolerances must be positive");
-    const std::size_t n = y.size();
-    resize_workspace(n);
+    double h = detail::first_step(t0, t1, opts);
+    resize_workspace(y.size());
     rtol_ = opts.rtol;
     atol_ = opts.atol;
 
     const double dir = (t1 > t0) ? 1.0 : -1.0;
     double t = t0;
-    double h = opts.h_init != 0.0 ? std::abs(opts.h_init)
-                                  : std::abs(t1 - t0) / 100.0;
-    if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
-
     OdeStats stats;
     observer(t, std::span<const double>(y));
 
     while (dir * (t1 - t) > 0.0) {
-      const double h_floor =
-          opts.h_min > 0.0
-              ? opts.h_min
-              : 16.0 * std::numeric_limits<double>::epsilon() *
-                    std::max(std::abs(t), std::abs(t1));
-      h = std::min(h, std::abs(t1 - t));
-      if (h < h_floor) {
-        throw NumericalFailure("ODE step size underflow at t=" +
-                               std::to_string(t));
-      }
-      if (stats.n_accepted + stats.n_rejected >= opts.max_steps) {
-        throw NumericalFailure("ODE max_steps exceeded at t=" +
-                               std::to_string(t));
-      }
-
+      detail::guard_step(t, t1, h, opts, stats);
       const double err = attempt_step(f, t, dir * h, y, stats);
       if (err <= 1.0) {
         t += dir * h;
@@ -151,6 +206,38 @@ class EmbeddedRk {
                      [](double, std::span<const double>) {});
   }
 
+  /// Sampled integration, the same call as Dop853::integrate_dense:
+  /// on_sample(t, y) fires once per entry of sample_ts, in order, and
+  /// sample_ts must be sorted along the integration direction.  DVERK
+  /// has no continuous extension, so the steps are clamped: a fresh
+  /// integrate() leg runs up to each time inside (t0, t1) and the leg's
+  /// end state answers it.  Entries at or before t0 are answered from
+  /// the initial state, entries at or past t1 from the final one.
+  template <class F, class Sampler>
+  OdeStats integrate_dense(F&& f, double t0, double t1,
+                           std::vector<double>& y, const OdeOptions& opts,
+                           std::span<const double> sample_ts,
+                           Sampler&& on_sample) {
+    detail::first_step(t0, t1, opts);  // entry checks before any sample
+    const double dir = (t1 > t0) ? 1.0 : -1.0;
+    OdeStats stats;
+    double t = t0;
+    const auto leg = [&](double t_to) {
+      stats += integrate(f, t, t_to, y, opts);
+      t = t_to;
+    };
+    std::size_t si = 0;
+    for (; si < sample_ts.size() && dir * (t1 - sample_ts[si]) > 0.0; ++si) {
+      if (dir * (sample_ts[si] - t) > 0.0) leg(sample_ts[si]);
+      on_sample(sample_ts[si], std::span<const double>(y));
+    }
+    leg(t1);
+    for (; si < sample_ts.size(); ++si) {
+      on_sample(sample_ts[si], std::span<const double>(y));
+    }
+    return stats;
+  }
+
  private:
   void resize_workspace(std::size_t n) {
     if (y_new_.size() != n) {
@@ -163,60 +250,34 @@ class EmbeddedRk {
 
   /// One trial step of size h (signed).  Fills y_new_ with the high-order
   /// solution and returns the weighted RMS error of the embedded estimate.
-  ///
-  /// All stage combinations run stage-major (axpy form): each inner loop
-  /// streams one contiguous k_[m] row with a single scalar coefficient,
-  /// and stages with a zero tableau entry are skipped outright instead
-  /// of multiplying by 0 per component.
+  /// Stage-major axpy loops throughout (see detail::combine_stages).
   template <class F>
   double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
                       OdeStats& stats) {
-    constexpr int s = Tableau::stages;
+    constexpr int s = T::stages;
     const std::size_t n = y.size();
     const double* yp = y.data();
 
     f(t, std::span<const double>(y), std::span<double>(k_[0]));
     for (int i = 1; i < s; ++i) {
-      double* yt = y_tmp_.data();
-      {
-        const double a0 = h * Tableau::a[i][0];
-        const double* k0 = k_[0].data();
-        for (std::size_t j = 0; j < n; ++j) yt[j] = yp[j] + a0 * k0[j];
-      }
-      for (int m = 1; m < i; ++m) {
-        if (Tableau::a[i][m] == 0.0) continue;
-        const double am = h * Tableau::a[i][m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) yt[j] += am * km[j];
-      }
-      f(t + Tableau::c[i] * h, std::span<const double>(y_tmp_),
+      detail::combine_stages(y_tmp_, y, h, T::a[i], i, k_);
+      f(t + T::c[i] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[i]));
     }
     stats.n_rhs += s;
 
     // High-order solution y_new = y + h sum b[m] k[m].
-    {
-      double* yn = y_new_.data();
-      const double b0 = h * Tableau::b[0];
-      const double* k0 = k_[0].data();
-      for (std::size_t j = 0; j < n; ++j) yn[j] = yp[j] + b0 * k0[j];
-      for (int m = 1; m < s; ++m) {
-        if (Tableau::b[m] == 0.0) continue;
-        const double bm = h * Tableau::b[m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) yn[j] += bm * km[j];
-      }
-    }
+    detail::combine_stages(y_new_, y, h, T::b, s, k_);
 
     // Embedded error vector d = h sum (b[m]-bhat[m]) k[m].
     {
       double* dp = d_.data();
-      const double d0 = h * (Tableau::b[0] - Tableau::bhat[0]);
+      const double d0 = h * (T::b[0] - T::bhat[0]);
       const double* k0 = k_[0].data();
       for (std::size_t j = 0; j < n; ++j) dp[j] = d0 * k0[j];
       for (int m = 1; m < s; ++m) {
-        if (Tableau::b[m] - Tableau::bhat[m] == 0.0) continue;
-        const double dm = h * (Tableau::b[m] - Tableau::bhat[m]);
+        if (T::b[m] - T::bhat[m] == 0.0) continue;
+        const double dm = h * (T::b[m] - T::bhat[m]);
         const double* km = k_[m].data();
         for (std::size_t j = 0; j < n; ++j) dp[j] += dm * km[j];
       }
@@ -235,23 +296,18 @@ class EmbeddedRk {
   static double step_growth(double err) {
     constexpr double safety = 0.9, max_growth = 5.0;
     if (err <= 0.0) return max_growth;
-    return std::min(max_growth,
-                    safety * std::pow(err, -1.0 / Tableau::order));
+    return std::min(max_growth, safety * std::pow(err, -1.0 / T::order));
   }
   static double step_shrink(double err) {
     constexpr double safety = 0.9, min_shrink = 0.1;
-    return std::max(min_shrink,
-                    safety * std::pow(err, -1.0 / Tableau::order));
+    return std::max(min_shrink, safety * std::pow(err, -1.0 / T::order));
   }
 
   double rtol_ = 1e-6;   ///< copied from OdeOptions at integrate() entry
   double atol_ = 1e-12;  ///< copied from OdeOptions at integrate() entry
   std::vector<double> y_new_, y_tmp_, d_;
-  std::vector<double> k_[Tableau::stages];
+  std::vector<double> k_[T::stages];
 };
-
-/// The paper's integrator: Verner 6(5) as in netlib DVERK.
-using Dverk = EmbeddedRk<VernerDverkTableau>;
 
 /// Dormand-Prince 8(5,3) coefficients as in Hairer, Norsett & Wanner's
 /// dop853 (Solving Ordinary Differential Equations I, 2nd ed.): the
@@ -391,8 +447,8 @@ struct Dop853Tableau {
 
 /// Dormand-Prince 8(5,3) with 7th-order dense output (Hairer's dop853).
 ///
-/// A peer of EmbeddedRk with two structural upgrades over the paper's
-/// DVERK core:
+/// A peer of Dverk with two structural upgrades over the paper's DVERK
+/// core:
 ///
 ///  * the 8th-order pair takes far fewer RHS evaluations at tight
 ///    tolerances (the step-end derivative is reused as the next step's
@@ -412,8 +468,8 @@ class Dop853 {
   Dop853() = default;
 
   /// Integrate y from t0 to t1 in place; same contract as
-  /// EmbeddedRk::integrate (observer after every accepted step and once
-  /// at t0; throws NumericalFailure on step underflow / max_steps).
+  /// Dverk::integrate (observer after every accepted step and once at
+  /// t0; throws NumericalFailure on step underflow / max_steps).
   template <class F, class Observer>
   OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
                      const OdeOptions& opts, Observer&& observer) {
@@ -451,20 +507,13 @@ class Dop853 {
   OdeStats run(F&& f, double t0, double t1, std::vector<double>& y,
                const OdeOptions& opts, Observer&& observer,
                std::span<const double> sample_ts, Sampler&& on_sample) {
-    PLINGER_REQUIRE(t1 != t0, "integration interval is empty");
-    PLINGER_REQUIRE(opts.rtol > 0.0 && opts.atol >= 0.0,
-                    "tolerances must be positive");
-    const std::size_t n = y.size();
-    resize_workspace(n);
+    double h = detail::first_step(t0, t1, opts);
+    resize_workspace(y.size());
     rtol_ = opts.rtol;
     atol_ = opts.atol;
 
     const double dir = (t1 > t0) ? 1.0 : -1.0;
     double t = t0;
-    double h = opts.h_init != 0.0 ? std::abs(opts.h_init)
-                                  : std::abs(t1 - t0) / 100.0;
-    if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
-
     OdeStats stats;
     observer(t, std::span<const double>(y));
     std::size_t si = 0;
@@ -487,21 +536,7 @@ class Dop853 {
     bool rejected = false;
 
     while (dir * (t1 - t) > 0.0) {
-      const double h_floor =
-          opts.h_min > 0.0
-              ? opts.h_min
-              : 16.0 * std::numeric_limits<double>::epsilon() *
-                    std::max(std::abs(t), std::abs(t1));
-      h = std::min(h, std::abs(t1 - t));
-      if (h < h_floor) {
-        throw NumericalFailure("ODE step size underflow at t=" +
-                               std::to_string(t));
-      }
-      if (stats.n_accepted + stats.n_rejected >= opts.max_steps) {
-        throw NumericalFailure("ODE max_steps exceeded at t=" +
-                               std::to_string(t));
-      }
-
+      detail::guard_step(t, t1, h, opts, stats);
       const double err = attempt_step(f, t, dir * h, y, stats);
       const double fac11 = std::pow(err, kExpo1);
       if (err <= 1.0) {
@@ -570,7 +605,7 @@ class Dop853 {
   /// One trial step of size h (signed).  Assumes k_[0] = f(t, y)
   /// (FSAL), fills stages k_[1..11], bsum_ = sum b[m] k[m], y_new_, and
   /// returns Hairer's combined 5th/3rd error measure (accept when
-  /// <= 1).  Stage-major axpy loops as in EmbeddedRk.
+  /// <= 1).  Stage-major axpy loops as in Dverk.
   template <class F>
   double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
                       OdeStats& stats) {
@@ -579,18 +614,7 @@ class Dop853 {
     const double* yp = y.data();
 
     for (int i = 1; i < s; ++i) {
-      double* yt = y_tmp_.data();
-      {
-        const double a0 = h * T::a[i][0];
-        const double* k0 = k_[0].data();
-        for (std::size_t j = 0; j < n; ++j) yt[j] = yp[j] + a0 * k0[j];
-      }
-      for (int m = 1; m < i; ++m) {
-        if (T::a[i][m] == 0.0) continue;
-        const double am = h * T::a[i][m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) yt[j] += am * km[j];
-      }
+      detail::combine_stages(y_tmp_, y, h, T::a[i], i, k_);
       f(t + T::c[i] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[i]));
     }
@@ -662,17 +686,7 @@ class Dop853 {
       cont_[3][j] = ydiff - h * k13[j] - bspl;
     }
     for (int d = 0; d < T::dense_stages; ++d) {
-      double* yt = y_tmp_.data();
-      {
-        const double a0 = h * T::ad[d][0];
-        for (std::size_t j = 0; j < n; ++j) yt[j] = yp[j] + a0 * k1[j];
-      }
-      for (int m = 1; m < s + 1 + d; ++m) {
-        if (T::ad[d][m] == 0.0) continue;
-        const double am = h * T::ad[d][m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) yt[j] += am * km[j];
-      }
+      detail::combine_stages(y_tmp_, y, h, T::ad[d], s + 1 + d, k_);
       f(t + T::cd[d] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[s + 1 + d]));
     }

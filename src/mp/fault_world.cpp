@@ -136,12 +136,7 @@ void FaultInjectingWorld::kill(int rank, int tag, std::size_t ik,
     killed_[static_cast<std::size_t>(rank)] = 1;
     log_.push_back(InjectedFault{kind, rank, tag, ik});
   }
-  if (plan_.notify_on_kill && rank != 0) {
-    // The PVM-notify analogue: tag-7 {ik unknown, code worker-lost}.
-    const double notice[2] = {0.0, 1.0};
-    InProcWorld::send(rank, 0, plan_.death_notice_tag,
-                      std::span<const double>(notice, 2));
-  }
+  if (plan_.notify_on_kill && rank != 0) notify_worker_lost(rank);
   throw RankKilled("rank " + std::to_string(rank) +
                    " killed by fault injection at tag " +
                    std::to_string(tag));

@@ -74,13 +74,9 @@ struct FaultAction {
 struct FaultPlan {
   std::vector<FaultAction> actions;
 
-  /// Deliver a synthetic death notice to rank 0 when a rank is killed:
-  /// tag `death_notice_tag`, payload {0.0, 1.0} = (ik unknown,
-  /// code worker-lost) — see docs/protocol.md.  The master uses it to
-  /// reassign the dead worker's outstanding mode without waiting for a
-  /// stall timeout.
+  /// Deliver the tag-7 death notice to rank 0 when a rank is killed
+  /// (InProcWorld::notify_worker_lost).
   bool notify_on_kill = true;
-  int death_notice_tag = 7;
 
   /// Test-harness rendezvous: hold a tag-4 result send by any rank
   /// while another rank still has an unfired planned action (valve:

@@ -53,6 +53,17 @@ void InProcWorld::count_send(int from, int to, int tag, std::size_t bytes) {
   if (observer_) observer_(from, to, tag, bytes);
 }
 
+void InProcWorld::notify_worker_lost(int rank) {
+  constexpr int kTag = 7;
+  Message notice;
+  notice.tag = kTag;
+  notice.source = rank;
+  notice.payload = {0.0, 1.0};
+  const std::size_t bytes = notice.size_bytes();
+  enqueue_local(0, std::move(notice));
+  count_send(rank, 0, kTag, bytes);
+}
+
 void InProcWorld::set_send_observer(SendObserver observer) {
   observer_ = std::move(observer);
 }

@@ -102,6 +102,13 @@ class InProcWorld {
   /// (frames arriving from a socket).
   void count_send(int from, int to, int tag, std::size_t bytes);
 
+  /// Deliver the worker-lost death notice from `rank` to the master
+  /// (rank 0): tag 7, payload {0.0, 1.0} = (ik unknown, code
+  /// worker-lost), see docs/protocol.md.  Enqueued and counted as that
+  /// rank's send.  The PVM-notify analogue: the master reassigns the
+  /// rank's outstanding mode without waiting for a stall timeout.
+  void notify_worker_lost(int rank);
+
   void check_rank(int rank) const;
 
  private:

@@ -63,17 +63,6 @@ bool write_all(int fd, const unsigned char* p, std::size_t n) {
   return true;
 }
 
-sockaddr_in make_addr(const std::string& host, int port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  const std::string resolved = host == "localhost" ? "127.0.0.1" : host;
-  PLINGER_REQUIRE(
-      ::inet_pton(AF_INET, resolved.c_str(), &addr.sin_addr) == 1,
-      "tcp: not an IPv4 address: '" + host + "'");
-  return addr;
-}
-
 /// Read exactly n bytes from fd before the deadline; false on timeout,
 /// EOF, or a read error.
 bool read_exact(int fd, unsigned char* out, std::size_t n,
@@ -212,6 +201,17 @@ std::optional<Frame> FrameParser::next() {
   return f;
 }
 
+sockaddr_in ipv4_address(const std::string& host, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  const std::string resolved = host == "localhost" ? "127.0.0.1" : host;
+  PLINGER_REQUIRE(
+      ::inet_pton(AF_INET, resolved.c_str(), &addr.sin_addr) == 1,
+      "tcp: not an IPv4 address: '" + host + "'");
+  return addr;
+}
+
 TcpEndpoint parse_endpoint(const std::string& text) {
   const std::size_t colon = text.rfind(':');
   PLINGER_REQUIRE(colon != std::string::npos && colon > 0 &&
@@ -246,7 +246,7 @@ std::unique_ptr<TcpWorld> TcpWorld::listen(const std::string& host,
   PLINGER_REQUIRE(fd >= 0, "TcpWorld::listen: socket() failed");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = make_addr(host, port);
+  sockaddr_in addr = ipv4_address(host, port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
           0 ||
       ::listen(fd, 64) != 0) {
@@ -326,13 +326,7 @@ int TcpWorld::accept_workers(double timeout_seconds) {
   for (int r = 1; r <= n_workers; ++r) {
     if (peers_[static_cast<std::size_t>(r)]) continue;
     ++n_peers_lost_;
-    Message notice;
-    notice.tag = 7;
-    notice.source = r;
-    notice.payload = {0.0, 1.0};
-    const std::size_t bytes = notice.size_bytes();
-    enqueue_local(0, std::move(notice));
-    count_send(r, 0, 7, bytes);
+    notify_worker_lost(r);
   }
   return connected;
 }
@@ -342,7 +336,7 @@ std::unique_ptr<TcpWorld> TcpWorld::connect(const std::string& host,
                                             double timeout_seconds) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
-  sockaddr_in addr = make_addr(host, port);
+  sockaddr_in addr = ipv4_address(host, port);
   int fd = -1;
   for (;;) {
     fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -505,16 +499,9 @@ void TcpWorld::mark_lost(Peer& p, const char* why) {
   if (local_rank_ == 0) {
     if (!clean) {
       ++n_peers_lost_;
-      // The PVM-notify analogue, byte-identical to FaultPlan's
-      // convention: tag-7 {ik unknown, code worker-lost} from the dead
-      // rank.  run_master's recovery path owns the fallout.
-      Message notice;
-      notice.tag = 7;
-      notice.source = p.rank;
-      notice.payload = {0.0, 1.0};
-      const std::size_t bytes = notice.size_bytes();
-      enqueue_local(0, std::move(notice));
-      count_send(p.rank, 0, 7, bytes);
+      // The same tag-7 notice a FaultPlan kill delivers; run_master's
+      // recovery path owns the fallout.
+      notify_worker_lost(p.rank);
     }
   } else {
     if (!clean) ++n_peers_lost_;

@@ -24,10 +24,13 @@
 /// Fault mapping: a connection that dies without a GOODBYE — EOF, a
 /// read/write error, a torn frame, garbage bytes, a CRC mismatch — is a
 /// lost peer.  On the master this synthesizes the tag-7 death notice
-/// {0.0, 1.0} from that rank (the FaultPlan convention, fault_world.hpp),
-/// so the PR-4 reassignment/quarantine machinery runs unchanged over
-/// real sockets.  On a worker it marks the master link down, and any
-/// blocked probe/recv throws PeerLost within one poll tick.
+/// {0.0, 1.0} from that rank (InProcWorld::notify_worker_lost, the same
+/// notice a FaultPlan kill delivers), so the master's reassignment/
+/// quarantine machinery runs unchanged over real sockets.  On a worker
+/// it marks the master link down, and any blocked probe/recv throws
+/// PeerLost within one poll tick.
+
+#include <netinet/in.h>
 
 #include <array>
 #include <atomic>
@@ -101,6 +104,12 @@ struct TcpEndpoint {
   int port = 0;
 };
 TcpEndpoint parse_endpoint(const std::string& text);
+
+/// The socket address of host:port, the one host resolver of every
+/// plinger socket (TcpWorld, spectrum_serve, spectrum_client).
+/// "localhost" maps to 127.0.0.1; any other host must be a dotted-quad
+/// IPv4 address (no DNS lookup).  Throws InvalidArgument otherwise.
+sockaddr_in ipv4_address(const std::string& host, int port);
 
 /// The socket-backed world.  Construct via the factories: listen() on
 /// the master, connect() on a worker.  All InProcWorld semantics hold

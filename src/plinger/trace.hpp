@@ -48,7 +48,7 @@ using SpanObserver = std::function<void(const ModeSpan&)>;
 struct TraceConfig {
   bool enabled = false;
   bool capture_messages = true;  ///< record per-send MessageEvents
-  SpanObserver on_span;          ///< live progress feed; null = off
+  SpanObserver on_span = nullptr;  ///< live progress feed; null = off
 };
 
 /// One integration attempt of one wavenumber on one worker.

@@ -15,6 +15,7 @@
 #include "math/spline.hpp"
 #include "run/context.hpp"
 #include "run/plan.hpp"
+#include "spectra/cl.hpp"
 
 namespace plinger::run {
 
@@ -30,11 +31,8 @@ double cost_hint(const RunConfig& cfg) {
       2.0 * plinger::constants::hubble_distance_mpc / cfg.h;
   std::vector<double> grid;
   if (cfg.grid == "cl") {
-    const double dk =
-        3.14159265358979323846 / (cfg.points_per_osc * tau0);
-    const double k_max =
-        cfg.k_margin * static_cast<double>(cfg.l_max) / tau0;
-    for (double k = 0.25 / tau0; k <= k_max; k += dk) grid.push_back(k);
+    grid = spectra::make_cl_kgrid(cfg.l_max, tau0, cfg.points_per_osc,
+                                  cfg.k_margin);
   } else if (cfg.grid == "linear") {
     grid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
   } else {

@@ -188,7 +188,10 @@ const KeyImpl kKeys[] = {
     PLINGER_KEY_DOUBLE("rtol", rtol, "1e-5",
                        "integrator relative tolerance"),
     PLINGER_KEY_SIZE("lmax_photon", lmax_photon, "128",
-                     "photon temperature hierarchy size"),
+                     "sizes no tower (each mode's photon tower is "
+                     "lmax_photon_for_k under lmax_cap, or the LOS short "
+                     "tower); only enters the store identity and bounds "
+                     "lmax_polarization"),
     PLINGER_KEY_SIZE("lmax_polarization", lmax_polarization, "32",
                      "photon polarization hierarchy size"),
     PLINGER_KEY_SIZE("lmax_neutrino", lmax_neutrino, "32",

@@ -80,7 +80,7 @@ struct RunConfig {
   /// integrators never cross-resume.
   std::string integrator = "dverk";
   double rtol = 1e-5;
-  std::size_t lmax_photon = 128;  ///< per-mode cap; see lmax_cap too
+  std::size_t lmax_photon = 128;  ///< identity + lmax_polarization bound
   std::size_t lmax_polarization = 32;
   std::size_t lmax_neutrino = 32;
   double tau_end = 0.0;    ///< 0 selects the conformal age

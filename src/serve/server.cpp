@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "mp/tcp_world.hpp"
 #include "serve/request.hpp"
 
 namespace plinger::serve {
@@ -102,6 +102,13 @@ class LineReader {
 
 SpectrumServer::SpectrumServer(SpectrumService& service, ServerOptions opts)
     : service_(service), opts_(std::move(opts)) {
+  sockaddr_in addr{};
+  try {
+    addr = mp::ipv4_address(opts_.bind_address, opts_.port);
+  } catch (const InvalidArgument&) {
+    throw Error("serve: bad bind address '" + opts_.bind_address + "'");
+  }
+
   int pipefd[2];
   if (::pipe2(pipefd, O_CLOEXEC | O_NONBLOCK) != 0) {
     throw Error(std::string("serve: pipe2 failed: ") +
@@ -120,16 +127,6 @@ SpectrumServer::SpectrumServer(SpectrumService& service, ServerOptions opts)
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.port);
-  if (::inet_pton(AF_INET, opts_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close_if_open(listen_fd_);
-    close_if_open(wake_read_);
-    close_if_open(wake_write_);
-    throw Error("serve: bad bind address '" + opts_.bind_address + "'");
-  }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0 ||
       ::listen(listen_fd_, 16) != 0) {

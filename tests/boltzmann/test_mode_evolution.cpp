@@ -49,18 +49,49 @@ TEST(ModeEvolver, ExplicitLmaxRespected) {
 
 TEST(ModeEvolver, SamplesRecordedAtRequestedTimes) {
   const auto& w = world();
-  pb::ModeEvolver ev(w.bg, w.rec, w.cfg);
-  pb::EvolveRequest req;
-  req.k = 0.01;
-  req.sample_taus = {100.0, 500.0, 5000.0};
-  const auto r = ev.evolve(req);
-  ASSERT_EQ(r.samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(r.samples[0].tau, 100.0);
-  EXPECT_DOUBLE_EQ(r.samples[1].tau, 500.0);
-  EXPECT_DOUBLE_EQ(r.samples[2].tau, 5000.0);
-  // a grows between samples.
-  EXPECT_LT(r.samples[0].a, r.samples[1].a);
-  EXPECT_LT(r.samples[1].a, r.samples[2].a);
+  for (const auto kind :
+       {pb::IntegratorKind::dverk, pb::IntegratorKind::dop853}) {
+    SCOPED_TRACE(kind == pb::IntegratorKind::dverk ? "dverk" : "dop853");
+    pb::PerturbationConfig cfg = w.cfg;
+    cfg.integrator = kind;
+    pb::ModeEvolver ev(w.bg, w.rec, cfg);
+    pb::EvolveRequest req;
+    req.k = 0.01;
+    const auto plain = ev.evolve(req);
+    ASSERT_GT(plain.tau_switch, 100.0);
+    ASSERT_LT(plain.tau_switch, 500.0);
+
+    // Two boundary times, unsorted: exactly tau_end, and a hair below
+    // tau_switch.  Each is answered once, at the boundary's own tau,
+    // from the boundary state after the tight-coupling handoff.
+    req.sample_taus = {plain.tau_end, 500.0, plain.tau_switch - 5e-13,
+                       100.0, 5000.0};
+    const auto r = ev.evolve(req);
+    ASSERT_EQ(r.samples.size(), 5u);
+    EXPECT_DOUBLE_EQ(r.samples[0].tau, 100.0);
+    EXPECT_EQ(r.samples[1].tau, r.tau_switch);
+    EXPECT_DOUBLE_EQ(r.samples[2].tau, 500.0);
+    EXPECT_DOUBLE_EQ(r.samples[3].tau, 5000.0);
+    EXPECT_EQ(r.samples[4].tau, r.tau_end);
+    // a grows between samples.
+    for (std::size_t i = 1; i < r.samples.size(); ++i) {
+      EXPECT_LT(r.samples[i - 1].a, r.samples[i].a) << "i=" << i;
+    }
+
+    // The last leg ends exactly at tau_end, so the tau_end sample is the
+    // final state.
+    EXPECT_EQ(r.samples[4].delta_c, r.final_state.delta_c);
+    EXPECT_EQ(r.samples[4].phi, r.final_state.phi);
+
+    // The near-switch time is answered as the exact switch time is:
+    // same trajectory, same post-handoff sample.
+    req.sample_taus[2] = plain.tau_switch;
+    const auto exact = ev.evolve(req);
+    ASSERT_EQ(exact.samples.size(), 5u);
+    EXPECT_EQ(r.samples[1].delta_b, exact.samples[1].delta_b);
+    EXPECT_EQ(r.samples[1].pi_pol, exact.samples[1].pi_pol);
+    EXPECT_EQ(r.final_state.delta_g, exact.final_state.delta_g);
+  }
 }
 
 TEST(ModeEvolver, OutOfRangeSamplesIgnored) {

@@ -349,6 +349,37 @@ TEST(Dop853, DenseSamplingDoesNotChangeTrajectory) {
   EXPECT_LE(sb.n_rhs, sa.n_rhs + 3 * ts.size());
 }
 
+/// DVERK's sampled call is clamped: one integrate() leg per interior
+/// sample time, bitwise the legs run by hand, and times at the interval
+/// ends are answered from the endpoint states.
+TEST(Dverk, DenseSamplesAreClampedLegs) {
+  Oscillator osc{3.0};
+  pm::OdeOptions opts;
+  opts.rtol = 1e-8;
+  opts.atol = 1e-12;
+  const std::vector<double> ts = {0.0, 0.7, 2.9, 5.0};
+  pm::Dverk dense;
+  std::vector<double> y = {1.0, 0.0};
+  std::vector<std::vector<double>> got;
+  const auto s = dense.integrate_dense(
+      osc, 0.0, 5.0, y, opts, ts, [&](double, std::span<const double> ys) {
+        got.emplace_back(ys.begin(), ys.end());
+      });
+
+  pm::Dverk legs;
+  std::vector<double> yl = {1.0, 0.0};
+  std::vector<std::vector<double>> want = {yl};
+  pm::OdeStats sl;
+  for (std::size_t i = 1; i < ts.size(); ++i) {
+    sl += legs.integrate(osc, ts[i - 1], ts[i], yl, opts);
+    want.push_back(yl);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(y, yl);
+  EXPECT_EQ(s.n_accepted, sl.n_accepted);
+  EXPECT_EQ(s.n_rhs, sl.n_rhs);
+}
+
 TEST(Dop853, DenseSamplesAtEndpointsUseEndpointStates) {
   pm::Dop853 ode;
   std::vector<double> y = {1.0};

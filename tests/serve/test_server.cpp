@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "run/config.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -120,9 +121,10 @@ class Client {
 /// thread; joins on destruction.
 class ServerFixture {
  public:
-  explicit ServerFixture(sv::ServeOptions sopts = {})
+  explicit ServerFixture(sv::ServeOptions sopts = {},
+                         sv::ServerOptions server_opts = {})
       : service_(std::move(sopts)),
-        server_(service_, sv::ServerOptions{}),
+        server_(service_, std::move(server_opts)),
         thread_([this] { server_.serve(); }) {}
   ~ServerFixture() {
     server_.request_stop();
@@ -141,22 +143,40 @@ class ServerFixture {
 }  // namespace
 
 TEST(SpectrumServer, PingStatsQuit) {
-  ServerFixture fx;
-  Client c(fx.port());
-  ASSERT_TRUE(c.connected());
+  // The name form of the loopback address binds as the numeric one does
+  // (one host resolver for the daemon, the client and TcpWorld).
+  for (const char* bind : {"127.0.0.1", "localhost"}) {
+    SCOPED_TRACE(bind);
+    sv::ServerOptions server_opts;
+    server_opts.bind_address = bind;
+    ServerFixture fx({}, server_opts);
+    Client c(fx.port());
+    ASSERT_TRUE(c.connected());
 
-  c.send_text("PING\n");
-  EXPECT_EQ(c.read_line(), "PONG");
+    c.send_text("PING\n");
+    EXPECT_EQ(c.read_line(), "PONG");
 
-  c.send_text("STATS\n");
-  const auto stats = c.read_reply();
-  ASSERT_FALSE(stats.empty());
-  EXPECT_EQ(stats.front(), "STAT requests 0");
-  EXPECT_EQ(stats.back(), "DONE");
+    c.send_text("STATS\n");
+    const auto stats = c.read_reply();
+    ASSERT_FALSE(stats.empty());
+    EXPECT_EQ(stats.front(), "STAT requests 0");
+    EXPECT_EQ(stats.back(), "DONE");
 
-  c.send_text("QUIT\n");
-  EXPECT_EQ(c.read_line(), "BYE");
-  EXPECT_EQ(c.read_line(), "");  // server closed the connection
+    c.send_text("QUIT\n");
+    EXPECT_EQ(c.read_line(), "BYE");
+    EXPECT_EQ(c.read_line(), "");  // server closed the connection
+  }
+}
+
+TEST(SpectrumServer, RefusesABindThatIsNotAnAddress) {
+  sv::SpectrumService service{sv::ServeOptions{}};
+  for (const char* bind : {"example.org", "256.0.0.1", ""}) {
+    sv::ServerOptions opts;
+    opts.bind_address = bind;
+    EXPECT_THROW({ sv::SpectrumServer server(service, opts); },
+                 plinger::Error)
+        << "bind '" << bind << "'";
+  }
 }
 
 TEST(SpectrumServer, RunStreamsProgressThenSpectra) {

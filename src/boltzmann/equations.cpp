@@ -13,8 +13,8 @@ namespace {
 
 /// Interior Boltzmann-hierarchy rows, l in [l_begin, l_end):
 ///   df[l] = lo[l] f[l-1] - hi[l] f[l+1] [- opac f[l]]
-/// These streams are the hottest loops in the code: plain scalar loops
-/// over precomputed couplings, unrolled for this file (CMakeLists.txt).
+/// These streams are the hottest loops in the code: loops over
+/// precomputed couplings, unrolled and vectorized (CMakeLists.txt).
 inline void run_hierarchy_damped(const double* __restrict__ f,
                                  double* __restrict__ df,
                                  const double* __restrict__ lo,

@@ -13,7 +13,7 @@
 /// Both cores expose the same calls: integrate() over [t0, t1] with an
 /// optional per-step observer, and integrate_dense(), which answers a
 /// list of sample times.  They share the entry checks with the first
-/// step, the per-step guard and the stage-input loop (namespace
+/// step, the per-step guard and the one stage kernel (namespace
 /// detail); each keeps its own step controller and error estimate.
 
 #include <algorithm>
@@ -22,6 +22,8 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -87,31 +89,55 @@ inline void guard_step(double t, double t1, double& h,
   }
 }
 
-/// out = y + h sum_{m < n_terms} row[m] k[m] for a step of size h
-/// (signed): a stage input (row = a[i]) or, for Dverk, the propagated
-/// solution (row = b).  Stage-major (axpy form): each inner loop streams
-/// one contiguous k[m] with a single scalar coefficient, and terms past
-/// the first with a zero coefficient are skipped outright instead of
-/// multiplying by 0 per component.
-inline void combine_stages(std::vector<double>& out,
-                           const std::vector<double>& y, double h,
-                           const double* row, int n_terms,
-                           const std::vector<double>* k) {
-  const std::size_t n = y.size();
-  double* op = out.data();
-  const double* yp = y.data();
-  {
-    const double a0 = h * row[0];
-    const double* k0 = k[0].data();
-    for (std::size_t j = 0; j < n; ++j) op[j] = yp[j] + a0 * k0[j];
-  }
-  for (int m = 1; m < n_terms; ++m) {
-    if (row[m] == 0.0) continue;
-    const double am = h * row[m];
-    const double* km = k[m].data();
-    for (std::size_t j = 0; j < n; ++j) op[j] += am * km[j];
+/// Calls fn(std::integral_constant<int, I>{}) for I = First..Last-1 in
+/// order, so that a stage loop can pass each tableau row to
+/// stage_kernel as a template argument.
+template <int First, int Last, class Fn>
+inline void static_for(Fn&& fn) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (fn(std::integral_constant<int, First + I>{}), ...);
+  }(std::make_integer_sequence<int, Last - First>{});
+}
+
+/// The element loop of stage_kernel, one stream k per row entry M.
+/// x + -0.0 is x bit for bit, signed zeros included, so -0.0 starts a
+/// sum without a y term and stands in for the skipped zero entries.
+template <const auto& Row, bool AddY, int... M, class... K>
+inline void stage_loop(std::size_t n, double h, double* __restrict__ out,
+                       const double* __restrict__ y,
+                       const K* __restrict__... k) {
+  for (std::size_t j = 0; j < n; ++j) {
+    double acc = AddY ? y[j] : -0.0;
+    ((acc += M == 0 || Row[M] != 0.0 ? h * Row[M] * k[j] : -0.0), ...);
+    out[j] = acc;
   }
 }
+
+/// The one stage kernel of both cores.  For a tableau row known at
+/// compile time it writes, in one element-major pass over the state,
+///
+///   out[j] = y[j] + c_0 k[0][j] + c_m k[m][j] + ...,   c_m = h * Row[m],
+///
+/// in m order over m = 0 and every later m with Row[m] != 0, a test
+/// decided at compile time (rows are lower triangular, so it also drops
+/// the zero tail past the stage).  y = nullptr drops the y term; h = 1
+/// leaves the weights unscaled.  Each element is its own chain of IEEE
+/// operations (y plus the first term, then one term at a time), so
+/// vectorizing the loop cannot change a bit.
+template <const auto& Row, class Y>
+inline void stage_kernel(std::vector<double>& out, const Y& y, double h,
+                         const std::vector<double>* k) {
+  constexpr bool add_y = !std::is_null_pointer_v<Y>;
+  const double* yp = nullptr;
+  if constexpr (add_y) yp = y.data();
+  [&]<int... M>(std::integer_sequence<int, M...>) {
+    stage_loop<Row, add_y, M...>(out.size(), h, out.data(), yp,
+                                 k[M].data()...);
+  }(std::make_integer_sequence<int, std::size(Row)>{});
+}
+
+/// The one-term row with which stage_kernel forms y + h * sum.
+inline constexpr double kUnitRow[1] = {1.0};
 
 }  // namespace detail
 
@@ -146,6 +172,10 @@ struct VernerDverkTableau {
                                           2375.0 / 5984.0, 5.0 / 16.0,
                                           12.0 / 85.0,     3.0 / 44.0,
                                           0.0,             0.0};
+  /// Error weights of the embedded estimate, b - bhat.
+  static constexpr double e[stages] = {
+      b[0] - bhat[0], b[1] - bhat[1], b[2] - bhat[2], b[3] - bhat[3],
+      b[4] - bhat[4], b[5] - bhat[5], b[6] - bhat[6], b[7] - bhat[7]};
 };
 
 /// The paper's integrator: Verner 6(5) as in netlib DVERK, under a
@@ -250,7 +280,6 @@ class Dverk {
 
   /// One trial step of size h (signed).  Fills y_new_ with the high-order
   /// solution and returns the weighted RMS error of the embedded estimate.
-  /// Stage-major axpy loops throughout (see detail::combine_stages).
   template <class F>
   double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
                       OdeStats& stats) {
@@ -259,29 +288,17 @@ class Dverk {
     const double* yp = y.data();
 
     f(t, std::span<const double>(y), std::span<double>(k_[0]));
-    for (int i = 1; i < s; ++i) {
-      detail::combine_stages(y_tmp_, y, h, T::a[i], i, k_);
+    detail::static_for<1, s>([&](auto i) {
+      detail::stage_kernel<T::a[i]>(y_tmp_, y, h, k_);
       f(t + T::c[i] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[i]));
-    }
+    });
     stats.n_rhs += s;
 
-    // High-order solution y_new = y + h sum b[m] k[m].
-    detail::combine_stages(y_new_, y, h, T::b, s, k_);
-
-    // Embedded error vector d = h sum (b[m]-bhat[m]) k[m].
-    {
-      double* dp = d_.data();
-      const double d0 = h * (T::b[0] - T::bhat[0]);
-      const double* k0 = k_[0].data();
-      for (std::size_t j = 0; j < n; ++j) dp[j] = d0 * k0[j];
-      for (int m = 1; m < s; ++m) {
-        if (T::b[m] - T::bhat[m] == 0.0) continue;
-        const double dm = h * (T::b[m] - T::bhat[m]);
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) dp[j] += dm * km[j];
-      }
-    }
+    // High-order solution y_new = y + h sum b[m] k[m], embedded error
+    // vector d = h sum (b[m]-bhat[m]) k[m].
+    detail::stage_kernel<T::b>(y_new_, y, h, k_);
+    detail::stage_kernel<T::e>(d_, nullptr, h, k_);
 
     double err_sq = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
@@ -597,6 +614,7 @@ class Dop853 {
       y_tmp_.assign(n, 0.0);
       y_sample_.assign(n, 0.0);
       bsum_.assign(n, 0.0);
+      err_.assign(n, 0.0);
       for (auto& k : k_) k.assign(n, 0.0);
       for (auto& c : cont_) c.assign(n, 0.0);
     }
@@ -605,7 +623,7 @@ class Dop853 {
   /// One trial step of size h (signed).  Assumes k_[0] = f(t, y)
   /// (FSAL), fills stages k_[1..11], bsum_ = sum b[m] k[m], y_new_, and
   /// returns Hairer's combined 5th/3rd error measure (accept when
-  /// <= 1).  Stage-major axpy loops as in Dverk.
+  /// <= 1).
   template <class F>
   double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
                       OdeStats& stats) {
@@ -613,33 +631,22 @@ class Dop853 {
     const std::size_t n = y.size();
     const double* yp = y.data();
 
-    for (int i = 1; i < s; ++i) {
-      detail::combine_stages(y_tmp_, y, h, T::a[i], i, k_);
+    detail::static_for<1, s>([&](auto i) {
+      detail::stage_kernel<T::a[i]>(y_tmp_, y, h, k_);
       f(t + T::c[i] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[i]));
-    }
+    });
     stats.n_rhs += s - 1;
 
     // bsum = sum b[m] k[m] (unscaled), y_new = y + h bsum.
-    {
-      double* bs = bsum_.data();
-      const double b0 = T::b[0];
-      const double* k0 = k_[0].data();
-      for (std::size_t j = 0; j < n; ++j) bs[j] = b0 * k0[j];
-      for (int m = 1; m < s; ++m) {
-        if (T::b[m] == 0.0) continue;
-        const double bm = T::b[m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) bs[j] += bm * km[j];
-      }
-      double* yn = y_new_.data();
-      for (std::size_t j = 0; j < n; ++j) yn[j] = yp[j] + h * bs[j];
-    }
+    detail::stage_kernel<T::b>(bsum_, nullptr, 1.0, k_);
+    detail::stage_kernel<detail::kUnitRow>(y_new_, y, h, &bsum_);
 
     // 5th-order estimate from the er weights, 3rd-order from the bhh
     // difference; the combination err5^2/sqrt(err5^2 + 0.01 err3^2)
     // keeps the 5th-order estimate in charge while damping it where the
     // 3rd-order one explodes (Hairer's dop853 error).
+    detail::stage_kernel<T::er>(err_, nullptr, 1.0, k_);
     double err5_sq = 0.0, err3_sq = 0.0;
     {
       const double* k1 = k_[0].data();
@@ -648,9 +655,7 @@ class Dop853 {
       for (std::size_t j = 0; j < n; ++j) {
         const double sk =
             atol_ + rtol_ * std::max(std::abs(yp[j]), std::abs(y_new_[j]));
-        double e = T::er[0] * k1[j];
-        for (int m = 5; m < s; ++m) e += T::er[m] * k_[m][j];
-        const double e5 = e / sk;
+        const double e5 = err_[j] / sk;
         const double e3 = (bsum_[j] - T::bhh1 * k1[j] - T::bhh2 * k9[j] -
                            T::bhh3 * k12[j]) /
                           sk;
@@ -685,25 +690,15 @@ class Dop853 {
       cont_[2][j] = bspl;
       cont_[3][j] = ydiff - h * k13[j] - bspl;
     }
-    for (int d = 0; d < T::dense_stages; ++d) {
-      detail::combine_stages(y_tmp_, y, h, T::ad[d], s + 1 + d, k_);
+    detail::static_for<0, T::dense_stages>([&](auto d) {
+      detail::stage_kernel<T::ad[d]>(y_tmp_, y, h, k_);
       f(t + T::cd[d] * h, std::span<const double>(y_tmp_),
         std::span<double>(k_[s + 1 + d]));
-    }
+    });
     stats.n_rhs += T::dense_stages;
-    for (int r = 0; r < 4; ++r) {
-      double* cr = cont_[4 + r].data();
-      {
-        const double d0 = h * T::d[r][0];
-        for (std::size_t j = 0; j < n; ++j) cr[j] = d0 * k1[j];
-      }
-      for (int m = 5; m < 16; ++m) {
-        if (T::d[r][m] == 0.0) continue;
-        const double dm = h * T::d[r][m];
-        const double* km = k_[m].data();
-        for (std::size_t j = 0; j < n; ++j) cr[j] += dm * km[j];
-      }
-    }
+    detail::static_for<0, 4>([&](auto r) {
+      detail::stage_kernel<T::d[r]>(cont_[4 + r], nullptr, h, k_);
+    });
   }
 
   /// Evaluate the continuous extension at ts inside [t_old, t_old+h],
@@ -728,6 +723,7 @@ class Dop853 {
   double rtol_ = 1e-6;
   double atol_ = 1e-12;
   std::vector<double> y_new_, y_tmp_, y_sample_, bsum_;
+  std::vector<double> err_;      ///< 5th-order error sum er[m] k[m]
   std::vector<double> k_[16];    ///< trial stages, k13, dense stages
   std::vector<double> cont_[8];  ///< continuous-output coefficients
 };

@@ -20,6 +20,15 @@
 // pinned to 1% of the spectrum's peak instead of the vanishing local
 // value.  EE gets the same guard for its small low-l tail.
 //
+// The TE envelope's peak is that guard at work, not a projection miss.
+// The worst TE l is the TE zero crossing: l = 52 for lcdm (|C_l^TE| at
+// 0.07% of its peak), l = 61 for scdm and mdm.  The absolute LOS error
+// there (about 2e-9 raw for lcdm) equals that at the neighbouring l;
+// normalised by sqrt(C_l^TT C_l^EE) the worst TE error is 0.2%, at
+// l = 7.  The guarded metric is kept on purpose: with the same 0.5%
+// floor, the sqrt(TT EE) form would allow 13-18x more absolute error
+// at the zero-crossing l than the committed envelopes.
+//
 // The envelope fixtures live next to the golden fixtures and are
 // regenerated with:
 //   PLINGER_REGEN_ACCURACY=1 ctest -L accuracy

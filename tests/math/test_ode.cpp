@@ -1,11 +1,15 @@
 #include "math/ode.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "math/rng.hpp"
 
 namespace pm = plinger::math;
 
@@ -471,3 +475,153 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1.0, 1e-6}, std::pair{1.0, 1e-10},
                       std::pair{10.0, 1e-6}, std::pair{10.0, 1e-10},
                       std::pair{100.0, 1e-8}, std::pair{0.1, 1e-6}));
+
+// The stage kernel against the stage-major loops it replaced.  This
+// source is compiled with the vectorizer cost model of the evolve hot
+// path (tests/CMakeLists.txt), so the kernel runs as vector code with a
+// scalar remainder, as in the integrators.
+
+namespace {
+
+using Vec = std::vector<double>;
+
+/// The loop both cores ran before the stage kernel, kept as the oracle:
+/// out = [y +] sum_{m < n_terms} (h row[m]) k[m], one pass over the
+/// state per term, term 0 always, later zero coefficients skipped.
+void reference_stages(Vec& out, const Vec* y, double h, const double* row,
+                      int n_terms, const Vec* k) {
+  const std::size_t n = out.size();
+  const double c0 = h * row[0];
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = y ? (*y)[j] + c0 * k[0][j] : c0 * k[0][j];
+  }
+  for (int m = 1; m < n_terms; ++m) {
+    if (row[m] == 0.0) continue;
+    const double cm = h * row[m];
+    for (std::size_t j = 0; j < n; ++j) out[j] += cm * k[m][j];
+  }
+}
+
+/// Dverk's error measure: the weighted RMS of d, summed in index order.
+double dverk_error(const Vec& y, const Vec& y_new, const Vec& d) {
+  const pm::OdeOptions opts;
+  double err_sq = 0.0;
+  for (std::size_t j = 0; j < y.size(); ++j) {
+    const double scale =
+        opts.atol + opts.rtol * std::max(std::abs(y[j]), std::abs(y_new[j]));
+    const double e = d[j] / scale;
+    err_sq += e * e;
+  }
+  return std::sqrt(err_sq / static_cast<double>(y.size()));
+}
+
+/// Seeded values of both signs with magnitudes from 1e-12 to 1e3, one
+/// in sixteen a signed zero.
+Vec random_state(pm::Xoshiro256& rng, std::size_t n) {
+  Vec v(n);
+  for (double& x : v) {
+    const std::uint64_t bits = rng.next_u64();
+    x = (bits & 0xF) == 0 ? 0.0 : std::pow(10.0, -12.0 + 15.0 * rng.uniform());
+    if (bits & 0x10) x = -x;
+  }
+  return v;
+}
+
+/// Index of the first element whose bits differ, or the size if none do.
+std::size_t first_bit_mismatch(const Vec& a, const Vec& b) {
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    if (std::bit_cast<std::uint64_t>(a[j]) !=
+        std::bit_cast<std::uint64_t>(b[j])) {
+      return j;
+    }
+  }
+  return a.size();
+}
+
+constexpr double kSteps[] = {0.0123456789, -0.0123456789, 7.31, -7.31};
+constexpr double kUnscaled[] = {1.0};
+
+}  // namespace
+
+/// Parameter: the state size.
+class StageKernel : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    pm::Xoshiro256 rng(GetParam());
+    y_ = random_state(rng, n());
+    for (Vec& km : k_) km = random_state(rng, n());
+    // Elements that are signed zeros in y and every stage, where only
+    // the sign of the zero sum tells two summation orders apart.
+    for (std::size_t j = 1; j < n(); j += 8) {
+      y_[j] = rng.next_u64() & 1 ? 0.0 : -0.0;
+      for (Vec& km : k_) km[j] = rng.next_u64() & 1 ? 0.0 : -0.0;
+    }
+  }
+
+  std::size_t n() const { return GetParam(); }
+
+  /// stage_kernel<Row> against reference_stages over n_terms, with or
+  /// without the y term, for every step in `steps`.
+  template <const auto& Row>
+  void check(const char* name, int n_terms, bool with_y,
+             std::span<const double> steps = kSteps) {
+    for (const double h : steps) {
+      Vec got(n()), want(n());
+      if (with_y) {
+        pm::detail::stage_kernel<Row>(got, y_, h, k_.data());
+      } else {
+        pm::detail::stage_kernel<Row>(got, nullptr, h, k_.data());
+      }
+      reference_stages(want, with_y ? &y_ : nullptr, h, Row, n_terms,
+                       k_.data());
+      EXPECT_EQ(first_bit_mismatch(got, want), n())
+          << name << ", n = " << n() << ", h = " << h;
+    }
+  }
+
+  Vec y_;
+  std::array<Vec, 16> k_;
+};
+
+TEST_P(StageKernel, DverkRowsMatchStageMajorLoops) {
+  using T = pm::VernerDverkTableau;
+  pm::detail::static_for<1, T::stages>(
+      [&](auto i) { check<T::a[i]>("dverk a", i, true); });
+  check<T::b>("dverk b", T::stages, true);
+
+  // The error vector against the runtime difference b - bhat, and the
+  // error value the step controller sees.
+  double e_ref[T::stages];
+  for (int m = 0; m < T::stages; ++m) e_ref[m] = T::b[m] - T::bhat[m];
+  for (const double h : kSteps) {
+    Vec y_new(n()), d(n()), y_new_ref(n()), d_ref(n());
+    pm::detail::stage_kernel<T::b>(y_new, y_, h, k_.data());
+    pm::detail::stage_kernel<T::e>(d, nullptr, h, k_.data());
+    reference_stages(y_new_ref, &y_, h, T::b, T::stages, k_.data());
+    reference_stages(d_ref, nullptr, h, e_ref, T::stages, k_.data());
+    EXPECT_EQ(first_bit_mismatch(d, d_ref), n()) << "h = " << h;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dverk_error(y_, y_new, d)),
+              std::bit_cast<std::uint64_t>(dverk_error(y_, y_new_ref, d_ref)))
+        << "h = " << h;
+  }
+}
+
+/// Dop853's er and d rows started at m = 5 before the stage kernel;
+/// their entries 1..4 are zero, so the zero-skipping reference is that
+/// loop.  bsum and er are unscaled sums (h = 1).
+TEST_P(StageKernel, Dop853RowsMatchStageMajorLoops) {
+  using T = pm::Dop853Tableau;
+  pm::detail::static_for<1, T::stages>(
+      [&](auto i) { check<T::a[i]>("dop853 a", i, true); });
+  check<T::b>("dop853 bsum", T::stages, false, kUnscaled);
+  check<pm::detail::kUnitRow>("dop853 y + h bsum", 1, true);
+  check<T::er>("dop853 er", T::stages, false, kUnscaled);
+  pm::detail::static_for<0, T::dense_stages>([&](auto d) {
+    check<T::ad[d]>("dop853 ad", T::stages + 1 + d, true);
+  });
+  pm::detail::static_for<0, 4>(
+      [&](auto r) { check<T::d[r]>("dop853 d", 16, false); });
+}
+
+INSTANTIATE_TEST_SUITE_P(StateSizes, StageKernel,
+                         ::testing::Values(1, 2, 3, 7, 64, 2855));

@@ -4,15 +4,19 @@
 // moments l ... 75 C90 CPU-hours"); the line-of-sight decomposition
 // (CMBFAST, 1996) evolves a short hierarchy and projects the multipoles
 // afterwards.  Since the run layer grew a `solver = los` switch, this
-// bench is a thin shell over it: two RunPlans sharing one context, the
+// bench is a thin shell over it: RunPlans sharing one context, the
 // same cl-grid, and the driver's own per-mode CPU accounting.  It
 // reports
 //
-//   * per-mode speedup (hierarchy CPU / LOS CPU) grouped by k-decade —
-//     the fast path's win grows with k tau0, so the highest decade is
-//     the headline number (the accuracy gate's companion claim:
-//     >= 10x per mode at the highest-k decade),
-//   * total CPU and wallclock both ways,
+//   * the headline: end-to-end wallclock, execute() + make_spectra(),
+//     per solver, and its speedup over the hierarchy.  On the LOS route
+//     execute() includes the workers' projection, and make_spectra()
+//     only accumulates;
+//   * per-mode evolution CPU speedup (hierarchy CPU / LOS CPU) grouped
+//     by k-decade — the fast path's win grows with k tau0, so the
+//     highest decade carries the per-mode claim (>= 10x), which
+//     excludes projection;
+//   * total evolution CPU and execute() wallclock each way;
 //   * the worst relative C_l^TT deviation over l (the same comparison
 //     the ctest `accuracy` gate pins per l, here at bench scale).
 //
@@ -53,8 +57,8 @@ int main(int argc, char** argv) {
   const bool smoke = args.smoke;
 
   // The hierarchy's per-mode cost grows ~ (k tau0)^2 (tower height x
-  // step count) while LOS stays flat; the >= 10x headline lives at the
-  // l ~ 1000 scale the paper's 10,000-moment anecdote points at.
+  // step count) while LOS stays flat; the >= 10x per-mode claim lives at
+  // the l ~ 1000 scale the paper's 10,000-moment anecdote points at.
   const std::size_t l_max = smoke ? 120 : 1000;
   run::RunConfig hier;
   hier.grid = "cl";
@@ -85,15 +89,23 @@ int main(int argc, char** argv) {
               "l_max = %zu, %zu modes ==\n",
               l_max, hier_plan.schedule().size());
 
+  // Each arm end to end: execute() (evolution, and on the LOS route the
+  // workers' projection), then make_spectra() (accumulation).
   double t0 = wallclock_seconds();
   const auto hier_out = hier_plan.execute();
   const double wall_hier = wallclock_seconds() - t0;
+  const auto spec_hier = run::make_spectra(hier_plan, hier_out);
+  const double e2e_hier = wallclock_seconds() - t0;
   t0 = wallclock_seconds();
   const auto los_out = los_plan.execute();
   const double wall_los = wallclock_seconds() - t0;
+  const auto spec_los = run::make_spectra(los_plan, los_out);
+  const double e2e_los = wallclock_seconds() - t0;
   t0 = wallclock_seconds();
   const auto auto_out = auto_plan.execute();
   const double wall_auto = wallclock_seconds() - t0;
+  const auto spec_auto = run::make_spectra(auto_plan, auto_out);
+  const double e2e_auto = wallclock_seconds() - t0;
 
   // Per-mode CPU, grouped by decade of k.  Both plans share the grid,
   // so the result maps are keyed identically.
@@ -130,18 +142,7 @@ int main(int argc, char** argv) {
   }
 
   // The accuracy companion: worst relative C_l^TT deviation, raw
-  // (normalization divided back out).  The projection itself is timed
-  // too — the unified SourceTable pipeline folds T and E kernels in
-  // one pass, so this is the cost of all three spectra, not just TT.
-  t0 = wallclock_seconds();
-  const auto spec_hier = run::make_spectra(hier_plan, hier_out, l_max);
-  const double proj_hier = wallclock_seconds() - t0;
-  t0 = wallclock_seconds();
-  const auto spec_los = run::make_spectra(los_plan, los_out, l_max);
-  const double proj_los = wallclock_seconds() - t0;
-  t0 = wallclock_seconds();
-  const auto spec_auto = run::make_spectra(auto_plan, auto_out, l_max);
-  const double proj_auto = wallclock_seconds() - t0;
+  // (normalization divided back out).
   double worst_rel = 0.0, worst_rel_auto = 0.0;
   for (std::size_t l = 2; l <= l_max; ++l) {
     const double a = spec_hier.temperature.cl[l] / spec_hier.cobe_factor;
@@ -170,7 +171,7 @@ int main(int argc, char** argv) {
   t0 = wallclock_seconds();
   const auto polref_out = polref_plan.execute();
   const double wall_polref = wallclock_seconds() - t0;
-  const auto spec_ref = run::make_spectra(polref_plan, polref_out, l_max);
+  const auto spec_ref = run::make_spectra(polref_plan, polref_out);
   const std::size_t l_pol =
       std::min({spec_ref.polarization_l_max,
                 spec_los.polarization_l_max, l_max, std::size_t{160}});
@@ -211,8 +212,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("total CPU: hierarchy %.2f s, LOS %.2f s (%.1fx), "
-              "auto %.2f s (%.1fx); wallclock %.2f / %.2f / %.2f s\n",
+  const double speedup_e2e = e2e_los > 0.0 ? e2e_hier / e2e_los : 0.0;
+  const double speedup_e2e_auto =
+      e2e_auto > 0.0 ? e2e_hier / e2e_auto : 0.0;
+  std::printf("end to end (execute + make_spectra): hierarchy %.2f s, "
+              "LOS %.2f s (%.1fx), auto %.2f s (%.1fx)\n",
+              e2e_hier, e2e_los, speedup_e2e, e2e_auto, speedup_e2e_auto);
+  std::printf("evolution CPU: hierarchy %.2f s, LOS %.2f s (%.1fx), "
+              "auto %.2f s (%.1fx); execute wallclock %.2f / %.2f / "
+              "%.2f s\n",
               cpu_hier, cpu_los, cpu_los > 0.0 ? cpu_hier / cpu_los : 0.0,
               cpu_auto, cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0,
               wall_hier, wall_los, wall_auto);
@@ -220,16 +228,18 @@ int main(int argc, char** argv) {
               "auto %.4f\n",
               l_max, worst_rel, worst_rel_auto);
   std::printf("worst C_l^EE / C_l^TE deviation (l <= %zu): los %.4f / "
-              "%.4f, auto %.4f / %.4f\n",
+              "%.4f, auto %.4f / %.4f\n\n",
               l_pol, worst_ee, worst_te, worst_ee_auto, worst_te_auto);
-  std::printf("three-spectrum projection: hierarchy %.2f s, LOS %.2f s, "
-              "auto %.2f s\n\n",
-              proj_hier, proj_los, proj_auto);
 
   io::BenchReport report("los");
   report.add("totals")
       .metric("l_max", static_cast<double>(l_max))
       .metric("n_modes", static_cast<double>(hier_out.results.size()))
+      .metric("wallclock_seconds_end_to_end_hierarchy", e2e_hier)
+      .metric("wallclock_seconds_end_to_end_los", e2e_los)
+      .metric("wallclock_seconds_end_to_end_auto", e2e_auto)
+      .metric("speedup_end_to_end", speedup_e2e)
+      .metric("speedup_end_to_end_auto", speedup_e2e_auto)
       .metric("cpu_seconds_hierarchy", cpu_hier)
       .metric("cpu_seconds_los", cpu_los)
       .metric("cpu_seconds_auto", cpu_auto)
@@ -254,9 +264,6 @@ int main(int argc, char** argv) {
       .metric("worst_cl_te_rel_error", worst_te)
       .metric("worst_cl_ee_rel_error_auto", worst_ee_auto)
       .metric("worst_cl_te_rel_error_auto", worst_te_auto)
-      .metric("projection_seconds_hierarchy", proj_hier)
-      .metric("projection_seconds_los", proj_los)
-      .metric("projection_seconds_auto", proj_auto)
       .metric("complete", complete ? 1.0 : 0.0);
 
   std::printf("per-mode speedup by k-decade:\n");

@@ -26,6 +26,9 @@ struct TransferSample {
 };
 
 /// Everything a worker reports back to the master for one wavenumber.
+/// A line-of-sight evolution also returns source samples; the drivers
+/// project them onto F_l/G_l towers before the result leaves the worker
+/// (plinger/driver.hpp), so a reported result carries towers only.
 struct ModeResult {
   double k = 0.0;
   std::size_t lmax = 0;
@@ -39,7 +42,9 @@ struct ModeResult {
   double tau_init = 0.0, tau_switch = 0.0, tau_end = 0.0;
   plinger::math::OdeStats stats;
   std::uint64_t flops = 0;      ///< estimated flop count of the evolution
-  double cpu_seconds = 0.0;     ///< thread CPU time spent
+  /// Thread CPU of the evolution alone, measured inside
+  /// ModeEvolver::evolve; a line-of-sight mode's projection is not in it.
+  double cpu_seconds = 0.0;
 };
 
 /// Work request for one wavenumber.

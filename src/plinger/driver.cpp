@@ -7,8 +7,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <thread>
 
+#include "boltzmann/los.hpp"
+#include "boltzmann/source_table.hpp"
 #include "common/timing.hpp"
 #include "cosmo/background.hpp"
 #include "cosmo/thermo_cache.hpp"
@@ -23,9 +26,9 @@ store::RunIdentity store_identity(const cosmo::CosmoParams& params,
                                   const boltzmann::PerturbationConfig& cfg,
                                   const KSchedule& schedule,
                                   const RunSetup& setup) {
-  // LOS runs write sample-bearing records under an LOS-extended
-  // identity, so a hierarchy journal can never cross-resume with an LOS
-  // run (and vice versa).
+  // LOS runs write projected towers under an LOS-extended identity, so
+  // a hierarchy journal can never cross-resume with an LOS run (and vice
+  // versa).
   if (!setup.los.enabled) {
     return store::run_identity(params, cfg, schedule.k_grid(),
                                setup.tau_end, setup.lmax_cap);
@@ -33,7 +36,7 @@ store::RunIdentity store_identity(const cosmo::CosmoParams& params,
   return store::run_identity(
       params, cfg, schedule.k_grid(), setup.tau_end, setup.lmax_cap,
       store::LosIdentity{setup.los.lmax_evolve, setup.los.sample_taus,
-                         setup.los.k_crossover});
+                         setup.los.l_max, setup.los.k_crossover});
 }
 
 namespace {
@@ -47,16 +50,43 @@ std::shared_ptr<const cosmo::ThermoCache> run_cache(
   return std::make_shared<const cosmo::ThermoCache>(bg, rec);
 }
 
-/// The one request shaper: LOS pins every mode to the short hierarchy
-/// and attaches the shared source sample times; otherwise the photon
-/// tower follows k tau_end, bounded by lmax_cap.  solver=auto routes
-/// modes below los.k_crossover through the hierarchy branch — at low k
-/// lmax_photon_for_k is already small, so LOS source sampling costs
-/// more than the short hierarchy saves.
+/// The evolution end time of every mode: tau_end = 0 selects the
+/// conformal age.
+double resolved_tau_end(const cosmo::Background& bg, const RunSetup& setup) {
+  return setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age();
+}
+
+/// True when the mode at k takes the line-of-sight route: every mode
+/// under solver=los, and under solver=auto the modes at or above
+/// los.k_crossover — at low k lmax_photon_for_k is already small, so LOS
+/// source sampling costs more than the short hierarchy saves.
+bool on_los_route(const RunSetup& setup, double k) {
+  return setup.los.enabled &&
+         !(setup.los.k_crossover > 0.0 && k < setup.los.k_crossover);
+}
+
+/// The per-run projection table of an LOS run (null otherwise), built
+/// next to the thermo cache and shared read-only by every worker of the
+/// process: j_l for l = 0..los.l_max + 1 (the derivative recurrence
+/// reads one l past the tower) out to the largest k tau_end of the base
+/// schedule.  Node values do not depend on that range, so every process
+/// projects the same bits.
+std::shared_ptr<const boltzmann::BesselTable> run_table(
+    const cosmo::Background& bg, const KSchedule& schedule,
+    const RunSetup& setup) {
+  if (!setup.los.enabled) return nullptr;
+  const double x_max = std::max(
+      1.0, schedule.k_grid().back() * resolved_tau_end(bg, setup));
+  return std::make_shared<const boltzmann::BesselTable>(
+      setup.los.l_max + 1, x_max);
+}
+
+/// The one request shaper: the LOS route pins the mode to the short
+/// hierarchy and attaches the shared source sample times; otherwise the
+/// photon tower follows k tau_end, bounded by lmax_cap.
 void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
                    double tau_end) {
-  if (setup.los.enabled &&
-      !(setup.los.k_crossover > 0.0 && req.k < setup.los.k_crossover)) {
+  if (on_los_route(setup, req.k)) {
     req.lmax_photon = setup.los.lmax_evolve;
     req.sample_taus = setup.los.sample_taus;
   } else if (setup.lmax_cap > 0.0) {
@@ -76,16 +106,53 @@ void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
 /// The one per-mode path, run by the serial loop, the autotask cursor
 /// and every worker rank (in-process or in a plinger_worker process),
 /// so a mode's result cannot depend on who computes it: resolve
-/// tau_end = 0 to the conformal age, shape the request, evolve.
-ModeResult run_mode(const ModeEvolver& evolver, const RunSetup& setup,
-                    double k) {
-  const double tau_end = setup.tau_end > 0.0
-                             ? setup.tau_end
-                             : evolver.background().conformal_age();
+/// tau_end = 0 to the conformal age, shape the request, evolve.  A mode
+/// that recorded line-of-sight sources is then projected through the
+/// process's `table` and leaves in the shape of a hierarchy mode: F_l
+/// and G_l towers for l = 0..los.l_max, no samples.  cpu_seconds stays
+/// the evolution's own thread CPU.
+ModeResult run_mode(const ModeEvolver& evolver,
+                    const boltzmann::BesselTable* table,
+                    const RunSetup& setup, double k) {
+  const double tau_end = resolved_tau_end(evolver.background(), setup);
   boltzmann::EvolveRequest req;
   req.k = k;
   shape_request(req, setup, tau_end);
-  return evolver.evolve(req, tau_end);
+  ModeResult r = evolver.evolve(req, tau_end);
+  if (r.samples.empty()) return r;
+  boltzmann::ProjectedMode towers = boltzmann::project_source_table(
+      boltzmann::build_source_table(evolver.background(),
+                                    evolver.recombination(), r),
+      setup.los.l_max, *table);
+  r.f_gamma = std::move(towers.f_gamma);
+  r.g_gamma = std::move(towers.g_gamma);
+  r.lmax = setup.los.l_max;
+  r.samples = std::vector<boltzmann::TransferSample>();
+  return r;
+}
+
+/// A mode on the line-of-sight route must reach the sink as the towers
+/// the run accumulates: projected, to l = 0..los.l_max.  The tag-1
+/// broadcast does not carry l_max, and on a log or linear grid l_max
+/// does not move n_k, so a plinger_worker started with another l_max
+/// passes every broadcast cross-check; its towers are refused here,
+/// before the journal append.
+void require_projected(std::size_t ik, double k, const ModeResult& r,
+                       const RunSetup& setup) {
+  if (!on_los_route(setup, k)) return;
+  const std::size_t want = setup.los.l_max + 1;
+  if (r.samples.empty() && r.f_gamma.size() == want &&
+      r.g_gamma.size() == want) {
+    return;
+  }
+  std::ostringstream os;
+  os << "line-of-sight mode ik " << ik << " (k = " << k
+     << ") arrived with F/G towers of " << r.f_gamma.size() << "/"
+     << r.g_gamma.size() << " entries"
+     << (r.samples.empty() ? "" : " and unprojected source samples")
+     << ", but this run projects to l_max = " << setup.los.l_max << " ("
+     << want << " entries); was its worker started with another l_max?";
+  throw MisshapedResult(os.str());
 }
 
 /// A run's books and the one place its results land, shared by the
@@ -95,15 +162,15 @@ ModeResult run_mode(const ModeEvolver& evolver, const RunSetup& setup,
 /// journaled modes enter the output up front, as zero-cost spans on the
 /// trace's synthetic "worker 0" (store) row — completed-mode counts but
 /// no busy time, CPU, or flops — and issue() becomes the residual
-/// schedule.  Each computed mode is appended to the journal, then
-/// counted, then kept; locked, because autotask workers sink
-/// concurrently.
+/// schedule.  Each computed mode is shape-checked, appended to the
+/// journal, then counted, then kept; locked, because autotask workers
+/// sink concurrently.
 class ModeSink {
  public:
   ModeSink(const cosmo::Background& bg,
            const boltzmann::PerturbationConfig& cfg,
            const KSchedule& schedule, const RunSetup& setup, int n_workers)
-      : schedule_(schedule) {
+      : schedule_(schedule), setup_(setup) {
     out_.n_workers = n_workers;
     if (setup.trace.enabled) {
       recorder_ = std::make_shared<TraceRecorder>(setup.trace);
@@ -131,6 +198,7 @@ class ModeSink {
   }
 
   void operator()(std::size_t ik, ModeResult r) {
+    require_projected(ik, schedule_.k_of_ik(ik), r, setup_);
     const std::lock_guard<std::mutex> lock(mutex_);
     if (store_) store_->append(ik, r);
     ++out_.n_modes_computed;
@@ -170,18 +238,20 @@ class ModeSink {
   std::shared_ptr<TraceRecorder> recorder_;
   std::unique_ptr<store::ModeResultStore> store_;
   const KSchedule& schedule_;
+  const RunSetup& setup_;
   std::optional<KSchedule> residual_;
 };
 
 /// The in-process loops' step: run_mode under its trace span, then the
 /// sink.
 void compute_mode(std::size_t ik, int worker, const ModeEvolver& evolver,
-                  const RunSetup& setup, ModeSink& sink) {
+                  const boltzmann::BesselTable* table, const RunSetup& setup,
+                  ModeSink& sink) {
   TraceRecorder* recorder = sink.recorder().get();
   const double k = sink.issue().k_of_ik(ik);
   if (recorder) recorder->record_assign(ik, worker);
   const double t0 = recorder ? recorder->now() : 0.0;
-  ModeResult r = run_mode(evolver, setup, k);
+  ModeResult r = run_mode(evolver, table, setup, k);
   if (recorder) {
     recorder->record_span(ik, k, worker, /*completed=*/true, t0,
                           recorder->now(), r.cpu_seconds, r.flops);
@@ -212,13 +282,16 @@ class FirstError {
 /// broadcast whose tau_end or lmax_cap disagrees with it — no request
 /// is shaped from a value the master did not hash.
 void serve_worker(mp::InProcWorld& world, int rank,
-                  const ModeEvolver& evolver, const KSchedule& schedule,
-                  const RunSetup& setup, TraceRecorder* recorder) {
+                  const ModeEvolver& evolver,
+                  const boltzmann::BesselTable* table,
+                  const KSchedule& schedule, const RunSetup& setup,
+                  TraceRecorder* recorder) {
   mp::PassContext ctx = mp::initpass(world, rank);
   run_worker(
       ctx, schedule,
-      [&evolver, &setup](const boltzmann::EvolveRequest& req, double) {
-        return run_mode(evolver, setup, req.k);
+      [&evolver, table, &setup](const boltzmann::EvolveRequest& req,
+                                double) {
+        return run_mode(evolver, table, setup, req.k);
       },
       recorder, &setup);
   mp::endpass(ctx);
@@ -314,13 +387,14 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
                             const RunSetup& setup) {
   ModeSink sink(bg, cfg, schedule, setup, 1);
   const ModeEvolver evolver(bg, rec, cfg, run_cache(bg, rec, setup));
+  const auto table = run_table(bg, schedule, setup);
   // The serial main loop in k (paper §4: "The main loop of the serial
   // code is in k"), walked in the schedule's issue order (only the
   // residual modes when resuming from a store).
   const KSchedule& issue = sink.issue();
   for (std::size_t ik = issue.ik_first();
        ik != 0 && !sink.stop_requested(); ik = issue.ik_next(ik)) {
-    compute_mode(ik, 1, evolver, setup, sink);
+    compute_mode(ik, 1, evolver, table.get(), setup, sink);
   }
   return sink.finish();
 }
@@ -341,9 +415,11 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
   }
   std::atomic<std::size_t> cursor{0};
   FirstError error;
-  // One fused thermo/background cache per run, shared read-only by every
-  // worker thread (immutable after construction, so no synchronization).
+  // One fused thermo/background cache and one projection table per run,
+  // shared read-only by every worker thread (immutable after
+  // construction, so no synchronization).
   const auto cache = run_cache(bg, rec, setup);
+  const auto table = run_table(bg, schedule, setup);
   {
     std::vector<std::jthread> threads;
     // Worker ids 1..n, as PLINGER numbers its worker ranks.
@@ -354,7 +430,8 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
           while (!sink.stop_requested()) {  // flush-then-stop hook
             const std::size_t i = cursor.fetch_add(1);
             if (i >= order.size()) break;
-            compute_mode(order[i], worker, evolver, setup, sink);
+            compute_mode(order[i], worker, evolver, table.get(), setup,
+                         sink);
           }
         } catch (...) {
           error.capture();
@@ -388,15 +465,17 @@ RunOutput run_plinger_threads(const cosmo::Background& bg,
   FirstError error;
   RunOutput out = run_master_over(
       *world, bg, cfg, schedule, setup, [&](TraceRecorder* recorder) {
-        // One read-only thermo cache for all workers, built inside the
-        // run's wallclock as in the other drivers.
+        // One read-only thermo cache and projection table for all
+        // workers, built inside the run's wallclock as in the other
+        // drivers.
         const auto cache = run_cache(bg, rec, setup);
+        const auto table = run_table(bg, schedule, setup);
         std::vector<std::jthread> threads;
         for (int rank = 1; rank <= n_workers; ++rank) {
-          threads.emplace_back([&, rank, recorder, cache] {
+          threads.emplace_back([&, rank, recorder, cache, table] {
             try {
               serve_worker(*world, rank, ModeEvolver(bg, rec, cfg, cache),
-                           schedule, setup, recorder);
+                           table.get(), schedule, setup, recorder);
             } catch (const mp::RankKilled&) {
               // Simulated process death (fault injection): the master's
               // recovery path owns the fallout; the thread just ends.
@@ -416,8 +495,9 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           const boltzmann::PerturbationConfig& cfg,
                           const KSchedule& schedule, const RunSetup& setup,
                           mp::TcpWorld& world) {
-  // The master never integrates, so the recombination tables are only
-  // part of the signature for symmetry with the other drivers.
+  // The master never integrates or projects, so the recombination
+  // tables are only part of the signature for symmetry with the other
+  // drivers.
   (void)rec;
   PLINGER_REQUIRE(world.local_rank() == 0,
                   "run_plinger_tcp: the master must hold rank 0");
@@ -432,9 +512,10 @@ void run_plinger_tcp_worker(const cosmo::Background& bg,
   PLINGER_REQUIRE(world.local_rank() >= 1,
                   "run_plinger_tcp_worker: rank 0 is the master");
   const ModeEvolver evolver(bg, rec, cfg, run_cache(bg, rec, setup));
+  const auto table = run_table(bg, schedule, setup);
   try {
-    serve_worker(world, world.local_rank(), evolver, schedule, setup,
-                 nullptr);
+    serve_worker(world, world.local_rank(), evolver, table.get(), schedule,
+                 setup, nullptr);
   } catch (const mp::PeerLost&) {
     // The master is gone; whatever it still wanted is unknowable.  The
     // worker winds down cleanly — master-side recovery owns the rest.

@@ -14,10 +14,12 @@
 ///
 /// Every driver computes a mode through one per-mode path (driver.cpp's
 /// run_mode: resolve tau_end = 0 to the conformal age, shape the request
-/// from RunSetup, evolve) and lands it in one sink (journal append, then
-/// counters, then RunOutput::results), so results are identical mode for
-/// mode whoever computes them (the driver-equivalence sweep asserts it
-/// bitwise).
+/// from RunSetup, evolve, and on the line-of-sight route project the
+/// sources onto F_l/G_l towers) and lands it in one sink (shape check,
+/// journal append, then counters, then RunOutput::results), so results
+/// are identical mode for mode whoever computes them (the
+/// driver-equivalence sweep asserts it bitwise) and every mode has the
+/// shape of a hierarchy mode.
 ///
 /// Timing mirrors the paper's Figure 1: total CPU time summed over
 /// workers (their etime) and master wallclock.
@@ -25,9 +27,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "boltzmann/mode_evolution.hpp"
+#include "common/error.hpp"
 #include "mp/inproc.hpp"
 #include "mp/tcp_world.hpp"
 #include "plinger/protocol.hpp"
@@ -37,12 +41,23 @@
 
 namespace plinger::parallel {
 
+/// A result on the line-of-sight route that is not a projected tower of
+/// RunSetup::los.l_max + 1 entries, as a worker shaped from another
+/// l_max would send.  The sink throws it before the journal append, and
+/// the master then stops its workers.
+class MisshapedResult : public Error {
+ public:
+  explicit MisshapedResult(const std::string& what) : Error(what) {}
+};
+
 /// One run's collected output: results keyed by 1-based work index, and
 /// the paper-style timing/accounting summary.
 struct RunOutput {
   std::map<std::size_t, boltzmann::ModeResult> results;
   double wallclock_seconds = 0.0;
-  double total_worker_cpu_seconds = 0.0;  ///< sum of per-mode CPU
+  /// Sum of per-mode ModeResult::cpu_seconds: evolution CPU only, so a
+  /// line-of-sight run's projection is not in it.
+  double total_worker_cpu_seconds = 0.0;
   std::uint64_t total_flops = 0;
   mp::TransportStats transport;  ///< zeros for the serial driver
   MasterStats master;            ///< fault-handling accounting
@@ -67,7 +82,10 @@ struct RunOutput {
 
   /// Paper §5.2: (total CPU time) / (wallclock x number of workers).
   /// 0 for degenerate runs (no workers, or a fully resumed / trivial
-  /// run whose wallclock or CPU total is zero).
+  /// run whose wallclock or CPU total is zero).  On line-of-sight runs
+  /// it counts evolution CPU only, while the wallclock also covers the
+  /// workers' projection, so it reads lower than the workers' real
+  /// occupancy.
   double parallel_efficiency() const {
     if (n_workers <= 0 || wallclock_seconds <= 0.0) return 0.0;
     return total_worker_cpu_seconds /
@@ -133,13 +151,15 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           mp::TcpWorld& world);
 
 /// Worker side of a cross-process run: serve the remote master until
-/// stopped.  Shapes every request from `setup` exactly as the in-process
-/// drivers do (the tag-1 broadcast does not carry the LOS/auto shaping),
-/// so results are bitwise identical; a broadcast whose tau_end or
-/// lmax_cap disagrees with `setup` is refused (plinger::Error), as is
-/// one whose n_k disagrees with `schedule`.  Returns quietly when the
-/// master link goes down — a worker outliving its master has nothing
-/// left to do.
+/// stopped.  Shapes and projects every request from `setup` exactly as
+/// the in-process drivers do (the tag-1 broadcast does not carry the
+/// LOS/auto shaping), so results are bitwise identical; the process
+/// builds its own projection table for an LOS run.  A broadcast whose
+/// tau_end or lmax_cap disagrees with `setup` is refused
+/// (plinger::Error), as is one whose n_k disagrees with `schedule`; LOS
+/// towers of another l_max reach the master, whose sink refuses them
+/// (MisshapedResult).  Returns quietly when the master link goes down —
+/// a worker outliving its master has nothing left to do.
 void run_plinger_tcp_worker(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,

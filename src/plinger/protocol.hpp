@@ -83,14 +83,15 @@ struct FaultConfig {
 
 /// Host-side line-of-sight run shaping (solver=los in the run layer):
 /// every request is pinned to the same short hierarchy and the same
-/// source sample times, and the projection happens master-side after
-/// the run.  Never broadcast — the Appendix-A wire carries the sample-
-/// bearing records (plinger/records.hpp version 2) without any
-/// protocol change.
+/// source sample times, and the worker that evolved a mode projects it
+/// onto F_l/G_l towers for l = 0..l_max.  Never broadcast — the mode
+/// then travels as an ordinary version-0 record (plinger/records.hpp),
+/// without any protocol change.
 struct LosRunSpec {
   bool enabled = false;
   std::size_t lmax_evolve = 0;       ///< short hierarchy for every mode
   std::vector<double> sample_taus;   ///< shared source sample times
+  std::size_t l_max = 0;             ///< projected tower: l = 0..l_max
   /// solver=auto: modes with k below this threshold skip the LOS
   /// shaping and evolve the full hierarchy instead (LOS source
   /// sampling costs more than the short hierarchy saves at low k).
@@ -134,8 +135,9 @@ struct RunSetup {
   std::shared_ptr<const cosmo::ThermoCache> thermo;
 
   /// Host-side line-of-sight shaping; never broadcast.  When enabled,
-  /// the drivers pin every request to los.lmax_evolve and attach
-  /// los.sample_taus, and lmax_cap shaping is bypassed.
+  /// the drivers pin every request on the LOS route to los.lmax_evolve,
+  /// attach los.sample_taus, bypass lmax_cap shaping and project the
+  /// evolved mode onto towers of los.l_max + 1 entries.
   LosRunSpec los;
 
   std::array<double, 5> to_buffer() const;

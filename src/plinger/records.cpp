@@ -39,13 +39,11 @@ std::vector<double> pack_header(std::size_t ik, const ModeResult& r) {
 std::vector<double> pack_payload(std::size_t ik, const ModeResult& r) {
   PLINGER_REQUIRE(r.f_gamma.size() == r.lmax + 1,
                   "pack_payload: f_gamma size mismatch");
+  PLINGER_REQUIRE(r.samples.empty(),
+                  "pack_payload: the result carries unprojected source "
+                  "samples; records carry F_l/G_l towers only");
   const std::size_t lmax_pol = r.g_gamma.size() - 1;
-  const std::size_t n_samples = r.samples.size();
-  const bool with_samples = n_samples > 0;
-  std::vector<double> y(with_samples
-                            ? payload_length_los(r.lmax, lmax_pol, n_samples)
-                            : payload_length(r.lmax, lmax_pol),
-                        0.0);
+  std::vector<double> y(payload_length(r.lmax, lmax_pol), 0.0);
   y[0] = static_cast<double>(ik);
   y[1] = r.k;
   y[2] = static_cast<double>(r.lmax);
@@ -53,30 +51,10 @@ std::vector<double> pack_payload(std::size_t ik, const ModeResult& r) {
   y[4] = r.tau_init;
   y[5] = r.tau_switch;
   y[6] = r.tau_end;
-  y[7] = with_samples ? kPayloadSourceTable : kPayloadClassic;
+  y[7] = kPayloadClassic;
   std::size_t at = 8;
   for (double v : r.f_gamma) y[at++] = v;
   for (double v : r.g_gamma) y[at++] = v;
-  if (with_samples) {
-    y[at++] = static_cast<double>(n_samples);
-    for (const TransferSample& s : r.samples) {
-      y[at++] = s.tau;
-      y[at++] = s.a;
-      y[at++] = s.delta_c;
-      y[at++] = s.delta_b;
-      y[at++] = s.delta_g;
-      y[at++] = s.delta_nu;
-      y[at++] = s.delta_m;
-      y[at++] = s.theta_b;
-      y[at++] = s.theta_g;
-      y[at++] = s.eta;
-      y[at++] = s.h;
-      y[at++] = s.phi;
-      y[at++] = s.psi;
-      y[at++] = s.alpha;
-      y[at++] = s.pi_pol;
-    }
-  }
   return y;
 }
 
@@ -109,16 +87,16 @@ ModeResult unpack_records(const std::vector<double>& header,
   PLINGER_REQUIRE(header.size() == kHeaderLength,
                   "unpack_records: bad header length");
   const double version = payload_version(payload);
-  if (version == kPayloadWithSamples) {
+  if (version == 2.0 || version == 3.0) {
     throw RetiredPayloadVersion(
-        "unpack_records: retired version-2 line-of-sight record (it "
-        "predates the SourceTable pipeline: its Pi column is zero "
-        "through tight coupling, so E-mode sources cannot be rebuilt "
-        "from it) — delete the journal and rerun the line-of-sight "
-        "modes instead of resuming it");
+        "unpack_records: retired version-" +
+        std::to_string(static_cast<int>(version)) +
+        " line-of-sight record (it carries source samples for the "
+        "master to project; workers now ship projected towers) — delete "
+        "the journal and rerun the line-of-sight modes instead of "
+        "resuming it");
   }
-  PLINGER_REQUIRE(version == kPayloadClassic ||
-                      version == kPayloadSourceTable,
+  PLINGER_REQUIRE(version == kPayloadClassic,
                   "unpack_records: unknown payload record version");
   // Count slots before any length arithmetic: each must be a count that
   // fits in what is left of the payload.
@@ -133,22 +111,8 @@ ModeResult unpack_records(const std::vector<double>& header,
   PLINGER_REQUIRE(castable_field(payload[3], static_cast<double>(pol_room)),
                   "unpack_records: lmax_pol overruns the payload");
   const auto lmax_pol = static_cast<std::size_t>(payload[3]);
-  const std::size_t base = payload_length(lmax, lmax_pol);
-  std::size_t n_samples = 0;
-  if (version == kPayloadClassic) {
-    PLINGER_REQUIRE(payload.size() == base,
-                    "unpack_records: bad payload length");
-  } else {
-    PLINGER_REQUIRE(payload.size() > base,
-                    "unpack_records: truncated sample-bearing payload");
-    const std::size_t room = payload.size() - base - 1;
-    PLINGER_REQUIRE(
-        castable_field(payload[base],
-                       static_cast<double>(room / kSampleStride + 1)) &&
-            kSampleStride * static_cast<std::size_t>(payload[base]) == room,
-        "unpack_records: bad sample-bearing payload length");
-    n_samples = static_cast<std::size_t>(payload[base]);
-  }
+  PLINGER_REQUIRE(payload.size() == payload_length(lmax, lmax_pol),
+                  "unpack_records: bad payload length");
   PLINGER_REQUIRE(castable_field(header[17], kTwo64),
                   "unpack_records: flop count slot is not a count");
 
@@ -178,26 +142,7 @@ ModeResult unpack_records(const std::vector<double>& header,
   r.tau_init = payload[4];
   const auto g_begin = payload.begin() + 9 + static_cast<long>(lmax);
   r.f_gamma.assign(payload.begin() + 8, g_begin);
-  r.g_gamma.assign(g_begin, payload.begin() + static_cast<long>(base));
-  r.samples.resize(n_samples);
-  std::size_t at = base + 1;
-  for (TransferSample& s : r.samples) {
-    s.tau = payload[at++];
-    s.a = payload[at++];
-    s.delta_c = payload[at++];
-    s.delta_b = payload[at++];
-    s.delta_g = payload[at++];
-    s.delta_nu = payload[at++];
-    s.delta_m = payload[at++];
-    s.theta_b = payload[at++];
-    s.theta_g = payload[at++];
-    s.eta = payload[at++];
-    s.h = payload[at++];
-    s.phi = payload[at++];
-    s.psi = payload[at++];
-    s.alpha = payload[at++];
-    s.pi_pol = payload[at++];
-  }
+  r.g_gamma.assign(g_begin, payload.end());
   return r;
 }
 

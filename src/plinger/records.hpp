@@ -17,32 +17,19 @@
 ///
 /// Pack/unpack are exact inverses; the protocol tests round-trip them.
 ///
-/// Payload versions.  Preamble slot y[7] (reserved and always 0.0 since
-/// the first release) is now the record version:
-///
-///  * 0.0 — classic hierarchy payload, bit-identical to every record
-///    ever written (pre-refactor journals still parse and resume).
-///  * 2.0 — retired line-of-sight payload: the classic layout followed
-///    by [n_samples] and n_samples * kSampleStride doubles of
-///    TransferSample data.  Its pi_pol column was zero over the whole
-///    tight-coupling era, so it cannot feed the SourceTable
-///    polarization pipeline; unpack_records() rejects it with a message
-///    telling the operator to rerun instead of resuming.
-///  * 3.0 — SourceTable payload: the same layout as version 2 (same
-///    stride, same slots), but the pi_pol column now carries the
-///    quasi-static tight-coupling value of Pi where the hierarchy
-///    moments are slaved, so E-mode/TE projection is valid across the
-///    full visibility window.
-///
-/// pack_payload() picks the version from ModeResult::samples, so
-/// hierarchy runs keep emitting version-0 bits; unpack_records()
-/// dispatches on y[7] and rejects versions it does not know.
+/// Payload version.  Preamble slot y[7] is the record version, and
+/// every record is version 0, the layout of the first release: a
+/// line-of-sight mode is projected by the worker that evolved it and
+/// ships F_l/G_l towers like any hierarchy mode.  The sample-bearing
+/// line-of-sight layouts, versions 2 and 3, are retired:
+/// unpack_records() refuses them with a message telling the operator to
+/// rerun instead of resuming, and any other version as unknown.
 ///
 /// unpack_records() is the one decoder of the pair, for the wire, the
 /// checkpoint journal and unit_2 alike.  Records arrive from peers and
-/// from disk, so every count slot (ik, lmax, lmax_pol, n_samples) is
-/// checked with castable_field() — and against the payload it must fit
-/// in — before it sizes or indexes anything.
+/// from disk, so every count slot (ik, lmax, lmax_pol) is checked with
+/// castable_field() — and against the payload it must fit in — before
+/// it sizes or indexes anything.
 
 #include <cstddef>
 #include <string>
@@ -56,19 +43,12 @@ namespace plinger::parallel {
 /// Number of doubles in the tag-4 header record.
 inline constexpr std::size_t kHeaderLength = 21;
 
-/// Preamble slot y[7] values: the payload record version.
+/// Preamble slot y[7] of every record packed: the payload version.
 inline constexpr double kPayloadClassic = 0.0;
-inline constexpr double kPayloadWithSamples = 2.0;  ///< retired, rejected
-inline constexpr double kPayloadSourceTable = 3.0;
 
-/// Doubles per serialized TransferSample (declaration order: tau, a,
-/// delta_c, delta_b, delta_g, delta_nu, delta_m, theta_b, theta_g, eta,
-/// h, phi, psi, alpha, pi_pol).
-inline constexpr std::size_t kSampleStride = 15;
-
-/// A CRC-clean record of the retired version-2 layout.  It is not
-/// damage, so the checkpoint store refuses the whole journal instead of
-/// truncating it as a torn tail.
+/// A CRC-clean record of a retired sample-bearing layout (version 2 or
+/// 3).  It is not damage, so the checkpoint store refuses the whole
+/// journal instead of truncating it as a torn tail.
 class RetiredPayloadVersion : public InvalidArgument {
  public:
   explicit RetiredPayloadVersion(const std::string& what)
@@ -85,14 +65,6 @@ inline constexpr std::size_t payload_length(std::size_t lmax,
   return 8 + (lmax + 1) + (lmax_pol + 1);
 }
 
-/// Payload length in doubles for a sample-bearing record (version 3;
-/// version 2 shared the layout).
-inline constexpr std::size_t payload_length_los(std::size_t lmax,
-                                                std::size_t lmax_pol,
-                                                std::size_t n_samples) {
-  return payload_length(lmax, lmax_pol) + 1 + kSampleStride * n_samples;
-}
-
 /// Record version of a packed payload (preamble slot y[7]).
 double payload_version(const std::vector<double>& payload);
 
@@ -100,16 +72,15 @@ double payload_version(const std::vector<double>& payload);
 std::vector<double> pack_header(std::size_t ik,
                                 const boltzmann::ModeResult& result);
 
-/// Pack the tag-5 payload.  Emits a classic (version 0) record when the
-/// result carries no samples — bit-identical to every pre-LOS record —
-/// and a sample-bearing version-3 record otherwise.
+/// Pack the tag-5 payload, a version-0 record.  A result that still
+/// carries source samples has not been projected and is refused
+/// (InvalidArgument): records carry towers only.
 std::vector<double> pack_payload(std::size_t ik,
                                  const boltzmann::ModeResult& result);
 
-/// Reassemble a ModeResult from the two records: version 0 restores
-/// everything but samples, version 3 restores the samples too.
-/// Version 2 (pre-SourceTable samples) throws RetiredPayloadVersion
-/// with a message naming the incompatibility; any other inconsistency
+/// Reassemble a ModeResult (everything but samples) from the two
+/// records.  Versions 2 and 3 throw RetiredPayloadVersion with a
+/// message naming the version and the remedy; any other inconsistency
 /// throws InvalidArgument.  Returns the work index ik through the
 /// out-parameter.
 boltzmann::ModeResult unpack_records(const std::vector<double>& header,

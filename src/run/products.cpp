@@ -1,11 +1,7 @@
 #include "run/products.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <optional>
 
-#include "boltzmann/los.hpp"
-#include "boltzmann/source_table.hpp"
 #include "common/error.hpp"
 #include "io/ascii_table.hpp"
 #include "io/fortran_binary.hpp"
@@ -22,44 +18,15 @@ parallel::RunOutput output_from_results(
 }
 
 SpectrumSet make_spectra(const RunPlan& plan,
-                         const parallel::RunOutput& out, std::size_t l_max,
-                         double q_rms_ps) {
-  if (l_max == 0) l_max = plan.config().l_max;
+                         const parallel::RunOutput& out, double q_rms_ps) {
   spectra::PowerLawSpectrum primordial;
   primordial.n_s = plan.config().n_s;
-  spectra::ClAccumulator acc(l_max, primordial);
-  // solver = los|auto: the master-side half of the line of sight.  One
-  // Bessel table serves every mode that recorded source samples, each
-  // projected in temperature AND polarization, so C_l^EE and C_l^TE
-  // ride the fast path with C_l^TT.
-  std::optional<boltzmann::BesselTable> table;
-  if (plan.setup().los.enabled) {
-    double x_max = 1.0;
-    for (const auto& [ik, r] : out.results) {
-      (void)ik;
-      x_max = std::max(x_max, r.k * r.tau_end);
-    }
-    table.emplace(l_max + 1, x_max);
-  }
-  const cosmo::Background& bg = plan.context().background();
-  const cosmo::Recombination& rec = plan.context().recombination();
+  spectra::ClAccumulator acc(plan.config().l_max, primordial);
   for (const auto& [ik, r] : out.results) {
-    // A mode without samples (every hierarchy mode, and a solver=auto
-    // mode below the crossover) carries exact F_l / G_l moments; its G
-    // tower, the configured lmax_polarization, bounds its polarization
-    // reach.
-    const bool project = table && !r.samples.empty();
-    const boltzmann::ProjectedMode pm =
-        project ? boltzmann::project_source_table(
-                      boltzmann::build_source_table(bg, rec, r), l_max,
-                      *table)
-                : boltzmann::ProjectedMode{};
-    const std::vector<double>& f = project ? pm.f_gamma : r.f_gamma;
-    const std::vector<double>& g = project ? pm.g_gamma : r.g_gamma;
     const double w = plan.schedule().weight_of_ik(ik);
-    acc.add_mode(r.k, w, f);
-    acc.add_mode_polarization(r.k, w, g);
-    acc.add_mode_cross(r.k, w, f, g);
+    acc.add_mode(r.k, w, r.f_gamma);
+    acc.add_mode_polarization(r.k, w, r.g_gamma);
+    acc.add_mode_cross(r.k, w, r.f_gamma, r.g_gamma);
   }
   // Silent-zero fence: a run that produced modes but never reached an
   // l >= 2 polarization contribution would hand the caller EE/TE

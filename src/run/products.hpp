@@ -42,21 +42,21 @@ struct SpectrumSet {
 parallel::RunOutput output_from_results(
     std::map<std::size_t, boltzmann::ModeResult> results);
 
-/// Assemble C_l^T, C_l^P, C_l^TP from the photon moments and pin the
-/// temperature quadrupole to COBE (q_rms_ps in Kelvin; the paper's
-/// 18 uK default).  l_max = 0 takes the plan's l_max.
+/// Assemble C_l^T, C_l^P, C_l^TP for l = 0..the plan's l_max from the
+/// photon moments and pin the temperature quadrupole to COBE (q_rms_ps
+/// in Kelvin; the paper's 18 uK default).
 ///
-/// Under solver = los, each mode's SourceTable is projected here,
-/// master-side, via a shared BesselTable (boltzmann/source_table.hpp):
-/// F_l with the Pi correction folded into the quadrupole source, and
-/// G_l from the E-mode kernel, so C_l^EE/C_l^TE ride the fast path.
-/// The projection is deterministic, so a resumed LOS run reproduces an
-/// uninterrupted one bit for bit.  A run whose modes never carry an
-/// l >= 2 polarization contribution is refused (no silent zero EE/TE);
-/// SpectrumSet::polarization_l_max marks the honest coverage.
+/// Every mode arrives as F_l/G_l towers: under solver = los the worker
+/// that evolved a mode already projected its SourceTable
+/// (boltzmann/source_table.hpp), F_l with the Pi correction folded into
+/// the quadrupole source and G_l from the E-mode kernel, so
+/// C_l^EE/C_l^TE ride the fast path and this only accumulates.  A run
+/// whose modes never carry an l >= 2 polarization contribution is
+/// refused (no silent zero EE/TE); SpectrumSet::polarization_l_max
+/// marks the honest coverage.
 SpectrumSet make_spectra(const RunPlan& plan,
                          const parallel::RunOutput& out,
-                         std::size_t l_max = 0, double q_rms_ps = 18e-6);
+                         double q_rms_ps = 18e-6);
 
 /// Matter power spectrum from each mode's present-day (or tau_end)
 /// delta_m.  cobe_factor comes from make_spectra().cobe_factor, or 1.0

@@ -97,17 +97,17 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   // same config hashed as hierarchy vs LOS can never collide.
   h.add(run_identity(params, cfg, k_grid, tau_end, lmax_cap).value);
   h.add(std::uint64_t{2});  // LOS record-family salt
-  // Record-version salt: version-3 records carry a Pi column the
-  // version-2 ones left at zero through tight coupling, so pre-existing
-  // LOS journals mismatch here and resume is refused up front.
+  // Record-version salt: journals of an earlier record version (the
+  // sample-bearing ones) mismatch here and resume is refused up front.
   h.add(kLosRecordVersion);
   h.add(static_cast<std::uint64_t>(los.lmax_evolve));
+  h.add(static_cast<std::uint64_t>(los.l_max));
   h.add(static_cast<std::uint64_t>(los.sample_taus.size()));
   for (const double t : los.sample_taus) h.add(t);
   // solver=auto: modes below the crossover carry hierarchy-shaped
   // records inside an otherwise-LOS journal, so the routing threshold
-  // is part of the identity.  Hashed only when set, preserving every
-  // existing solver=los stamp (k_crossover = 0).
+  // is part of the identity.  Hashed only when set: a solver=los run
+  // (k_crossover = 0) hashes no routing fields.
   if (los.k_crossover > 0.0) {
     h.add(std::uint64_t{4});  // auto-routing salt
     h.add(los.k_crossover);

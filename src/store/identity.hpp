@@ -47,25 +47,24 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
                          std::span<const double> k_grid, double tau_end,
                          double lmax_cap);
 
-/// Version of the sample-bearing record family folded into the LOS
-/// identity: bumped to 3 with the SourceTable pipeline (the Pi column
-/// is now populated through tight coupling), so version-2 journals
-/// stamp differently and are rejected at resume instead of feeding
-/// zero polarization sources into E-mode spectra.
-inline constexpr std::uint64_t kLosRecordVersion = 3;
+/// Version of the line-of-sight record family folded into the LOS
+/// identity: 4, the towers each worker projected to l_max.  Journals of
+/// the earlier, sample-bearing versions stamp differently and are
+/// refused at open, their bytes untouched.
+inline constexpr std::uint64_t kLosRecordVersion = 4;
 
 /// The line-of-sight inputs that shape a solver=los run's records: the
-/// short-hierarchy size every request is pinned to and the shared source
-/// sample times.  Hashed on top of the base identity so a journal of
-/// sample-bearing records can never cross-resume with a hierarchy
-/// journal (or with an LOS journal of different sampling or record
-/// version).
+/// short-hierarchy size every request is pinned to, the shared source
+/// sample times and the l_max the towers are projected to.  Hashed on
+/// top of the base identity so an LOS journal can never cross-resume
+/// with a hierarchy journal (or with an LOS journal of different
+/// sampling, projection or record version).
 struct LosIdentity {
   std::size_t lmax_evolve = 0;
   std::span<const double> sample_taus;
+  std::size_t l_max = 0;  ///< projected towers: l = 0..l_max
   /// solver=auto routing threshold: modes with k below this evolve the
-  /// full hierarchy (no samples) inside an LOS journal.  0 = pure LOS
-  /// (the historical stamp, unchanged).
+  /// full hierarchy inside an LOS journal.  0 = pure LOS.
   double k_crossover = 0.0;
 };
 

@@ -13,15 +13,13 @@
 ///              header, the tag-5 payload (8 + moments doubles), and a
 ///              trailing CRC-32 of the record body
 ///
-/// Since the line-of-sight solver landed, a mode record comes in two
-/// versions distinguished by payload preamble slot y[7] (see
-/// plinger/records.hpp): the classic hierarchy record (y[7] = 0,
-/// bit-identical to every journal ever written) and the sample-bearing
-/// LOS record (y[7] = 3) that appends the TransferSamples recorded at
-/// los_sample_taus().  A journal holds one family or the other, never a
-/// mix: solver=los runs stamp an LOS-extended identity
-/// (store/identity.hpp), so a hierarchy run opening an LOS journal — or
-/// vice versa — fails with StoreIdentityMismatch instead of resuming.
+/// Every mode record is version 0 (payload preamble slot y[7], see
+/// plinger/records.hpp): a line-of-sight mode is journaled as the F_l/G_l
+/// towers its worker projected, exactly like a hierarchy mode.  The two
+/// families still never mix: solver=los runs stamp an LOS-extended
+/// identity (store/identity.hpp), so a hierarchy run opening an LOS
+/// journal — or vice versa — fails with StoreIdentityMismatch instead
+/// of resuming.
 ///
 /// Every record uses the io/fortran_binary length framing, i.e. the
 /// journal is a valid unit_2-style stream with one extra leading record
@@ -110,8 +108,8 @@ struct JournalContents {
 /// frame or a record that fails its CRC or its decode ends the read
 /// early (torn_tail is set) instead of failing.  Throws StoreCorrupt
 /// when the file is missing, when its header frame is torn or absent or
-/// is not a journal header, and when a CRC-clean record has the retired
-/// version-2 layout (plinger/records.hpp).
+/// is not a journal header, and when a CRC-clean record has a retired
+/// sample-bearing layout, version 2 or 3 (plinger/records.hpp).
 JournalContents read_journal(const std::string& path);
 
 class ModeResultStore {

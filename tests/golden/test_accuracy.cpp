@@ -92,7 +92,7 @@ pr::SpectrumSet raw_spectra(const pr::RunConfig& cfg,
                             std::shared_ptr<const pr::RunContext> ctx) {
   const pr::RunPlan plan(cfg, ctx);
   const auto out = plan.execute();
-  pr::SpectrumSet spec = pr::make_spectra(plan, out, kLMax);
+  pr::SpectrumSet spec = pr::make_spectra(plan, out);
   for (double& c : spec.temperature.cl) c /= spec.cobe_factor;
   for (double& c : spec.polarization.cl) c /= spec.cobe_factor;
   for (double& c : spec.cross.cl) c /= spec.cobe_factor;

@@ -11,8 +11,8 @@
 //    integrator=dverk resume (and vice versa), and solver=auto
 //    journals are rejected by solver=los resumes;
 //  * solver=auto routes modes below kAutoSolverCrossoverK through the
-//    full hierarchy (no samples) and the rest through LOS, identically
-//    across drivers;
+//    full hierarchy (the per-k photon tower) and the rest through LOS
+//    (towers projected to l_max), identically across drivers;
 //  * every BENCH_*.json committed at the repo root parses as JSON and
 //    carries a schema_version (the bench-schema tier-1 check).
 
@@ -379,16 +379,22 @@ TEST(AutoSolver, RoutesModesAroundTheCrossover) {
   const auto out = plan.execute();
   ASSERT_EQ(out.results.size(), 7u);
 
+  // Every mode arrives as towers; the route shows in their length.
   std::size_t hierarchy_routed = 0, los_routed = 0;
   for (const auto& [ik, r] : out.results) {
     (void)ik;
+    EXPECT_TRUE(r.samples.empty()) << "k=" << r.k;
     if (r.k < pr::kAutoSolverCrossoverK) {
-      // Hierarchy branch: exact moments, no recorded sources.
-      EXPECT_TRUE(r.samples.empty()) << "k=" << r.k;
+      // Hierarchy branch: the exact moments of the per-k photon tower.
+      EXPECT_EQ(r.lmax,
+                pb::lmax_photon_for_k(
+                    r.k, ctx->conformal_age(),
+                    static_cast<std::size_t>(plan.setup().lmax_cap)))
+          << "k=" << r.k;
       ++hierarchy_routed;
     } else {
-      EXPECT_FALSE(r.samples.empty()) << "k=" << r.k;
-      EXPECT_EQ(r.lmax, plan.setup().los.lmax_evolve) << "k=" << r.k;
+      // LOS branch: projected by its worker to the run's l_max.
+      EXPECT_EQ(r.lmax, plan.config().l_max) << "k=" << r.k;
       ++los_routed;
     }
   }

@@ -16,7 +16,10 @@
 //    the in-process threads driver, including when one worker is
 //    SIGKILLed mid-run and its modes are reassigned, and require a
 //    worker whose own tau_end/lmax_cap disagree with the master's
-//    broadcast to refuse it.
+//    broadcast to refuse it;
+//  * line-of-sight shaping — a worker thread projecting to another
+//    l_max than the master's is refused at the master's sink, before
+//    its towers reach the journal.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +45,7 @@
 #include "run/config.hpp"
 #include "run/plan.hpp"
 #include "run/products.hpp"
+#include "store/mode_result_store.hpp"
 
 namespace pm = plinger::mp;
 namespace pp = plinger::parallel;
@@ -450,6 +454,7 @@ run::RunConfig e2e_config() {
   cfg.k_min = 0.002;
   cfg.k_max = 0.02;
   cfg.n_k = 6;
+  cfg.l_max = 24;
   cfg.lmax_photon = 24;
   cfg.lmax_polarization = 12;
   cfg.lmax_neutrino = 12;
@@ -554,8 +559,8 @@ TEST(TcpE2E, TwoProcessRunMatchesThreadsDriverBitwise) {
     expect_wire_bitwise_equal(out.results, serial.results);
 
     // The acceptance criterion proper: bitwise-identical C_l.
-    const auto cl_ref = run::make_spectra(plan, ref, cfg.lmax_photon);
-    const auto cl_tcp = run::make_spectra(plan, out, cfg.lmax_photon);
+    const auto cl_ref = run::make_spectra(plan, ref);
+    const auto cl_tcp = run::make_spectra(plan, out);
     ASSERT_EQ(cl_tcp.temperature.cl.size(), cl_ref.temperature.cl.size());
     for (std::size_t l = 0; l < cl_ref.temperature.cl.size(); ++l) {
       EXPECT_EQ(cl_tcp.temperature.cl[l], cl_ref.temperature.cl[l])
@@ -645,6 +650,62 @@ TEST(TcpE2E, WorkerKilledMidRunStillCompletesBitwise) {
   EXPECT_TRUE(stats.quarantined_ik.empty());
   // Every mode still lands, and every one is bitwise identical.
   expect_wire_bitwise_equal(results, ref.results);
+}
+
+// --- line-of-sight shaping across the wire ---------------------------
+
+TEST(TcpLos, MasterRefusesTowersOfAnotherLmax) {
+  // The tag-1 broadcast carries tau_end and lmax_cap but not the LOS
+  // shaping, and on a log grid l_max does not move n_k: a worker started
+  // with l_max 40 passes every broadcast cross-check of a master at 60.
+  // The master's sink must refuse its towers before the journal append,
+  // name l_max, and stop the worker.
+  run::RunConfig cfg;
+  cfg.grid = "log";
+  cfg.k_min = 0.004;
+  cfg.k_max = 0.04;
+  cfg.n_k = 4;
+  cfg.l_max = 60;
+  cfg.lmax_photon = 24;
+  cfg.lmax_polarization = 12;
+  cfg.lmax_neutrino = 12;
+  cfg.rtol = 1e-5;
+  cfg.solver = "los";
+  cfg.los_accuracy = "draft";
+  cfg.workers = 1;
+  run::RunConfig worker_cfg = cfg;
+  worker_cfg.l_max = 40;
+  cfg.store = ::testing::TempDir() + "plinger_tcp_misshaped.pj";
+  std::filesystem::remove(cfg.store);
+  const auto ctx = run::make_context(cfg);
+  const run::RunPlan plan(cfg, ctx);
+  const run::RunPlan worker_plan(worker_cfg, ctx);
+  ASSERT_EQ(worker_plan.schedule().size(), plan.schedule().size());
+
+  auto world = pm::TcpWorld::listen("127.0.0.1", 0, cfg.workers);
+  std::thread worker([&] {
+    auto link = pm::TcpWorld::connect("127.0.0.1", world->port());
+    pp::run_plinger_tcp_worker(ctx->background(), ctx->recombination(),
+                               worker_plan.perturbation(),
+                               worker_plan.schedule(), worker_plan.setup(),
+                               *link);
+  });
+  ASSERT_EQ(world->accept_workers(30.0), cfg.workers);
+  try {
+    (void)pp::run_plinger_tcp(ctx->background(), ctx->recombination(),
+                              plan.perturbation(), plan.schedule(),
+                              plan.setup(), *world);
+    ADD_FAILURE() << "the master accepted towers of another l_max";
+  } catch (const pp::MisshapedResult& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("41/41"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("l_max = 60"), std::string::npos) << msg;
+  }
+  worker.join();  // returns once the master's stop has reached it
+  world.reset();
+
+  EXPECT_TRUE(plinger::store::read_journal(cfg.store).results.empty());
+  std::filesystem::remove(cfg.store);
 }
 
 }  // namespace

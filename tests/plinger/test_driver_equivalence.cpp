@@ -7,10 +7,18 @@
 // ik, neither the issue order nor the transport may change a single bit.
 // One more configuration evolves to today (tau_end = 0) under a binding
 // lmax_cap, where every driver must resolve the conformal age and size
-// the photon tower from the cap the same way.
+// the photon tower from the cap the same way.  A line-of-sight run must
+// leave every worker as projected towers bitwise equal to the
+// master-side projection recipe they replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "boltzmann/los.hpp"
+#include "boltzmann/source_table.hpp"
+#include "cosmo/thermo_cache.hpp"
 #include "math/spline.hpp"
 #include "plinger/driver.hpp"
 
@@ -189,4 +197,47 @@ TEST(DriverEquivalenceToday, LmaxCapBindsUnderEveryDriver) {
   for (const auto& [ik, r] : ref) EXPECT_EQ(r.lmax, 24u) << ik;
   expect_all_drivers_match(pp::IssueOrder::largest_first, 2,
                            /*tau_end=*/0.0, ref);
+}
+
+TEST(LosProjectionOracle, WorkersMatchTheMasterSideRecipeBitwise) {
+  // The oracle is the recipe make_spectra ran on the master before the
+  // drivers projected: evolve with the same shaping, build the source
+  // table, and project it through a table of l_max + 1 sized from the
+  // results' largest k tau_end.
+  const auto& w = world();
+  const auto s = schedule_with(pp::IssueOrder::largest_first);
+  pp::RunSetup setup = setup_for(s, /*tau_end=*/0.0);
+  const pb::LosOptions opts = pb::los_options_for_accuracy("draft");
+  setup.los.enabled = true;
+  setup.los.lmax_evolve = opts.lmax_evolve;
+  setup.los.sample_taus = pb::los_sample_taus(w.bg, w.rec, opts);
+  setup.los.l_max = 30;
+  setup.thermo = std::make_shared<const pc::ThermoCache>(w.bg, w.rec);
+  const pb::ModeEvolver evolver(w.bg, w.rec, w.cfg, setup.thermo);
+
+  const auto serial = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
+  const auto threads =
+      pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2);
+  for (const auto* out : {&serial, &threads}) {
+    ASSERT_EQ(out->results.size(), kNModes);
+    double x_max = 1.0;
+    for (const auto& [ik, r] : out->results) {
+      x_max = std::max(x_max, r.k * r.tau_end);
+    }
+    const pb::BesselTable table(setup.los.l_max + 1, x_max);
+    for (const auto& [ik, r] : out->results) {
+      pb::EvolveRequest req;
+      req.k = s.k_of_ik(ik);
+      req.lmax_photon = setup.los.lmax_evolve;
+      req.sample_taus = setup.los.sample_taus;
+      const pb::ProjectedMode want = pb::project_source_table(
+          pb::build_source_table(
+              w.bg, w.rec, evolver.evolve(req, w.bg.conformal_age())),
+          setup.los.l_max, table);
+      EXPECT_TRUE(r.samples.empty()) << ik;
+      EXPECT_EQ(r.lmax, setup.los.l_max) << ik;
+      EXPECT_EQ(r.f_gamma, want.f_gamma) << ik;
+      EXPECT_EQ(r.g_gamma, want.g_gamma) << ik;
+    }
+  }
 }

@@ -80,111 +80,91 @@ TEST(Records, RoundTripIsExact) {
 }
 
 TEST(Records, ClassicPayloadStaysVersionZero) {
-  // A sample-free result packs to the historical layout, version slot
-  // included: pre-refactor journals and the wire format are untouched
-  // by the LOS record type.
+  // Every result packs to the historical layout, version slot included:
+  // pre-refactor journals and the wire format are untouched by the line
+  // of sight, whose modes ship projected towers.
   const auto r = fake_result();
   const auto payload = pp::pack_payload(9, r);
   EXPECT_EQ(payload.size(), pp::payload_length(r.lmax, 4));
   EXPECT_EQ(pp::payload_version(payload), pp::kPayloadClassic);
 }
 
-TEST(Records, SampleBearingPayloadRoundTripsExactly) {
+TEST(Records, PackRefusesUnprojectedSamples) {
+  // Records carry towers only: a result that still holds source samples
+  // was never projected, and packing it would drop them silently.
   auto r = fake_result();
   r.samples.resize(3);
-  for (std::size_t i = 0; i < r.samples.size(); ++i) {
-    auto& s = r.samples[i];
-    const double b = 100.0 * static_cast<double>(i + 1);
-    s.tau = b + 0.1;
-    s.a = b + 0.2;
-    s.delta_c = -(b + 0.3);
-    s.delta_b = -(b + 0.4);
-    s.delta_g = -(b + 0.5);
-    s.delta_nu = -(b + 0.6);
-    s.delta_m = -(b + 0.7);
-    s.theta_b = b + 0.8;
-    s.theta_g = b + 0.9;
-    s.eta = b + 1.1;
-    s.h = b + 1.2;
-    s.phi = b + 1.3;
-    s.psi = b + 1.4;
-    s.alpha = b + 1.5;
-    s.pi_pol = b + 1.6;
-  }
+  EXPECT_THROW(pp::pack_payload(5, r), plinger::InvalidArgument);
+}
 
-  const auto header = pp::pack_header(5, r);
-  const auto payload = pp::pack_payload(5, r);
-  EXPECT_EQ(pp::payload_version(payload), pp::kPayloadSourceTable);
-  EXPECT_EQ(payload.size(),
-            pp::payload_length_los(r.lmax, 4, r.samples.size()));
+namespace {
 
+/// A version-0 record of fake_result() rewritten to claim `version`,
+/// with a retired-layout sample block ([n_samples] and 15 doubles per
+/// sample) appended.
+std::vector<double> claimed_payload(double version) {
+  auto payload = pp::pack_payload(3, fake_result());
+  payload[7] = version;
+  payload.push_back(2.0);
+  payload.insert(payload.end(), 2 * 15, 0.5);
+  return payload;
+}
+
+/// A pre-projection LOS journal (version 2: Pi column zero through
+/// tight coupling; version 3: samples for the master to project) must
+/// be refused with a message that says why and what to do — not lumped
+/// in with "unknown version".
+void expect_retired_with_pointer(int version) {
+  const auto header = pp::pack_header(3, fake_result());
   std::size_t ik = 0;
-  const auto back = pp::unpack_records(header, payload, ik);
-  EXPECT_EQ(ik, 5u);
-  // The classic fields survive untouched next to the sample block...
-  EXPECT_EQ(back.f_gamma, r.f_gamma);
-  EXPECT_EQ(back.g_gamma, r.g_gamma);
-  EXPECT_EQ(back.final_state.psi, r.final_state.psi);
-  // ...and every sample field is bitwise.
-  ASSERT_EQ(back.samples.size(), r.samples.size());
-  for (std::size_t i = 0; i < r.samples.size(); ++i) {
-    EXPECT_EQ(back.samples[i].tau, r.samples[i].tau);
-    EXPECT_EQ(back.samples[i].a, r.samples[i].a);
-    EXPECT_EQ(back.samples[i].delta_c, r.samples[i].delta_c);
-    EXPECT_EQ(back.samples[i].delta_b, r.samples[i].delta_b);
-    EXPECT_EQ(back.samples[i].delta_g, r.samples[i].delta_g);
-    EXPECT_EQ(back.samples[i].delta_nu, r.samples[i].delta_nu);
-    EXPECT_EQ(back.samples[i].delta_m, r.samples[i].delta_m);
-    EXPECT_EQ(back.samples[i].theta_b, r.samples[i].theta_b);
-    EXPECT_EQ(back.samples[i].theta_g, r.samples[i].theta_g);
-    EXPECT_EQ(back.samples[i].eta, r.samples[i].eta);
-    EXPECT_EQ(back.samples[i].h, r.samples[i].h);
-    EXPECT_EQ(back.samples[i].phi, r.samples[i].phi);
-    EXPECT_EQ(back.samples[i].psi, r.samples[i].psi);
-    EXPECT_EQ(back.samples[i].alpha, r.samples[i].alpha);
-    EXPECT_EQ(back.samples[i].pi_pol, r.samples[i].pi_pol);
+  try {
+    pp::unpack_records(header, claimed_payload(version), ik);
+    FAIL() << "version-" << version << " payload must be rejected";
+  } catch (const pp::RetiredPayloadVersion& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("version-" + std::to_string(version)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("rerun"), std::string::npos) << msg;
   }
 }
 
+}  // namespace
+
 TEST(Records, CorruptSamplePayloadRejected) {
-  auto r = fake_result();
-  r.samples.resize(2);
+  const auto r = fake_result();
   const auto header = pp::pack_header(3, r);
-  auto payload = pp::pack_payload(3, r);
   std::size_t ik = 0;
 
-  // A torn sample block (truncated mid-record) must not unpack.
-  auto torn = payload;
+  // A version-0 record with a sample block appended, and a torn one,
+  // must not unpack.
+  EXPECT_THROW(pp::unpack_records(header, claimed_payload(0.0), ik),
+               plinger::InvalidArgument);
+  auto torn = pp::pack_payload(3, r);
   torn.pop_back();
   EXPECT_THROW(pp::unpack_records(header, torn, ik),
                plinger::InvalidArgument);
 
-  // An unknown version stamp must be rejected, not guessed at.
-  auto alien = payload;
-  alien[7] = 1.0;  // no record family ever used version 1
-  EXPECT_THROW(pp::unpack_records(header, alien, ik),
-               plinger::InvalidArgument);
+  // An unknown version stamp must be rejected, not guessed at, and not
+  // mistaken for a retired one.
+  for (const double v : {1.0, 4.0, 0.5, -2.0}) {
+    try {
+      pp::unpack_records(header, claimed_payload(v), ik);
+      ADD_FAILURE() << "version " << v << " accepted";
+    } catch (const pp::RetiredPayloadVersion&) {
+      ADD_FAILURE() << "version " << v << " reported as retired";
+    } catch (const plinger::InvalidArgument&) {
+      // Refused as unknown: the expected outcome.
+    }
+  }
 }
 
 TEST(Records, RetiredVersionTwoRejectedWithPointer) {
-  // A pre-SourceTable LOS journal (version 2: Pi column zero through
-  // tight coupling) must be refused with a message that says why and
-  // what to do — not parsed into zero polarization sources, and not
-  // lumped in with "unknown version".
-  auto r = fake_result();
-  r.samples.resize(2);
-  const auto header = pp::pack_header(3, r);
-  auto payload = pp::pack_payload(3, r);
-  payload[7] = pp::kPayloadWithSamples;
-  std::size_t ik = 0;
-  try {
-    pp::unpack_records(header, payload, ik);
-    FAIL() << "version-2 payload must be rejected";
-  } catch (const plinger::InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("version-2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("rerun"), std::string::npos) << msg;
-  }
+  expect_retired_with_pointer(2);
+}
+
+TEST(Records, RetiredVersionThreeRejectedWithPointer) {
+  expect_retired_with_pointer(3);
 }
 
 TEST(Records, MismatchedRecordsRejected) {

@@ -154,10 +154,11 @@ TEST(RunEquivalence, IdentityHashIsStableAcrossReleases) {
 }
 
 TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
-  // solver=los extends the identity (salt + short hierarchy + sample
-  // times) on top of the unchanged base hash: an LOS journal can never
-  // be confused with a hierarchy journal over the same physics, and the
-  // extension composes with the pinned base above rather than moving it.
+  // solver=los extends the identity (salt + record version 4 + short
+  // hierarchy + projection l_max + sample times) on top of the
+  // unchanged base hash: an LOS journal can never be confused with a
+  // hierarchy journal over the same physics, and the extension composes
+  // with the pinned base above rather than moving it.
   run::RunConfig cfg = small_config();
   cfg.tau_end = 0.0;  // LOS needs the visibility epoch: run to today
   cfg.lmax_cap = 0;
@@ -177,10 +178,18 @@ TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
   const auto kgrid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
   const auto& spec = los.setup().los;
   ASSERT_TRUE(spec.enabled);
-  const store::LosIdentity ext{spec.lmax_evolve, spec.sample_taus};
+  EXPECT_EQ(store::kLosRecordVersion, 4u);
+  EXPECT_EQ(spec.l_max, cfg.l_max);
+  const store::LosIdentity ext{spec.lmax_evolve, spec.sample_taus,
+                               cfg.l_max};
   EXPECT_EQ(los.identity(),
             store::run_identity(params, pcfg, kgrid, cfg.tau_end,
                                 cfg.lmax_cap, ext));
+
+  // The towers' length is part of it: on this linear grid l_max moves
+  // nothing but the projection, and still the identity.
+  cfg.l_max += 1;
+  EXPECT_NE(run::RunPlan(cfg, ctx).identity(), los.identity());
 }
 
 TEST(RunEquivalence, SpectraMatchLegacyAccumulationBitwise) {
@@ -188,12 +197,13 @@ TEST(RunEquivalence, SpectraMatchLegacyAccumulationBitwise) {
   // loops: ascending ik, trapezoid weights, add_mode() per result, COBE
   // normalization last.  Polarization/cross accumulate into independent
   // sums, so requesting them cannot perturb the temperature bits.
-  const run::RunConfig cfg = small_config();
+  run::RunConfig cfg = small_config();
+  cfg.l_max = cfg.lmax_photon;
   const auto ctx = run::make_context(cfg);
   const run::RunPlan plan(cfg, ctx);
   const auto out = plan.execute();
 
-  const std::size_t l_max = cfg.lmax_photon;
+  const std::size_t l_max = cfg.l_max;
   spectra::PowerLawSpectrum primordial;
   primordial.n_s = cfg.n_s;
   spectra::ClAccumulator acc(l_max, primordial);
@@ -204,7 +214,7 @@ TEST(RunEquivalence, SpectraMatchLegacyAccumulationBitwise) {
   const double cobe = spectra::normalize_to_cobe_quadrupole(
       want, 18e-6, ctx->params().t_cmb);
 
-  const auto got = run::make_spectra(plan, out, l_max);
+  const auto got = run::make_spectra(plan, out);
   ASSERT_EQ(got.temperature.cl.size(), want.cl.size());
   for (std::size_t l = 0; l < want.cl.size(); ++l) {
     EXPECT_EQ(got.temperature.cl[l], want.cl[l]) << "l " << l;

@@ -86,10 +86,12 @@ TEST(MakeSpectraPolarization, AutoRoutingKeepsAllThreeSpectraAlive) {
   ASSERT_EQ(out.results.size(), 6u);
 
   // The crossover actually split this grid (else the test is vacuous).
+  // Every mode arrives as towers; the LOS route's are projected to
+  // l_max, the rerouted hierarchy's are the per-k photon tower.
   bool hier_branch = false, los_branch = false;
   for (const auto& [ik, r] : out.results) {
     (void)ik;
-    (r.samples.empty() ? hier_branch : los_branch) = true;
+    (r.lmax == cfg.l_max ? los_branch : hier_branch) = true;
   }
   ASSERT_TRUE(hier_branch);
   ASSERT_TRUE(los_branch);

@@ -6,9 +6,14 @@
 # It runs two halves:
 # asan: ASan + UBSan (-fno-sanitize-recover=undefined,
 #       -D_GLIBCXX_ASSERTIONS) in build-asan/, running test_math,
-#       test_boltzmann, test_integrator and test_golden: the Runge-Kutta
+#       test_boltzmann, test_integrator and test_golden — the Runge-Kutta
 #       stage kernel and the hierarchy streams, whose pointers are
-#       __restrict__, run there.
+#       __restrict__, run there — and every decoder of bytes from
+#       outside the process: test_plinger (mode records), test_store
+#       (the journal walk and its mutation fuzzer), test_io (Fortran
+#       framing, params), test_transport (the TCP frame decoder and its
+#       fuzzer; its E2E tests fork the instrumented plinger_worker) and
+#       test_serve (the request parser).
 # tsan: ThreadSanitizer in build-tsan/, running the parallel, transport,
 #       serve, store and run ctest slices (their bench --smoke runs
 #       included): worker pools, socket threads, the daemon and the
@@ -51,10 +56,12 @@ check_reports() {
 
 run_asan() {
   local dir=$ROOT/build-asan reports=$ROOT/build-asan/sanitizer-reports
-  local tests=(test_math test_boltzmann test_integrator test_golden)
+  local tests=(test_math test_boltzmann test_integrator test_golden
+               test_plinger test_store test_io test_transport test_serve)
   configure_and_build "$dir" \
     "-g -fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
-    "${tests[@]}" || { echo "sanitize: asan build failed"; status=1; return; }
+    "${tests[@]}" plinger_worker ||
+    { echo "sanitize: asan build failed"; status=1; return; }
   rm -rf "$reports" && mkdir -p "$reports"
   for t in "${tests[@]}"; do
     ASAN_OPTIONS=log_path=$reports/asan UBSAN_OPTIONS=print_stacktrace=1 \

@@ -53,24 +53,22 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// A small mode result; a non-zero n_samples makes it a version-3 record.
-pb::ModeResult fake_result(double k, std::size_t n_samples) {
+/// A small version-0 mode result with towers F_0..F_lmax and
+/// G_0..G_lmax_pol.
+pb::ModeResult fake_result(double k, std::size_t lmax,
+                           std::size_t lmax_pol) {
   pb::ModeResult r;
   r.k = k;
-  r.lmax = 6;
-  r.f_gamma.assign(7, k);
-  r.g_gamma.assign(4, 0.5 * k);
+  r.lmax = lmax;
+  r.f_gamma.assign(lmax + 1, k);
+  r.g_gamma.assign(lmax_pol + 1, 0.5 * k);
   r.final_state.delta_c = -k;
-  r.samples.resize(n_samples);
-  for (std::size_t i = 0; i < n_samples; ++i) {
-    r.samples[i].tau = 100.0 * static_cast<double>(i + 1);
-    r.samples[i].pi_pol = k * static_cast<double>(i);
-  }
   return r;
 }
 
-/// The pristine journal's bytes: classic records for ik 1 and 3,
-/// version-3 records for ik 2 and 4.
+/// The pristine journal's bytes: towers of a different length in every
+/// record — short hierarchy-shaped ones for ik 1 and 3, taller
+/// projected-shaped ones (G as tall as F) for ik 2 and 4.
 std::string pristine_journal() {
   const std::string path = temp_path("pristine");
   std::error_code ec;
@@ -80,8 +78,9 @@ std::string pristine_journal() {
     o.path = path;
     ps::ModeResultStore st(o, kIdentity, kNk);
     for (std::size_t ik = 1; ik <= kNk; ++ik) {
-      st.append(ik, fake_result(0.01 * static_cast<double>(ik),
-                                ik % 2 == 0 ? 3 : 0));
+      const std::size_t lmax = 4 + 5 * ik;
+      st.append(ik, fake_result(0.01 * static_cast<double>(ik), lmax,
+                                ik % 2 == 0 ? lmax : 3));
     }
   }
   return read_file(path);
@@ -170,7 +169,8 @@ const std::vector<double>& hostile_values() {
       -1.0,
       0.0,
       0.5,
-      2.0,  // the retired record version
+      2.0,  // the retired record versions
+      3.0,
       1e6,
       1e300,
       9007199254740992.0,     // 2^53
@@ -189,22 +189,16 @@ TEST(JournalMutation, ResealedCountSlotsEndCleanly) {
   write_file(temp_path("clean"), pristine);
   const ps::JournalContents clean = ps::read_journal(temp_path("clean"));
   ASSERT_TRUE(clean.complete());
-  ASSERT_EQ(clean.results.at(2).samples.size(), 3u);
-  ASSERT_TRUE(clean.results.at(3).samples.empty());
+  ASSERT_EQ(clean.results.at(2).g_gamma.size(), 15u);
+  ASSERT_EQ(clean.results.at(3).g_gamma.size(), 4u);
   const std::vector<Frame> frames = frames_of(pristine);
   ASSERT_EQ(frames.size(), kNk + 1);
   std::size_t n_cases = 0;
   for (std::size_t r = 1; r < frames.size(); ++r) {
     const Frame& f = frames[r];
-    // Header ik and lmax, payload ik, lmax_pol and version, and — on a
-    // version-3 record — n_samples, which sits after both towers.
-    std::vector<std::size_t> slots = {0, 20, 21, 21 + 3, 21 + 7};
-    if (slot(pristine, f, 21 + 7) == 3.0) {
-      const auto lmax = static_cast<std::size_t>(slot(pristine, f, 20));
-      const auto lmax_pol = static_cast<std::size_t>(slot(pristine, f, 24));
-      slots.push_back(21 + 8 + (lmax + 1) + (lmax_pol + 1));
-    }
-    for (const std::size_t i : slots) {
+    ASSERT_EQ(slot(pristine, f, 21 + 7), 0.0) << "record " << r;
+    // Header ik and lmax, payload ik, lmax and lmax_pol, and version.
+    for (const std::size_t i : {0, 20, 21, 21 + 2, 21 + 3, 21 + 7}) {
       for (const double v : hostile_values()) {
         std::string bytes = pristine;
         set_slot(bytes, f, i, v);

@@ -1,23 +1,22 @@
-// Crash-resume for the sample-bearing (version-3 SourceTable) LOS
-// record type: a solver=los run killed after N checkpoints must resume
-// — through the run layer, for all three drivers — to a C_l^TT bitwise
-// identical to an uninterrupted LOS run.  The "crash" is the same
-// flush-then-stop hook the hierarchy crash-resume suite uses
-// (StoreOptions::stop_after).
+// Crash-resume for line-of-sight journals: a solver=los run killed
+// after N checkpoints must resume — through the run layer, for all
+// three drivers — to a C_l^TT bitwise identical to an uninterrupted LOS
+// run.  The "crash" is the same flush-then-stop hook the hierarchy
+// crash-resume suite uses (StoreOptions::stop_after).  Every LOS record
+// is a version-0 tower projected by the worker, so the journal
+// round-trips exactly what the spectrum accumulates.
 //
 // Also pinned here: the LOS-extended identity makes hierarchy and LOS
-// journals mutually unresumable (StoreIdentityMismatch both ways), the
-// journal round-trips the TransferSamples bit for bit including the
-// polarization column (the projection input, not just the projected
-// output), and a journal holding retired version-2 records is refused
-// with a message that says what to do — never silently truncated as a
-// torn tail.
+// journals mutually unresumable (StoreIdentityMismatch both ways), and a
+// journal holding records of a retired sample-bearing layout (version 2
+// or 3) is refused with a message that says what to do — never
+// silently truncated as a torn tail, never modified.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include "io/fortran_binary.hpp"
+#include "plinger/records.hpp"
 #include "run/config.hpp"
 #include "run/context.hpp"
 #include "run/plan.hpp"
@@ -105,14 +106,19 @@ TEST_P(LosResume, ResumedClBitwiseMatchesUninterrupted) {
   EXPECT_LT(phase1.results.size(), kNModes);
   EXPECT_GE(phase1.results.size(), kStopAfter);
 
-  // The journal holds sample-bearing records and the LOS identity.
+  // The journal holds the LOS identity, and every record decoded (so
+  // it is version 0: the decoder refuses any other) as a projected
+  // tower of l_max + 1 entries.
   const auto journal = ps::read_journal(path);
   EXPECT_EQ(journal.identity, pr::RunPlan(cfg, ctx).identity());
-  const auto n_los_records = static_cast<std::size_t>(std::count_if(
-      journal.results.begin(), journal.results.end(),
-      [](const auto& entry) { return !entry.second.samples.empty(); }));
-  EXPECT_EQ(n_los_records, journal.iks.size());
-  EXPECT_GE(n_los_records, kStopAfter);
+  EXPECT_EQ(journal.results.size(), journal.iks.size());
+  EXPECT_GE(journal.results.size(), kStopAfter);
+  for (const auto& [ik, r] : journal.results) {
+    EXPECT_TRUE(r.samples.empty()) << "ik " << ik;
+    EXPECT_EQ(r.lmax, cfg.l_max) << "ik " << ik;
+    EXPECT_EQ(r.f_gamma.size(), cfg.l_max + 1) << "ik " << ik;
+    EXPECT_EQ(r.g_gamma.size(), cfg.l_max + 1) << "ik " << ik;
+  }
 
   // Phase 2: resume to completion.
   cfg.stop_after = 0;
@@ -122,23 +128,15 @@ TEST_P(LosResume, ResumedClBitwiseMatchesUninterrupted) {
   EXPECT_GE(phase2.n_modes_loaded, kStopAfter);
   EXPECT_EQ(phase2.n_modes_loaded + phase2.n_modes_computed, kNModes);
 
-  // The journal round-trips the projection inputs bit for bit...
+  // The journal round-trips the projected towers bit for bit...
   for (const auto& [ik, r] : ref_out.results) {
     const auto it = phase2.results.find(ik);
     ASSERT_NE(it, phase2.results.end()) << "ik " << ik;
-    ASSERT_EQ(it->second.samples.size(), r.samples.size()) << "ik " << ik;
-    for (std::size_t j = 0; j < r.samples.size(); ++j) {
-      EXPECT_EQ(it->second.samples[j].tau, r.samples[j].tau);
-      EXPECT_EQ(it->second.samples[j].delta_g, r.samples[j].delta_g);
-      EXPECT_EQ(it->second.samples[j].theta_b, r.samples[j].theta_b);
-      EXPECT_EQ(it->second.samples[j].phi, r.samples[j].phi);
-      EXPECT_EQ(it->second.samples[j].psi, r.samples[j].psi);
-      EXPECT_EQ(it->second.samples[j].alpha, r.samples[j].alpha);
-      EXPECT_EQ(it->second.samples[j].pi_pol, r.samples[j].pi_pol);
-    }
+    EXPECT_EQ(it->second.f_gamma, r.f_gamma) << "ik " << ik;
+    EXPECT_EQ(it->second.g_gamma, r.g_gamma) << "ik " << ik;
   }
 
-  // ...so the projected spectrum is bitwise the uninterrupted one.
+  // ...so the spectrum is bitwise the uninterrupted one.
   const std::vector<double> got_cl = cl_of(plan2, phase2);
   ASSERT_EQ(got_cl.size(), ref_cl.size());
   for (std::size_t l = 0; l < ref_cl.size(); ++l) {
@@ -181,94 +179,81 @@ TEST(LosResumeIdentity, HierarchyAndLosJournalsNeverCrossResume) {
   fs::remove(los2.store);
 }
 
-TEST(LosResume, JournaledSamplesCarryALivePolarizationColumn) {
-  // The version-3 layout exists because version 2's Pi column was dead
-  // through tight coupling; a journal whose pi_pol round-trips zeros
-  // would pass the bitwise test above while still being useless to the
-  // E-mode projection.  Pin that the journaled column is alive.
-  const auto ctx = shared_context();
-  pr::RunConfig cfg = los_config("serial");
-  cfg.store = temp_path("polcol");
-  const pr::RunPlan plan(cfg, ctx);
-  (void)plan.execute();
+namespace {
 
-  // Reload purely from the journal.
-  pr::RunConfig cfg2 = cfg;
-  const auto out = pr::RunPlan(cfg2, ctx).execute();
-  ASSERT_EQ(out.results.size(), kNModes);
-  EXPECT_EQ(out.n_modes_loaded, kNModes);
-  for (const auto& [ik, r] : out.results) {
-    ASSERT_FALSE(r.samples.empty()) << "ik " << ik;
-    bool alive = false;
-    for (const auto& s : r.samples) alive = alive || s.pi_pol != 0.0;
-    EXPECT_TRUE(alive) << "ik " << ik
-                       << ": journaled pi_pol column is all zeros";
+/// A journal holding one record of the retired sample-bearing layout
+/// `version`, built by hand after a valid file header: a version-0
+/// record of a small tower, its slot 7 rewritten to `version`, a sample
+/// block appended ([n_samples] and 15 doubles per sample) and its CRC
+/// resealed.  Returns the file's bytes.
+std::string retired_journal(const std::string& path, int version) {
+  constexpr std::size_t kSamples = 3;
+  {
+    ps::StoreOptions o;
+    o.path = path;
+    (void)ps::ModeResultStore(o, ps::RunIdentity{0xDEC0DEull}, 4);
   }
-  fs::remove(cfg.store);
+  plinger::boltzmann::ModeResult r;
+  r.k = 0.01;
+  r.lmax = 4;
+  r.f_gamma.assign(5, 0.25);
+  r.g_gamma.assign(5, 0.125);
+  std::vector<double> rec = plinger::parallel::pack_header(1, r);
+  const std::vector<double> payload = plinger::parallel::pack_payload(1, r);
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  rec[plinger::parallel::kHeaderLength + 7] = version;
+  rec.push_back(static_cast<double>(kSamples));
+  for (std::size_t i = 0; i < 15 * kSamples; ++i) {
+    rec.push_back(static_cast<double>(i + 1));
+  }
+  rec.push_back(static_cast<double>(ps::crc32_doubles(rec)));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    plinger::io::FortranRecordWriter(out).record(rec);
+  }
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
-TEST(LosResume, RetiredVersionTwoJournalRefusedLoudly) {
-  // Rewrite a fresh version-3 journal's records to claim the retired
-  // version-2 layout (re-sealing each record CRC so the frame itself is
-  // intact).  Both the reader and a resuming run must refuse the
-  // journal with a message that says what to do — a CRC-clean retired
-  // record must NOT be silently truncated as a torn tail and recomputed.
-  const auto ctx = shared_context();
-  pr::RunConfig cfg = los_config("serial");
-  cfg.store = temp_path("v2refused");
-  (void)pr::RunPlan(cfg, ctx).execute();
+/// A CRC-clean retired record is not damage: the reader and a resuming
+/// store must refuse the journal, name the version and the remedy, and
+/// leave its bytes alone — not truncate it as a torn tail and recompute.
+void expect_retired_journal_refused(int version) {
+  const std::string tag = "version-" + std::to_string(version);
+  const std::string path = temp_path(tag + "_refused");
+  const std::string bytes = retired_journal(path, version);
 
-  // Patch every mode record in place: frames are [u32 len][doubles]
-  // [u32 len]; the first frame is the 6-double file header, every
-  // later one is a mode record whose payload version sits at double
-  // index 21 + 7 and whose last double is the CRC of the rest.
-  {
-    std::fstream f(cfg.store,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    bool first = true;
-    std::size_t patched = 0;
-    while (true) {
-      std::uint32_t head = 0;
-      f.read(reinterpret_cast<char*>(&head), sizeof head);
-      if (f.gcount() < static_cast<std::streamsize>(sizeof head)) break;
-      const auto body_at = f.tellg();
-      std::vector<double> rec(head / sizeof(double));
-      f.read(reinterpret_cast<char*>(rec.data()), head);
-      ASSERT_EQ(f.gcount(), static_cast<std::streamsize>(head));
-      f.seekg(sizeof(std::uint32_t), std::ios::cur);  // trailing length
-      if (!first) {
-        ASSERT_GE(rec.size(), 30u);
-        ASSERT_EQ(rec[21 + 7], 3.0) << "expected a version-3 record";
-        rec[21 + 7] = 2.0;
-        rec.back() = static_cast<double>(plinger::store::crc32_doubles(
-            std::span<const double>(rec.data(), rec.size() - 1)));
-        const auto after = f.tellg();
-        f.seekp(body_at);
-        f.write(reinterpret_cast<const char*>(rec.data()), head);
-        f.seekg(after);
-        ++patched;
-      }
-      first = false;
-    }
-    ASSERT_GE(patched, kNModes);
-  }
-
-  // The reader names the problem...
   try {
-    (void)ps::read_journal(cfg.store);
-    FAIL() << "read_journal accepted a retired version-2 journal";
+    (void)ps::read_journal(path);
+    FAIL() << "read_journal accepted a " << tag << " journal";
   } catch (const ps::StoreCorrupt& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("version-2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("rerun the line-of-sight modes"),
-              std::string::npos)
+    EXPECT_NE(msg.find(tag), std::string::npos) << msg;
+    EXPECT_NE(msg.find("rerun the line-of-sight modes"), std::string::npos)
         << msg;
   }
 
-  // ...and so does a run that tries to resume the journal.
-  EXPECT_THROW((void)pr::RunPlan(cfg, ctx).execute(), ps::StoreCorrupt);
-  fs::remove(cfg.store);
+  ps::StoreOptions o;
+  o.path = path;
+  o.resume = true;
+  EXPECT_THROW((void)ps::ModeResultStore(o, ps::RunIdentity{0xDEC0DEull}, 4),
+               ps::StoreCorrupt);
+  std::ifstream in(path, std::ios::binary);
+  const std::string after{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, bytes) << "the refused journal was modified";
+  fs::remove(path);
+}
+
+}  // namespace
+
+TEST(LosResume, RetiredVersionTwoJournalRefusedLoudly) {
+  expect_retired_journal_refused(2);
+}
+
+TEST(LosResume, RetiredVersionThreeJournalRefusedLoudly) {
+  expect_retired_journal_refused(3);
 }
 
 TEST(LosResumeIdentity, SamplingChangeChangesTheIdentity) {

@@ -66,7 +66,6 @@ int main() {
       math::linspace(0.002, 0.04, 32),
       parallel::IssueOrder::largest_first);
   parallel::RunSetup setup;
-  setup.n_k = static_cast<double>(schedule.size());
   const auto out =
       parallel::run_plinger_threads(bg, rec, cfg, schedule, setup, 2);
   const auto& t = out.transport;

@@ -39,7 +39,6 @@ ModelRow run_model(const char* name, const cosmo::CosmoParams& params,
   const parallel::KSchedule schedule(kgrid,
                                      parallel::IssueOrder::largest_first);
   parallel::RunSetup setup;
-  setup.n_k = static_cast<double>(schedule.size());
   const auto out = parallel::run_plinger_threads(bg, rec, cfg, schedule,
                                                  setup, 2);
 
@@ -55,7 +54,6 @@ ModelRow run_model(const char* name, const cosmo::CosmoParams& params,
   const auto km = math::logspace(1e-3, 0.7, 28);
   const parallel::KSchedule ms(km, parallel::IssueOrder::largest_first);
   parallel::RunSetup msetup;
-  msetup.n_k = static_cast<double>(ms.size());
   msetup.lmax_cap = 400;
   const auto mout = parallel::run_plinger_threads(bg, rec, cfg, ms,
                                                   msetup, 2);

@@ -34,7 +34,6 @@ int main() {
   boltzmann::PerturbationConfig cfg;
   cfg.rtol = 1e-5;
   parallel::RunSetup setup;
-  setup.n_k = static_cast<double>(schedule.size());
   std::printf("computing C_l to l = %zu (%zu modes)...\n", l_max,
               schedule.size());
   const auto out = parallel::run_plinger_threads(bg, rec, cfg, schedule,

@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   // polarization spectrum is meaningful over the printed range.
   cfg.lmax_polarization = 250;
   parallel::RunSetup setup;
-  setup.n_k = static_cast<double>(schedule.size());
   std::printf("run: %zu modes to k = %.4f Mpc^-1 (largest first)\n",
               schedule.size(), kgrid.back());
   const auto out = parallel::run_plinger_threads(bg, rec, cfg, schedule,
@@ -133,7 +132,6 @@ int main(int argc, char** argv) {
   const parallel::KSchedule m_sched(k_matter,
                                     parallel::IssueOrder::largest_first);
   parallel::RunSetup m_setup;
-  m_setup.n_k = static_cast<double>(m_sched.size());
   m_setup.lmax_cap = 500;  // delta_m needs no deep photon hierarchy
   const auto m_out = parallel::run_plinger_threads(bg, rec, cfg, m_sched,
                                                    m_setup, 2);

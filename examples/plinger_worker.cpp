@@ -16,11 +16,14 @@
 // doubling each further attempt — for deployments where the master's
 // box comes up after the workers'.
 //
-// The parameter file must be the SAME file the master reads: the tag-1
-// init broadcast carries only 5 doubles (the schedule size and
-// tolerances as a cross-check), so the cosmology, k-grid, and solver
-// configuration are rebuilt here from the shared config.  A mismatched
-// file fails the n_k cross-check at startup rather than corrupting the
+// The parameter file must describe the SAME run as the master's: the
+// tag-1 init broadcast carries only 5 doubles, so the cosmology, k-grid
+// and solver configuration are rebuilt here from the file.  Among the 5
+// is the master's run identity, the hash that names its journal; this
+// process serves only if its own file gives the same identity.  A file
+// that differs in anything that shapes a result is refused at once: the
+// master is told (its tag-7 death notice for this rank), the error names
+// both identities, and the process exits 1 rather than corrupting the
 // run.  --connect overrides the file's tcp_connect key, so one file can
 // serve both sides (tcp_listen for the master, the override here).
 //

@@ -44,7 +44,7 @@ Recombination::Recombination(const Background& bg)
     : Recombination(bg, Options{}) {}
 
 Recombination::Recombination(const Background& bg, const Options& opts)
-    : bg_(bg) {
+    : bg_(bg), opts_(opts) {
   const CosmoParams& p = bg.params();
   const double y = p.y_helium;
   f_he_ = y / (4.0 * (1.0 - y));

@@ -44,10 +44,15 @@ class Recombination {
     /// see).
     double z_reion = 0.0;
     double dz_reion = 1.5;
+
+    friend bool operator==(const Options&, const Options&) = default;
   };
 
   explicit Recombination(const Background& bg);
   Recombination(const Background& bg, const Options& opts);
+
+  /// The options this history was built with (part of the run identity).
+  const Options& options() const { return opts_; }
 
   /// Free-electron fraction x_e = n_e / n_H at scale factor a.
   double x_e(double a) const { return x_e_lna(std::log(a)); }
@@ -107,6 +112,7 @@ class Recombination {
 
  private:
   const Background& bg_;
+  Options opts_;
   double f_he_ = 0.0;
   double n_h0_ = 0.0;
   double tau_star_ = 0.0;

@@ -331,9 +331,9 @@ int TcpWorld::accept_workers(double timeout_seconds) {
   return connected;
 }
 
-std::unique_ptr<TcpWorld> TcpWorld::connect(const std::string& host,
-                                            int port, Library lib,
-                                            double timeout_seconds) {
+std::unique_ptr<TcpWorld> TcpWorld::connect_once(const std::string& host,
+                                                 int port,
+                                                 double timeout_seconds) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   sockaddr_in addr = ipv4_address(host, port);
@@ -384,22 +384,22 @@ std::unique_ptr<TcpWorld> TcpWorld::connect(const std::string& host,
     ::close(fd);
     throw Error("TcpWorld::connect: WELCOME assigned invalid rank");
   }
-  std::unique_ptr<TcpWorld> w(new TcpWorld(nprocs, lib, rank));
+  std::unique_ptr<TcpWorld> w(new TcpWorld(nprocs, Library::mpisim, rank));
   w->attach_peer(0, fd);
   return w;
 }
 
-std::unique_ptr<TcpWorld> TcpWorld::connect_with_backoff(
-    const std::string& host, int port, int attempts, int backoff_ms,
-    double attempt_timeout_seconds, Library lib) {
-  PLINGER_REQUIRE(attempts >= 1,
-                  "connect_with_backoff: attempts must be >= 1");
+std::unique_ptr<TcpWorld> TcpWorld::connect(const std::string& host,
+                                            int port, int attempts,
+                                            int backoff_ms,
+                                            double attempt_timeout_seconds) {
+  PLINGER_REQUIRE(attempts >= 1, "TcpWorld::connect: attempts must be >= 1");
   PLINGER_REQUIRE(backoff_ms >= 0,
-                  "connect_with_backoff: backoff_ms must be >= 0");
+                  "TcpWorld::connect: backoff_ms must be >= 0");
   long sleep_ms = backoff_ms;
   for (int attempt = 1;; ++attempt) {
     try {
-      return connect(host, port, lib, attempt_timeout_seconds);
+      return connect_once(host, port, attempt_timeout_seconds);
     } catch (const Error&) {
       if (attempt >= attempts) throw;
     }

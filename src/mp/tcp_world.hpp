@@ -59,8 +59,9 @@ class PeerLost : public Error {
 /// Frame magic: the bytes 'P' 'L' 'T' 'W' at offset 0.
 inline constexpr std::array<unsigned char, 4> kFrameMagic{'P', 'L', 'T',
                                                           'W'};
-/// Handshake version carried by HELLO/WELCOME payload slot 0.
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Handshake version carried by HELLO/WELCOME payload slot 0; 2 since
+/// the tag-1 broadcast carries the run identity workers check.
+inline constexpr std::uint32_t kWireVersion = 2;
 /// Fixed header size: magic(4) + length(4) + tag(4) + source(4) + crc(4).
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Length-field ceiling; a larger value is garbage, not a big message.
@@ -126,26 +127,20 @@ class TcpWorld final : public InProcWorld {
                                           int n_workers,
                                           Library lib = Library::mpisim);
 
-  /// Worker factory: connect to the master at host:port (retrying until
-  /// timeout_seconds while the master is still binding), perform the
+  /// Worker factory: connect to the master at host:port, perform the
   /// HELLO/WELCOME rendezvous, and return a world sized and ranked by
-  /// the master's WELCOME.  With attempt_timeout_seconds = 0 the inner
-  /// retry loop collapses to a single connect() syscall.
-  static std::unique_ptr<TcpWorld> connect(const std::string& host, int port,
-                                           Library lib = Library::mpisim,
-                                           double timeout_seconds = 30.0);
-
-  /// Worker factory with reconnect ergonomics: up to `attempts` connect()
-  /// calls, sleeping backoff_ms before the second attempt and doubling
-  /// the sleep each further attempt (bounded exponential backoff) — the
-  /// remote-deployment case where the master's box reboots slower than
-  /// the workers', or sits behind a still-converging DNS/VPN route.
-  /// Each attempt gets attempt_timeout_seconds of the inner
-  /// still-binding retry; the last attempt's error is rethrown verbatim
-  /// once the budget is spent.  attempts must be >= 1, backoff_ms >= 0.
-  static std::unique_ptr<TcpWorld> connect_with_backoff(
-      const std::string& host, int port, int attempts, int backoff_ms,
-      double attempt_timeout_seconds = 1.0, Library lib = Library::mpisim);
+  /// the master's WELCOME.  Each attempt retries the connect() syscall
+  /// for attempt_timeout_seconds while the master is still binding (0:
+  /// exactly one syscall).  Up to `attempts` attempts are made, sleeping
+  /// backoff_ms before the second and doubling the sleep each further
+  /// attempt (bounded exponential backoff) — the remote-deployment case
+  /// where the master's box reboots slower than the workers', or sits
+  /// behind a still-converging DNS/VPN route.  The last attempt's error
+  /// is rethrown verbatim once the budget is spent.  attempts must be
+  /// >= 1, backoff_ms >= 0.
+  static std::unique_ptr<TcpWorld> connect(
+      const std::string& host, int port, int attempts = 1,
+      int backoff_ms = 0, double attempt_timeout_seconds = 30.0);
 
   ~TcpWorld() override;  ///< GOODBYE + drain + close on every live peer
 
@@ -174,6 +169,12 @@ class TcpWorld final : public InProcWorld {
 
  private:
   TcpWorld(int nprocs, Library lib, int local_rank);
+
+  /// One connect() attempt: retry the syscall for timeout_seconds while
+  /// the master is still binding, then the rendezvous.
+  static std::unique_ptr<TcpWorld> connect_once(const std::string& host,
+                                                int port,
+                                                double timeout_seconds);
 
   struct Peer {
     int fd = -1;

@@ -22,21 +22,20 @@ namespace plinger::parallel {
 using boltzmann::ModeEvolver;
 using boltzmann::ModeResult;
 
-store::RunIdentity store_identity(const cosmo::CosmoParams& params,
+store::RunIdentity store_identity(const cosmo::Background& bg,
+                                  const cosmo::Recombination& rec,
                                   const boltzmann::PerturbationConfig& cfg,
                                   const KSchedule& schedule,
                                   const RunSetup& setup) {
   // LOS runs write projected towers under an LOS-extended identity, so
   // a hierarchy journal can never cross-resume with an LOS run (and vice
   // versa).
-  if (!setup.los.enabled) {
-    return store::run_identity(params, cfg, schedule.k_grid(),
-                               setup.tau_end, setup.lmax_cap);
-  }
-  return store::run_identity(
-      params, cfg, schedule.k_grid(), setup.tau_end, setup.lmax_cap,
-      store::LosIdentity{setup.los.lmax_evolve, setup.los.sample_taus,
-                         setup.los.l_max, setup.los.k_crossover});
+  const store::LosIdentity los{setup.los.lmax_evolve, setup.los.sample_taus,
+                               setup.los.l_max, setup.los.k_crossover};
+  return store::run_identity(bg.params(), rec.options(), cfg,
+                             schedule.k_grid(), setup.tau_end,
+                             setup.lmax_cap,
+                             setup.los.enabled ? &los : nullptr);
 }
 
 namespace {
@@ -132,11 +131,10 @@ ModeResult run_mode(const ModeEvolver& evolver,
 }
 
 /// A mode on the line-of-sight route must reach the sink as the towers
-/// the run accumulates: projected, to l = 0..los.l_max.  The tag-1
-/// broadcast does not carry l_max, and on a log or linear grid l_max
-/// does not move n_k, so a plinger_worker started with another l_max
-/// passes every broadcast cross-check; its towers are refused here,
-/// before the journal append.
+/// the run accumulates: projected, to l = 0..los.l_max.  Admission
+/// already refuses a worker shaped from another l_max (the identity
+/// hashes it); this checks the bytes that did arrive, which come from
+/// outside the process, before the journal append.
 void require_projected(std::size_t ik, double k, const ModeResult& r,
                        const RunSetup& setup) {
   if (!on_los_route(setup, k)) return;
@@ -158,7 +156,7 @@ void require_projected(std::size_t ik, double k, const ModeResult& r,
 /// A run's books and the one place its results land, shared by the
 /// serial loop, the autotask cursor and the master.  Opening it starts
 /// the wallclock and the optional trace recorder and binds the journal
-/// named in setup.store (validating the run identity).  On resume the
+/// named in setup.store to the run's identity.  On resume the
 /// journaled modes enter the output up front, as zero-cost spans on the
 /// trace's synthetic "worker 0" (store) row — completed-mode counts but
 /// no busy time, CPU, or flops — and issue() becomes the residual
@@ -167,18 +165,16 @@ void require_projected(std::size_t ik, double k, const ModeResult& r,
 /// sink concurrently.
 class ModeSink {
  public:
-  ModeSink(const cosmo::Background& bg,
-           const boltzmann::PerturbationConfig& cfg,
-           const KSchedule& schedule, const RunSetup& setup, int n_workers)
+  ModeSink(store::RunIdentity identity, const KSchedule& schedule,
+           const RunSetup& setup, int n_workers)
       : schedule_(schedule), setup_(setup) {
     out_.n_workers = n_workers;
     if (setup.trace.enabled) {
       recorder_ = std::make_shared<TraceRecorder>(setup.trace);
     }
     if (setup.store.path.empty()) return;
-    store_ = std::make_unique<store::ModeResultStore>(
-        setup.store, store_identity(bg.params(), cfg, schedule, setup),
-        schedule.size());
+    store_ = std::make_unique<store::ModeResultStore>(setup.store, identity,
+                                                      schedule.size());
     if (!setup.store.resume || store_->n_loaded() == 0) return;
     for (const auto& [ik, r] : store_->loaded()) {
       if (recorder_) {
@@ -278,22 +274,22 @@ class FirstError {
 
 /// A worker rank's whole life over `world`, in a thread or in a
 /// plinger_worker process: the Appendix-A worker loop with run_mode as
-/// its step.  Shaping reads `setup`, so the loop refuses a tag-1
-/// broadcast whose tau_end or lmax_cap disagrees with it — no request
-/// is shaped from a value the master did not hash.
+/// its step.  It admits the master's run only under the identity its
+/// own evolver, schedule and setup give, so no mode is computed from
+/// inputs the master did not hash.
 void serve_worker(mp::InProcWorld& world, int rank,
                   const ModeEvolver& evolver,
                   const boltzmann::BesselTable* table,
                   const KSchedule& schedule, const RunSetup& setup,
                   TraceRecorder* recorder) {
   mp::PassContext ctx = mp::initpass(world, rank);
-  run_worker(
-      ctx, schedule,
-      [&evolver, table, &setup](const boltzmann::EvolveRequest& req,
-                                double) {
-        return run_mode(evolver, table, setup, req.k);
-      },
-      recorder, &setup);
+  run_worker(ctx, schedule,
+             store_identity(evolver.background(), evolver.recombination(),
+                            evolver.config(), schedule, setup),
+             [&evolver, table, &setup](const boltzmann::EvolveRequest& req) {
+               return run_mode(evolver, table, setup, req.k);
+             },
+             recorder);
   mp::endpass(ctx);
 }
 
@@ -337,11 +333,10 @@ using StartWorkers =
 /// TcpWorld counts both directions at the master, so the tap sees the
 /// same tag traffic as in-process.
 RunOutput run_master_over(mp::InProcWorld& world,
-                          const cosmo::Background& bg,
-                          const boltzmann::PerturbationConfig& cfg,
+                          store::RunIdentity identity,
                           const KSchedule& schedule, const RunSetup& setup,
                           const StartWorkers& start_workers = {}) {
-  ModeSink sink(bg, cfg, schedule, setup, world.size() - 1);
+  ModeSink sink(identity, schedule, setup, world.size() - 1);
   TraceRecorder* recorder = sink.recorder().get();
   if (recorder && setup.trace.capture_messages) {
     // The tap keeps the recorder alive: the world outlives this run (a
@@ -360,8 +355,8 @@ RunOutput run_master_over(mp::InProcWorld& world,
 
   RunOutput& out = sink.out();
   mp::PassContext ctx = mp::initpass(world, 0);
-  out.master = run_master(ctx, sink.issue(), setup, std::ref(sink),
-                          recorder,
+  out.master = run_master(ctx, sink.issue(), setup, identity,
+                          std::ref(sink), recorder,
                           [&sink] { return sink.stop_requested(); });
   mp::endpass(ctx);
   // After a join every notice is guaranteed queued; over TCP there is no
@@ -385,7 +380,8 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
                             const boltzmann::PerturbationConfig& cfg,
                             const KSchedule& schedule,
                             const RunSetup& setup) {
-  ModeSink sink(bg, cfg, schedule, setup, 1);
+  ModeSink sink(store_identity(bg, rec, cfg, schedule, setup), schedule,
+                setup, 1);
   const ModeEvolver evolver(bg, rec, cfg, run_cache(bg, rec, setup));
   const auto table = run_table(bg, schedule, setup);
   // The serial main loop in k (paper §4: "The main loop of the serial
@@ -405,7 +401,8 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
                               const KSchedule& schedule,
                               const RunSetup& setup, int n_threads) {
   PLINGER_REQUIRE(n_threads >= 1, "run_linger_autotask: need >= 1 thread");
-  ModeSink sink(bg, cfg, schedule, setup, n_threads);
+  ModeSink sink(store_identity(bg, rec, cfg, schedule, setup), schedule,
+                setup, n_threads);
   // Flatten the issue order once, then hand out items via an atomic
   // cursor (the loop-level self-scheduling Autotasking provided).
   std::vector<std::size_t> order;
@@ -464,7 +461,8 @@ RunOutput run_plinger_threads(const cosmo::Background& bg,
   // after the join.
   FirstError error;
   RunOutput out = run_master_over(
-      *world, bg, cfg, schedule, setup, [&](TraceRecorder* recorder) {
+      *world, store_identity(bg, rec, cfg, schedule, setup), schedule, setup,
+      [&](TraceRecorder* recorder) {
         // One read-only thermo cache and projection table for all
         // workers, built inside the run's wallclock as in the other
         // drivers.
@@ -495,13 +493,10 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           const boltzmann::PerturbationConfig& cfg,
                           const KSchedule& schedule, const RunSetup& setup,
                           mp::TcpWorld& world) {
-  // The master never integrates or projects, so the recombination
-  // tables are only part of the signature for symmetry with the other
-  // drivers.
-  (void)rec;
   PLINGER_REQUIRE(world.local_rank() == 0,
                   "run_plinger_tcp: the master must hold rank 0");
-  return run_master_over(world, bg, cfg, schedule, setup);
+  return run_master_over(world, store_identity(bg, rec, cfg, schedule, setup),
+                         schedule, setup);
 }
 
 void run_plinger_tcp_worker(const cosmo::Background& bg,

@@ -42,9 +42,9 @@
 namespace plinger::parallel {
 
 /// A result on the line-of-sight route that is not a projected tower of
-/// RunSetup::los.l_max + 1 entries, as a worker shaped from another
-/// l_max would send.  The sink throws it before the journal append, and
-/// the master then stops its workers.
+/// RunSetup::los.l_max + 1 entries (results are bytes from outside the
+/// process).  The sink throws it before the journal append, and the
+/// master then stops its workers.
 class MisshapedResult : public Error {
  public:
   explicit MisshapedResult(const std::string& what) : Error(what) {}
@@ -99,11 +99,14 @@ struct RunOutput {
   }
 };
 
-/// The checkpoint-store identity of a run: the base hash over the
-/// cosmology, perturbation config, k-grid, tau_end and lmax_cap, salted
-/// with the LOS shaping when setup.los is enabled.  Drivers stamp and
-/// check journals with it; run::RunPlan::identity() reports it.
-store::RunIdentity store_identity(const cosmo::CosmoParams& params,
+/// The identity of a run (store/identity.hpp): the base hash over the
+/// cosmology, recombination options, perturbation config, k-grid,
+/// tau_end and lmax_cap, salted with the LOS shaping when setup.los is
+/// enabled.  Drivers stamp and check journals with it, the master
+/// broadcasts it, each worker admits only its own, and
+/// run::RunPlan::identity() reports it.
+store::RunIdentity store_identity(const cosmo::Background& bg,
+                                  const cosmo::Recombination& rec,
                                   const boltzmann::PerturbationConfig& cfg,
                                   const KSchedule& schedule,
                                   const RunSetup& setup);
@@ -152,14 +155,12 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
 
 /// Worker side of a cross-process run: serve the remote master until
 /// stopped.  Shapes and projects every request from `setup` exactly as
-/// the in-process drivers do (the tag-1 broadcast does not carry the
-/// LOS/auto shaping), so results are bitwise identical; the process
-/// builds its own projection table for an LOS run.  A broadcast whose
-/// tau_end or lmax_cap disagrees with `setup` is refused
-/// (plinger::Error), as is one whose n_k disagrees with `schedule`; LOS
-/// towers of another l_max reach the master, whose sink refuses them
-/// (MisshapedResult).  Returns quietly when the master link goes down —
-/// a worker outliving its master has nothing left to do.
+/// the in-process drivers do, so results are bitwise identical; the
+/// process builds its own projection table for an LOS run.  It joins
+/// only a run whose broadcast identity is store_identity() of its own
+/// inputs: otherwise it sends the master its own tag-7 death notice and
+/// throws plinger::Error.  Returns quietly when the master link goes
+/// down — a worker outliving its master has nothing left to do.
 void run_plinger_tcp_worker(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,

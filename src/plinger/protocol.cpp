@@ -1,8 +1,10 @@
 #include "plinger/protocol.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <map>
 #include <optional>
@@ -15,24 +17,9 @@
 
 namespace plinger::parallel {
 
-std::array<double, 5> RunSetup::to_buffer() const {
-  return {tau_end, lmax_cap, rtol, n_k, reserved};
-}
-
-RunSetup RunSetup::from_buffer(std::span<const double> b) {
-  PLINGER_REQUIRE(b.size() >= 5, "RunSetup: short buffer");
-  RunSetup s;
-  s.tau_end = b[0];
-  s.lmax_cap = b[1];
-  s.rtol = b[2];
-  s.n_k = b[3];
-  s.reserved = b[4];
-  return s;
-}
-
 MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
-                       const RunSetup& setup, const ResultSink& sink,
-                       TraceRecorder* trace,
+                       const RunSetup& setup, store::RunIdentity identity,
+                       const ResultSink& sink, TraceRecorder* trace,
                        const StopPredicate& stop_early) {
   PLINGER_REQUIRE(ctx.is_master(), "run_master called on a worker rank");
   const int n_workers = ctx.world->size() - 1;
@@ -40,9 +27,13 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
   const FaultConfig& fc = setup.fault;
   const bool timed = fc.timeout_seconds > 0.0;
 
-  // Broadcast initial data to workers (tag 1, 5 doubles).
-  const auto buf = setup.to_buffer();
-  mp::mybcastreal(ctx, buf, kTagInit);
+  // Broadcast initial data to workers (tag 1, 5 doubles), derived from
+  // the run: tau_end, lmax_cap, identity high half, grid size, identity
+  // low half.  Only the identity is checked; the rest is informational.
+  const auto [id_hi, id_lo] = identity.halves();
+  const double init[5] = {setup.tau_end, setup.lmax_cap, id_hi,
+                          static_cast<double>(schedule.size()), id_lo};
+  mp::mybcastreal(ctx, init, kTagInit);
 
   MasterStats mstats;
   std::size_t ik = schedule.ik_first();  // next fresh wavenumber (0: none)
@@ -436,26 +427,26 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
 }
 
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace,
-                const RunSetup* shaped_from) {
+                store::RunIdentity identity, const EvolveFn& evolve,
+                TraceRecorder* trace) {
   PLINGER_REQUIRE(!ctx.is_master(), "run_worker called on the master rank");
 
-  // Receive initial data from master (tag 1).
-  std::array<double, 5> setup_buf{};
+  // Receive initial data from master (tag 1) and admit the run only if
+  // it is this worker's own: the identity covers everything that shapes
+  // a result.  A refusal reaches the master as this worker's death
+  // notice, so it settles the rank at once instead of waiting on it.
+  std::array<double, 5> init{};
   mp::mycheckone(ctx, kTagInit, ctx.mastid);
-  mp::myrecvreal(ctx, setup_buf, kTagInit, ctx.mastid);
-  const RunSetup setup = RunSetup::from_buffer(setup_buf);
-  PLINGER_REQUIRE(static_cast<std::size_t>(std::llround(setup.n_k)) ==
-                      schedule.size(),
-                  "worker: schedule size disagrees with broadcast");
-  if (shaped_from != nullptr && (shaped_from->tau_end != setup.tau_end ||
-                                 shaped_from->lmax_cap != setup.lmax_cap)) {
-    throw Error("worker: tau_end/lmax_cap " +
-                std::to_string(shaped_from->tau_end) + "/" +
-                std::to_string(shaped_from->lmax_cap) +
-                " disagree with the broadcast " +
-                std::to_string(setup.tau_end) + "/" +
-                std::to_string(setup.lmax_cap));
+  mp::myrecvreal(ctx, init, kTagInit, ctx.mastid);
+  const std::optional<store::RunIdentity> broadcast =
+      store::RunIdentity::from_halves(init[2], init[4]);
+  if (broadcast != identity) {
+    const double notice[2] = {0.0, kFailureCodeWorkerLost};
+    mp::mysendreal(ctx, notice, kTagError, ctx.mastid);
+    throw Error("worker: the master broadcast run " +
+                (broadcast ? broadcast->hex() : std::string("(unreadable)")) +
+                ", but this worker's inputs give run " + identity.hex() +
+                "; refusing to compute modes of another run");
   }
 
   // Ask for a wavenumber (tag 2; no data, 1 double as in the paper).
@@ -479,7 +470,7 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
     const double t_start = trace ? trace->now() : 0.0;
     const double cpu0 = trace ? thread_cpu_seconds() : 0.0;
     try {
-      const boltzmann::ModeResult result = evolve(req, setup.tau_end);
+      const boltzmann::ModeResult result = evolve(req);
       if (trace) {
         trace->record_span(ik, req.k, ctx.mytid, /*completed=*/true,
                            t_start, trace->now(), result.cpu_seconds,
@@ -489,8 +480,10 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
       const auto payload = pack_payload(ik, result);
       mp::mysendreal(ctx, header, kTagHeader, ctx.mastid);
       mp::mysendreal(ctx, payload, kTagPayload, ctx.mastid);
-    } catch (const Error&) {
-      // Report the failure (tag 7) and keep serving.
+    } catch (const std::exception&) {
+      // Report the failure (tag 7) and keep serving: whatever the evolve
+      // step threw (a numerical failure, std::bad_alloc), the master
+      // retries the mode and then records it failed.
       if (trace) {
         trace->record_span(ik, req.k, ctx.mytid, /*completed=*/false,
                            t_start, trace->now(),

@@ -4,7 +4,7 @@
 ///
 /// Tags (see docs/protocol.md for payload layouts and sequence
 /// diagrams):
-///   1 - first message from master to workers (broadcast of run setup)
+///   1 - first message from master to workers (run setup and identity)
 ///   2 - from worker: asking for a wavenumber
 ///   3 - from master: giving worker a wavenumber to work on
 ///   4 - from worker: first set of data and lmax (21-double header)
@@ -30,16 +30,16 @@
 ///    completes degraded on the surviving workers with bitwise-identical
 ///    results.
 
-#include <array>
 #include <functional>
 #include <memory>
-#include <span>
+#include <vector>
 
 #include "boltzmann/mode_evolution.hpp"
 #include "mp/fault_world.hpp"
 #include "mp/wrappers.hpp"
 #include "plinger/schedule.hpp"
 #include "plinger/trace.hpp"
+#include "store/identity.hpp"
 #include "store/options.hpp"
 
 namespace plinger::cosmo {
@@ -63,7 +63,7 @@ enum Tag : int {
 /// Tag-7 failure codes (payload slot 1).  A one-double tag-7 payload is
 /// the legacy integration-failure form and is read as code 0.
 inline constexpr double kFailureCodeRetry = 0.0;       ///< requeue ik
-inline constexpr double kFailureCodeWorkerLost = 1.0;  ///< sender died
+inline constexpr double kFailureCodeWorkerLost = 1.0;  ///< died/refused
 
 /// Master-side fault handling knobs.  Host-side only — never broadcast.
 struct FaultConfig {
@@ -99,18 +99,15 @@ struct LosRunSpec {
   double k_crossover = 0.0;
 };
 
-/// Run setup broadcast with tag 1 — "a few quantities ... such as the
-/// time at which to end the evolution and the maximum number of angular
-/// moments l to compute"; 5 doubles as in the paper's parentsub.
+/// Run setup.  run_master derives the tag-1 broadcast ("a few quantities
+/// ... such as the time at which to end the evolution and the maximum
+/// number of angular moments l to compute"; 5 doubles as in the paper's
+/// parentsub) from tau_end, lmax_cap, the grid size and the identity.
 struct RunSetup {
   double tau_end = 0.0;    ///< 0 selects the conformal age
   double lmax_cap = 12000;  ///< photon hierarchy cap
-  double rtol = 1e-6;
-  double n_k = 0.0;        ///< grid size (workers cross-check)
-  double reserved = 0.0;
 
-  /// Host-side run tracing (trace.hpp); never broadcast on the wire —
-  /// to_buffer()/from_buffer() carry only the 5 paper doubles above.
+  /// Host-side run tracing (trace.hpp); never broadcast.
   TraceConfig trace;
 
   /// Host-side checkpoint/restart (store/mode_result_store.hpp); also
@@ -139,9 +136,6 @@ struct RunSetup {
   /// attach los.sample_taus, bypass lmax_cap shaping and project the
   /// evolved mode onto towers of los.l_max + 1 entries.
   LosRunSpec los;
-
-  std::array<double, 5> to_buffer() const;
-  static RunSetup from_buffer(std::span<const double> b);
 };
 
 /// Called by the master for every completed wavenumber, in arrival order.
@@ -170,7 +164,9 @@ using StopPredicate = std::function<bool()>;
 
 /// The master loop ("parentsub"): broadcast setup, serve wavenumbers,
 /// collect results, stop every worker.  Returns when all of both has
-/// happened.  A wavenumber reported failed (tag 7, code 0) is retried —
+/// happened.  The broadcast carries `identity` (store_identity()); a
+/// worker of another run answers with its own death notice.  A
+/// wavenumber reported failed (tag 7, code 0) is retried —
 /// after the rest of the schedule, as backoff — up to
 /// setup.fault.max_retries times, then recorded in
 /// MasterStats::failed_ik.  A worker declared dead (tag-7 death notice,
@@ -187,28 +183,30 @@ using StopPredicate = std::function<bool()>;
 /// sent its stop message before the exception propagates, so the
 /// caller's joins cannot deadlock.
 MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
-                       const RunSetup& setup, const ResultSink& sink,
+                       const RunSetup& setup, store::RunIdentity identity,
+                       const ResultSink& sink,
                        TraceRecorder* trace = nullptr,
                        const StopPredicate& stop_early = {});
 
 /// What a worker does for one wavenumber; lets tests and alternative
 /// backends substitute the integration.
-using EvolveFn = std::function<boltzmann::ModeResult(
-    const boltzmann::EvolveRequest&, double tau_end)>;
+using EvolveFn =
+    std::function<boltzmann::ModeResult(const boltzmann::EvolveRequest&)>;
 
 /// The worker loop ("kidsub"): receive setup, request work, integrate,
 /// report, repeat until stopped.  `evolve` gets a request carrying only
-/// k, plus the broadcast tau_end; sizing the hierarchy is its business
-/// (the drivers shape in one place, driver.cpp's run_mode).  An
+/// k; sizing the hierarchy and ending the evolution are its business
+/// (the drivers shape in one place, driver.cpp's run_mode).
+/// Admission is one check: the broadcast must carry `identity`, the one
+/// this worker's own inputs give (what `evolve` shapes and evolves
+/// from).  Otherwise the worker sends the master a tag-7 death notice
+/// for itself and throws plinger::Error naming both identities.  Any
 /// exception from the evolve function is reported to the master as
-/// tag 7 and the worker keeps serving.  A broadcast whose n_k disagrees
-/// with `schedule` is refused (plinger::Error), and so is one whose
-/// tau_end or lmax_cap disagrees with `shaped_from`, the host setup
-/// `evolve` shapes requests from (optional; null skips the check).
-/// `trace` (optional) records one ModeSpan per attempt, including the
-/// failed attempts behind every tag-7 report; null disables.
+/// tag 7 (code 0) and the worker keeps serving.  `trace` (optional)
+/// records one ModeSpan per attempt, including the failed attempts
+/// behind every tag-7 report; null disables.
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace = nullptr,
-                const RunSetup* shaped_from = nullptr);
+                store::RunIdentity identity, const EvolveFn& evolve,
+                TraceRecorder* trace = nullptr);
 
 }  // namespace plinger::parallel

@@ -12,10 +12,8 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
-#include "math/spline.hpp"
 #include "run/context.hpp"
 #include "run/plan.hpp"
-#include "spectra/cl.hpp"
 
 namespace plinger::run {
 
@@ -23,28 +21,12 @@ namespace {
 
 /// Pre-context cost estimate for issue ordering.  The real cost needs
 /// the conformal age (contexts are built lazily, per cosmology, by the
-/// jobs themselves), so the `cl` grid is approximated with the
-/// Einstein-de-Sitter age tau0 ~ 2/H0 — relative ordering is all that
-/// matters here.
+/// jobs themselves), so it is taken at the Einstein-de-Sitter age
+/// tau0 ~ 2/H0 — relative ordering is all that matters here.
 double cost_hint(const RunConfig& cfg) {
   const double tau0 =
       2.0 * plinger::constants::hubble_distance_mpc / cfg.h;
-  std::vector<double> grid;
-  if (cfg.grid == "cl") {
-    grid = spectra::make_cl_kgrid(cfg.l_max, tau0, cfg.points_per_osc,
-                                  cfg.k_margin);
-  } else if (cfg.grid == "linear") {
-    grid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
-  } else {
-    grid = math::logspace(cfg.k_min, cfg.k_max, cfg.n_k);
-  }
-  const auto cap = static_cast<std::size_t>(cfg.lmax_cap);
-  double cost = 0.0;
-  for (double k : grid) {
-    cost += (k * tau0 + 60.0) *
-            static_cast<double>(boltzmann::lmax_photon_for_k(k, tau0, cap));
-  }
-  return cost;
+  return estimated_cost(cfg, materialize_grid(cfg, tau0), tau0);
 }
 
 using ContextFuture =
@@ -127,7 +109,9 @@ BatchOutput run_batch(const std::vector<BatchJob>& jobs,
         }
 
         const RunPlan plan(jobs[j].config, fut.get());
-        report.estimated_cost = plan.estimated_cost();
+        report.estimated_cost = estimated_cost(
+            jobs[j].config, plan.schedule().k_grid(),
+            plan.context().conformal_age());
         report.store_identity = plan.identity().value;
         parallel::RunOutput result = plan.execute();
         report.wallclock_seconds = result.wallclock_seconds;

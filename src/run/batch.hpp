@@ -42,7 +42,7 @@ struct BatchJobReport {
   std::string name;
   std::uint64_t cosmology_key = 0;
   bool context_cache_hit = false;  ///< reused an earlier job's context
-  double estimated_cost = 0.0;     ///< RunPlan::estimated_cost units
+  double estimated_cost = 0.0;     ///< run::estimated_cost units
   double wallclock_seconds = 0.0;  ///< the job's driver wallclock
   std::size_t n_modes = 0;
   std::uint64_t store_identity = 0;

@@ -30,6 +30,10 @@ double parse_double(const char* key, const std::string& s) {
   }
   PLINGER_REQUIRE(!s.empty() && used == s.size(),
                   std::string(key) + ": not a number: '" + s + "'");
+  // nan and inf parse, but no key means them; casts downstream would be
+  // undefined behaviour.
+  PLINGER_REQUIRE(std::isfinite(v),
+                  std::string(key) + ": not a finite number: '" + s + "'");
   return v;
 }
 
@@ -330,7 +334,9 @@ void RunConfig::validate() const {
                   "lmax_polarization must be in [4, lmax_photon]");
   PLINGER_REQUIRE(lmax_neutrino >= 4, "lmax_neutrino must be >= 4");
   PLINGER_REQUIRE(tau_end >= 0.0, "tau_end must be >= 0 (0 = conformal age)");
-  PLINGER_REQUIRE(lmax_cap >= 12.0, "lmax_cap must be >= 12");
+  // Bounded like every size key, so the drivers' size_t cast is defined.
+  PLINGER_REQUIRE(lmax_cap >= 12.0 && lmax_cap <= 1e15,
+                  "lmax_cap must be in [12, 1e15]");
   require_choice("solver", solver, {"hierarchy", "los", "auto"});
   require_choice("los_accuracy", los_accuracy,
                  {"draft", "standard", "high"});

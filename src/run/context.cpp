@@ -1,29 +1,8 @@
 #include "run/context.hpp"
 
-#include <bit>
+#include "store/identity.hpp"
 
 namespace plinger::run {
-
-namespace {
-
-// FNV-1a, the same construction store::run_identity uses; kept local so
-// the cosmology key (a cache key) and the store identity (an on-disk
-// compatibility stamp) can evolve independently.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffull;
-    h *= kFnvPrime;
-  }
-}
-
-void mix(std::uint64_t& h, double v) {
-  mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
 
 RunContext::RunContext(const RunConfig& cfg)
     : bg_(cfg.cosmology()),
@@ -31,20 +10,7 @@ RunContext::RunContext(const RunConfig& cfg)
       thermo_(std::make_shared<const cosmo::ThermoCache>(bg_, rec_)) {}
 
 std::uint64_t RunContext::cosmology_key(const RunConfig& cfg) {
-  const cosmo::CosmoParams p = cfg.cosmology();
-  std::uint64_t h = kFnvOffset;
-  mix(h, p.h);
-  mix(h, p.omega_c);  // derived, so the closure path is part of the key
-  mix(h, p.omega_b);
-  mix(h, p.omega_lambda);
-  mix(h, p.omega_nu);
-  mix(h, static_cast<std::uint64_t>(p.n_massive_nu));
-  mix(h, p.n_eff_massless);
-  mix(h, p.t_cmb);
-  mix(h, p.y_helium);
-  mix(h, p.n_s);
-  mix(h, cfg.z_reion);
-  return h;
+  return store::cosmology_key(cfg.cosmology(), cfg.recombination_options());
 }
 
 std::shared_ptr<const RunContext> make_context(const RunConfig& cfg) {

@@ -49,11 +49,10 @@ class RunContext {
     return {bg_, rec_, cfg, thermo_};
   }
 
-  /// FNV-1a hash of the cosmology this config materializes (the derived
-  /// CosmoParams fields plus z_reion — exactly what determines this
-  /// context's contents).  Two configs with equal keys may share a
-  /// context; differing k-grids, drivers, or store options do not
-  /// affect it.
+  /// store::cosmology_key of the cosmology and recombination options
+  /// this config materializes — exactly what determines this context's
+  /// contents.  Two configs with equal keys may share a context;
+  /// differing k-grids, drivers, or store options do not affect it.
   static std::uint64_t cosmology_key(const RunConfig& cfg);
 
  private:

@@ -13,6 +13,8 @@
 /// before execute().
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "boltzmann/config.hpp"
 #include "plinger/driver.hpp"
@@ -35,6 +37,16 @@ namespace plinger::run {
 /// LosIdentity::k_crossover.
 inline constexpr double kAutoSolverCrossoverK = 0.001;
 
+/// The ascending k-grid a config names at conformal age tau0 (only the
+/// `cl` grid reads tau0).
+std::vector<double> materialize_grid(const RunConfig& cfg, double tau0);
+
+/// Deterministic relative cost (arbitrary units) of evolving `k_grid`
+/// under `cfg` at conformal age tau0.  run_batch() issues runs largest
+/// first on it, mirroring the paper's largest-k-first inside one run.
+double estimated_cost(const RunConfig& cfg, std::span<const double> k_grid,
+                      double tau0);
+
 class RunPlan {
  public:
   /// Materializes grid, schedule, perturbation config, and RunSetup
@@ -52,8 +64,8 @@ class RunPlan {
 
   /// The assembled run setup; mutable so callers can attach host-side
   /// extras (setup().inject, setup().store.stop_after, ...) before
-  /// execute().  The 5 broadcast doubles and store/trace/fault fields
-  /// are already filled from the config.
+  /// execute().  tau_end, lmax_cap, the LOS shaping and the
+  /// store/trace/fault fields are already filled from the config.
   parallel::RunSetup& setup() { return setup_; }
   const parallel::RunSetup& setup() const { return setup_; }
 
@@ -63,12 +75,6 @@ class RunPlan {
   /// written by a pre-run-layer entry point with the same physics still
   /// matches.
   store::RunIdentity identity() const;
-
-  /// Deterministic relative cost estimate (arbitrary units): per-mode
-  /// integration work summed over the schedule.  run_batch() issues
-  /// plans largest-first on this, mirroring the paper's largest-k-first
-  /// inside one run.
-  double estimated_cost() const;
 
   /// Run the configured driver over the schedule.  Respects everything
   /// in setup(), including caller mutations.  With transport = tcp this
@@ -81,9 +87,9 @@ class RunPlan {
   /// Worker side of a transport = tcp run: connect to cfg().tcp_connect
   /// and serve the remote master until stopped (or until the master
   /// link drops).  The config must carry the same physics surface as
-  /// the master's — the tag-1 broadcast cross-checks the schedule size
-  /// and tolerances.  This is what the plinger_worker example binary
-  /// calls.
+  /// the master's: the worker joins only a run whose broadcast identity
+  /// is its own identity() and otherwise throws plinger::Error.  This
+  /// is what the plinger_worker example binary calls.
   void execute_worker() const;
 
  private:

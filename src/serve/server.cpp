@@ -258,7 +258,10 @@ void SpectrumServer::handle_connection(int fd) {
           const Answer answer =
               service_.answer(parsed.request.config, progress);
           keep = send_all(fd, render_response(answer));
-        } catch (const Error& e) {
+        } catch (const std::exception& e) {
+          // Any failure of one request (a typed Error, std::bad_alloc,
+          // a hook's exception) is that request's ERR, never the
+          // daemon's end.
           keep = send_all(fd, std::string("ERR ") + e.what() + "\n");
         }
         break;

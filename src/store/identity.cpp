@@ -1,9 +1,11 @@
 #include "store/identity.hpp"
 
+#include <cstdio>
 #include <cstring>
 
 #include "boltzmann/config.hpp"
 #include "cosmo/params.hpp"
+#include "plinger/records.hpp"
 
 namespace plinger::store {
 
@@ -33,20 +35,10 @@ class Hasher {
   std::uint64_t h_ = 0xCBF29CE484222325ull;  // FNV offset basis
 };
 
-}  // namespace
-
-RunIdentity run_identity(const cosmo::CosmoParams& params,
-                         const boltzmann::PerturbationConfig& cfg,
-                         std::span<const double> k_grid, double tau_end,
-                         double lmax_cap) {
-  Hasher h;
-  // Format-version salt: bump when the hashed field set changes, so old
-  // journals are rejected rather than silently reinterpreted.
-  h.add(std::uint64_t{1});
-
-  // Cosmological model.
+/// The cosmological model.
+void add_cosmology(Hasher& h, const cosmo::CosmoParams& params) {
   h.add(params.h);
-  h.add(params.omega_c);
+  h.add(params.omega_c);  // derived, so the closure path is part of it
   h.add(params.omega_b);
   h.add(params.omega_lambda);
   h.add(params.omega_nu);
@@ -55,6 +47,58 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   h.add(params.n_eff_massless);
   h.add(static_cast<std::uint64_t>(params.n_massive_nu));
   h.add(params.n_s);
+}
+
+/// The thermal history's knobs (reionization among them).  Hashed only
+/// when they depart from the defaults, behind their own salt, so every
+/// identity of a run without reionization keeps its stamp.
+void add_recombination(Hasher& h, const cosmo::Recombination::Options& o) {
+  if (o == cosmo::Recombination::Options{}) return;
+  h.add(std::uint64_t{6});  // recombination-options salt
+  h.add(o.a_start);
+  h.add(static_cast<std::uint64_t>(o.n_points));
+  h.add(o.saha_exit_xh);
+  h.add(o.fudge);
+  h.add(o.z_reion);
+  h.add(o.dz_reion);
+}
+
+}  // namespace
+
+std::array<double, 2> RunIdentity::halves() const {
+  return {static_cast<double>(value >> 32),
+          static_cast<double>(value & 0xFFFFFFFFull)};
+}
+
+std::optional<RunIdentity> RunIdentity::from_halves(double hi, double lo) {
+  constexpr double kTwo32 = 4294967296.0;
+  if (!parallel::castable_field(hi, kTwo32) ||
+      !parallel::castable_field(lo, kTwo32)) {
+    return std::nullopt;
+  }
+  return RunIdentity{static_cast<std::uint64_t>(hi) << 32 |
+                     static_cast<std::uint64_t>(lo)};
+}
+
+std::string RunIdentity::hex() const {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+RunIdentity run_identity(const cosmo::CosmoParams& params,
+                         const cosmo::Recombination::Options& rec,
+                         const boltzmann::PerturbationConfig& cfg,
+                         std::span<const double> k_grid, double tau_end,
+                         double lmax_cap, const LosIdentity* los) {
+  Hasher h;
+  // Format-version salt: bump when the hashed field set changes, so old
+  // journals are rejected rather than silently reinterpreted.
+  h.add(std::uint64_t{1});
+
+  add_cosmology(h, params);
+  add_recombination(h, rec);
 
   // Perturbation configuration (everything the evolver reads).
   h.add(static_cast<std::uint64_t>(cfg.ic_type));
@@ -83,34 +127,30 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   for (const double k : k_grid) h.add(k);
   h.add(tau_end);
   h.add(lmax_cap);
+  if (los == nullptr) return RunIdentity{h.digest()};
 
-  return RunIdentity{h.digest()};
-}
-
-RunIdentity run_identity(const cosmo::CosmoParams& params,
-                         const boltzmann::PerturbationConfig& cfg,
-                         std::span<const double> k_grid, double tau_end,
-                         double lmax_cap, const LosIdentity& los) {
-  Hasher h;
-  // Start from the exact base identity so the LOS hash inherits every
-  // physics input, then salt with a distinct record-family tag: the
-  // same config hashed as hierarchy vs LOS can never collide.
-  h.add(run_identity(params, cfg, k_grid, tau_end, lmax_cap).value);
+  // Line of sight: start a fresh hash from the exact base identity so it
+  // inherits every physics input, then salt with a distinct
+  // record-family tag: the same config hashed as hierarchy vs LOS can
+  // never collide.
+  const std::uint64_t base = h.digest();
+  h = Hasher();
+  h.add(base);
   h.add(std::uint64_t{2});  // LOS record-family salt
   // Record-version salt: journals of an earlier record version (the
   // sample-bearing ones) mismatch here and resume is refused up front.
   h.add(kLosRecordVersion);
-  h.add(static_cast<std::uint64_t>(los.lmax_evolve));
-  h.add(static_cast<std::uint64_t>(los.l_max));
-  h.add(static_cast<std::uint64_t>(los.sample_taus.size()));
-  for (const double t : los.sample_taus) h.add(t);
+  h.add(static_cast<std::uint64_t>(los->lmax_evolve));
+  h.add(static_cast<std::uint64_t>(los->l_max));
+  h.add(static_cast<std::uint64_t>(los->sample_taus.size()));
+  for (const double t : los->sample_taus) h.add(t);
   // solver=auto: modes below the crossover carry hierarchy-shaped
   // records inside an otherwise-LOS journal, so the routing threshold
   // is part of the identity.  Hashed only when set: a solver=los run
   // (k_crossover = 0) hashes no routing fields.
-  if (los.k_crossover > 0.0) {
+  if (los->k_crossover > 0.0) {
     h.add(std::uint64_t{4});  // auto-routing salt
-    h.add(los.k_crossover);
+    h.add(los->k_crossover);
     // Rerouted-mode polarization lift: the router now evolves each
     // below-crossover mode's G tower to its full photon tower, so
     // journals recorded before the lift carry shorter towers and must
@@ -118,6 +158,14 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
     h.add(std::uint64_t{5});
   }
   return RunIdentity{h.digest()};
+}
+
+std::uint64_t cosmology_key(const cosmo::CosmoParams& params,
+                            const cosmo::Recombination::Options& rec) {
+  Hasher h;
+  add_cosmology(h, params);
+  add_recombination(h, rec);
+  return h.digest();
 }
 
 }  // namespace plinger::store

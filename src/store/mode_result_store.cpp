@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 
@@ -25,13 +24,6 @@ constexpr double kMagic = 1347440199.0;  // 0x504C4E47, "PLNG"
 constexpr double kVersion = 1.0;
 constexpr std::size_t kFileHeaderLength = 6;
 
-std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Parse the file header record into `c`; throws StoreCorrupt when it
 /// is not one.
 void parse_file_header(const std::vector<double>& rec, JournalContents& c) {
@@ -43,16 +35,14 @@ void parse_file_header(const std::vector<double>& rec, JournalContents& c) {
   // The identity halves and grid size travel as doubles; a well-framed
   // but corrupt header (NaN, negative, out of range) must be rejected
   // here — casting it first would be undefined behavior.
-  constexpr double kTwo32 = 4294967296.0;
   constexpr double kTwo53 = 9007199254740992.0;
-  using parallel::castable_field;
-  if (!castable_field(rec[2], kTwo32) || !castable_field(rec[3], kTwo32) ||
-      !castable_field(rec[4], kTwo53)) {
+  const std::optional<RunIdentity> id =
+      RunIdentity::from_halves(rec[2], rec[3]);
+  if (!id || !parallel::castable_field(rec[4], kTwo53)) {
     throw StoreCorrupt(
         "ModeResultStore: checkpoint journal header fields are corrupt");
   }
-  c.identity.value = (static_cast<std::uint64_t>(rec[2]) << 32) |
-                     static_cast<std::uint64_t>(rec[3]);
+  c.identity = *id;
   c.n_k = static_cast<std::size_t>(rec[4]);
 }
 
@@ -166,9 +156,9 @@ void ModeResultStore::open_journal() {
     if (journal->identity != id_ || journal->n_k != n_k_) {
       throw StoreIdentityMismatch(
           "ModeResultStore: journal " + opts_.path + " belongs to run " +
-          hex64(journal->identity.value) + " over " +
+          journal->identity.hex() + " over " +
           std::to_string(journal->n_k) + " modes, but this run is " +
-          hex64(id_.value) + " over " + std::to_string(n_k_) +
+          id_.hex() + " over " + std::to_string(n_k_) +
           " modes; refusing to mix results from different physics");
     }
     for (const auto& [ik, r] : journal->results) in_journal_.insert(ik);
@@ -220,8 +210,7 @@ void ModeResultStore::require_writable(const char* when) {
 }
 
 void ModeResultStore::write_file_header() {
-  const double hi = static_cast<double>(id_.value >> 32);
-  const double lo = static_cast<double>(id_.value & 0xFFFFFFFFull);
+  const auto [hi, lo] = id_.halves();
   const std::vector<double> rec = {
       kMagic, kVersion, hi, lo, static_cast<double>(n_k_), 0.0};
   io::FortranRecordWriter writer(out_);

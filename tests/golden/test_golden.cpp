@@ -64,7 +64,6 @@ struct GoldenRun {
     pb::PerturbationConfig cfg;
     cfg.rtol = 1e-5;
     pp::RunSetup setup;
-    setup.n_k = static_cast<double>(schedule.size());
     return pp::run_linger_serial(bg, rec, cfg, schedule, setup);
   }
 

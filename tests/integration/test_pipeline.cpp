@@ -33,7 +33,6 @@ struct Pipeline {
     boltzmann::PerturbationConfig cfg;
     cfg.rtol = 1e-5;
     parallel::RunSetup setup;
-    setup.n_k = static_cast<double>(schedule.size());
     const auto out = parallel::run_plinger_threads(bg, rec, cfg,
                                                    schedule, setup, 2);
     spectra::ClAccumulator acc(l_max, spectra::PowerLawSpectrum{});

@@ -15,11 +15,15 @@
 //    against a listening master and require C_l bitwise identical to
 //    the in-process threads driver, including when one worker is
 //    SIGKILLed mid-run and its modes are reassigned, and require a
-//    worker whose own tau_end/lmax_cap disagree with the master's
-//    broadcast to refuse it;
-//  * line-of-sight shaping — a worker thread projecting to another
-//    l_max than the master's is refused at the master's sink, before
-//    its towers reach the journal.
+//    worker whose own tau_end/lmax_cap disagree with the master's to
+//    refuse its broadcast at once;
+//  * admission — a worker thread whose inputs give another run identity
+//    (cosmology, tolerance, integrator, solver, LOS l_max, reionization)
+//    is refused at the broadcast and the master settles it without a
+//    deadline; one that differs only in scheduling, store or trace
+//    settings is admitted and computes the master's modes bitwise;
+//  * line-of-sight shaping — towers of another l_max from an admitted
+//    worker are refused at the master's sink, before the journal.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -37,6 +42,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "mp/tcp_world.hpp"
@@ -375,10 +381,10 @@ TEST(TcpWorldLoopback, VanishedMasterThrowsPeerLost) {
 // --- bounded-retry connect ------------------------------------------
 
 TEST(TcpWorldBackoff, RejectsInvalidRetryPolicy) {
-  EXPECT_THROW((void)pm::TcpWorld::connect_with_backoff(
+  EXPECT_THROW((void)pm::TcpWorld::connect(
                    "127.0.0.1", 1, /*attempts=*/0, /*backoff_ms=*/10),
                plinger::InvalidArgument);
-  EXPECT_THROW((void)pm::TcpWorld::connect_with_backoff(
+  EXPECT_THROW((void)pm::TcpWorld::connect(
                    "127.0.0.1", 1, /*attempts=*/2, /*backoff_ms=*/-1),
                plinger::InvalidArgument);
 }
@@ -402,7 +408,7 @@ TEST(TcpWorldBackoff, BoundedAttemptsThenLastErrorRethrown) {
   ::close(fd);  // bound but never listened: connections are refused
 
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)pm::TcpWorld::connect_with_backoff(
+  EXPECT_THROW((void)pm::TcpWorld::connect(
                    "127.0.0.1", port, /*attempts=*/3, /*backoff_ms=*/10,
                    /*attempt_timeout_seconds=*/0.0),
                plinger::Error);
@@ -432,7 +438,7 @@ TEST(TcpWorldBackoff, ConnectsOnceTheMasterComesUp) {
 
   std::unique_ptr<pm::TcpWorld> worker;
   std::thread dialer([&] {
-    worker = pm::TcpWorld::connect_with_backoff(
+    worker = pm::TcpWorld::connect(
         "127.0.0.1", port, /*attempts=*/200, /*backoff_ms=*/5,
         /*attempt_timeout_seconds=*/0.05);
   });
@@ -571,14 +577,14 @@ TEST(TcpE2E, TwoProcessRunMatchesThreadsDriverBitwise) {
 
 TEST(TcpE2E, WorkerRefusesABroadcastItDoesNotShapeFrom) {
   // A worker process shapes every request from its own parameter file,
-  // while the master stamps the journal with the tau_end and lmax_cap it
-  // broadcasts.  A worker whose file disagrees must refuse the tag-1
+  // while the master stamps the journal with the identity it broadcasts.
+  // A worker whose file gives another identity must refuse the tag-1
   // broadcast (exit 1) rather than compute modes the master would sink
-  // under the wrong identity; the master's stall deadline then retires
-  // it and the run ends degraded with nothing computed.
+  // under the wrong identity.  Its refusal is its own death notice, so
+  // the master settles it at once — no stall deadline is set — and the
+  // run ends degraded with nothing computed.
   run::RunConfig cfg = e2e_config();
   cfg.workers = 1;
-  cfg.fault_timeout = 1.0;
   const auto ctx = run::make_context(cfg);
   const run::RunPlan plan(cfg, ctx);
   run::RunConfig other_cap = cfg;
@@ -628,7 +634,7 @@ TEST(TcpE2E, WorkerKilledMidRunStillCompletesBitwise) {
   std::map<std::size_t, pb::ModeResult> results;
   bool killed = false;
   const auto stats = pp::run_master(
-      pctx, plan.schedule(), plan.setup(),
+      pctx, plan.schedule(), plan.setup(), plan.identity(),
       [&](std::size_t ik, const pb::ModeResult& r) {
         results.emplace(ik, r);
         if (!killed) {
@@ -652,14 +658,148 @@ TEST(TcpE2E, WorkerKilledMidRunStillCompletesBitwise) {
   expect_wire_bitwise_equal(results, ref.results);
 }
 
+// --- admission: one identity, checked by the worker -------------------
+
+/// A one-worker tcp run whose worker is a thread of this process serving
+/// from its own config (and its own context), as a plinger_worker
+/// process would.
+struct ThreadedTcpRun {
+  pp::RunOutput out;
+  std::string worker_error;  ///< what the worker threw; empty if none
+};
+
+ThreadedTcpRun run_with_worker_config(const run::RunConfig& master_cfg,
+                                      const run::RunConfig& worker_cfg) {
+  const run::RunPlan plan(master_cfg, run::make_context(master_cfg));
+  const run::RunPlan worker_plan(worker_cfg, run::make_context(worker_cfg));
+  auto world = pm::TcpWorld::listen("127.0.0.1", 0, 1);
+  ThreadedTcpRun r;
+  std::thread worker([&] {
+    try {
+      auto link = pm::TcpWorld::connect("127.0.0.1", world->port());
+      pp::run_plinger_tcp_worker(
+          worker_plan.context().background(),
+          worker_plan.context().recombination(), worker_plan.perturbation(),
+          worker_plan.schedule(), worker_plan.setup(), *link);
+    } catch (const plinger::Error& e) {
+      r.worker_error = e.what();
+    }
+  });
+  EXPECT_EQ(world->accept_workers(30.0), 1);
+  r.out = pp::run_plinger_tcp(plan.context().background(),
+                              plan.context().recombination(),
+                              plan.perturbation(), plan.schedule(),
+                              plan.setup(), *world);
+  worker.join();
+  return r;
+}
+
+TEST(TcpAdmission, WorkerOfAnotherRunIsRefusedAtTheBroadcast) {
+  // Each worker differs from the master in exactly one input that moves
+  // the run identity.  With no stall deadline (fault_timeout = 0) the
+  // master must still return promptly: the refusal is the worker's own
+  // death notice.  Nothing is computed and nothing reaches the journal.
+  run::RunConfig base = e2e_config();
+  base.workers = 1;
+  base.store = ::testing::TempDir() + "plinger_tcp_admission.pj";
+  run::RunConfig los = base;
+  los.solver = "los";
+  los.los_accuracy = "draft";
+  los.tau_end = 0.0;
+
+  std::vector<std::tuple<std::string, run::RunConfig, run::RunConfig>> cases;
+  const auto differ = [&](const std::string& what, const run::RunConfig& m,
+                          auto change) {
+    run::RunConfig w = m;
+    change(w);
+    w.store.clear();  // a worker never journals
+    cases.emplace_back(what, m, w);
+  };
+  differ("h", base, [](run::RunConfig& w) { w.h = 0.7; });
+  differ("rtol", base, [](run::RunConfig& w) { w.rtol = 1e-3; });
+  differ("integrator", base,
+         [](run::RunConfig& w) { w.integrator = "dop853"; });
+  differ("solver", base, [](run::RunConfig& w) {
+    w.solver = "los";
+    w.los_accuracy = "draft";
+  });
+  differ("l_max", los, [](run::RunConfig& w) { w.l_max += 16; });
+  differ("z_reion", base, [](run::RunConfig& w) { w.z_reion = 10.0; });
+
+  for (const auto& [what, master_cfg, worker_cfg] : cases) {
+    SCOPED_TRACE(what);
+    std::filesystem::remove(master_cfg.store);
+    const auto master_id =
+        run::RunPlan(master_cfg, run::make_context(master_cfg)).identity();
+    const auto worker_id =
+        run::RunPlan(worker_cfg, run::make_context(worker_cfg)).identity();
+    ASSERT_NE(master_id, worker_id);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const ThreadedTcpRun r = run_with_worker_config(master_cfg, worker_cfg);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+
+    EXPECT_NE(r.worker_error.find(master_id.hex()), std::string::npos)
+        << r.worker_error;
+    EXPECT_NE(r.worker_error.find(worker_id.hex()), std::string::npos)
+        << r.worker_error;
+    EXPECT_TRUE(r.out.results.empty());
+    EXPECT_TRUE(r.out.master.all_workers_lost);
+    EXPECT_TRUE(r.out.completed_degraded);
+    EXPECT_LT(took.count(), 20.0);
+    EXPECT_TRUE(
+        plinger::store::read_journal(master_cfg.store).results.empty());
+    std::filesystem::remove(master_cfg.store);
+  }
+}
+
+TEST(TcpAdmission, WorkerDifferingOnlyInHostSettingsIsAdmittedBitwise) {
+  // Issue order, pool size, retry and stall policy, journal placement
+  // and tracing never change a mode's result, so they are not part of
+  // the identity: a worker differing only there serves the run, and
+  // its modes equal the master's own serial run bit for bit.
+  run::RunConfig master_cfg = e2e_config();
+  master_cfg.workers = 1;
+  const auto ctx = run::make_context(master_cfg);
+  const run::RunPlan plan(master_cfg, ctx);
+  const auto serial = pp::run_linger_serial(
+      ctx->background(), ctx->recombination(), plan.perturbation(),
+      plan.schedule(), plan.setup());
+
+  std::vector<std::pair<std::string, run::RunConfig>> cases;
+  const auto differ = [&](const std::string& what, auto change) {
+    run::RunConfig w = master_cfg;
+    change(w);
+    cases.emplace_back(what, w);
+  };
+  differ("order", [](run::RunConfig& w) { w.order = "natural"; });
+  differ("workers", [](run::RunConfig& w) { w.workers = 3; });
+  differ("max_retries", [](run::RunConfig& w) { w.max_retries = 5; });
+  differ("fault_timeout", [](run::RunConfig& w) { w.fault_timeout = 2.0; });
+  differ("store", [](run::RunConfig& w) {
+    w.store = ::testing::TempDir() + "plinger_tcp_never_written.pj";
+  });
+  differ("trace", [](run::RunConfig& w) { w.trace = true; });
+
+  for (const auto& [what, worker_cfg] : cases) {
+    SCOPED_TRACE(what);
+    const ThreadedTcpRun r = run_with_worker_config(master_cfg, worker_cfg);
+    EXPECT_EQ(r.worker_error, "");
+    EXPECT_FALSE(r.out.completed_degraded);
+    expect_wire_bitwise_equal(r.out.results, serial.results);
+  }
+}
+
 // --- line-of-sight shaping across the wire ---------------------------
 
 TEST(TcpLos, MasterRefusesTowersOfAnotherLmax) {
-  // The tag-1 broadcast carries tau_end and lmax_cap but not the LOS
-  // shaping, and on a log grid l_max does not move n_k: a worker started
-  // with l_max 40 passes every broadcast cross-check of a master at 60.
-  // The master's sink must refuse its towers before the journal append,
-  // name l_max, and stop the worker.
+  // A worker started with l_max 40 against a master at 60 is refused at
+  // admission (the identity hashes the projection l_max), even though on
+  // a log grid l_max does not move n_k.  The master's sink still checks
+  // the bytes that arrive: a worker that passes admission but ships
+  // towers of another length makes the master throw MisshapedResult,
+  // naming l_max, before the journal append.
   run::RunConfig cfg;
   cfg.grid = "log";
   cfg.k_min = 0.004;
@@ -682,13 +822,29 @@ TEST(TcpLos, MasterRefusesTowersOfAnotherLmax) {
   const run::RunPlan worker_plan(worker_cfg, ctx);
   ASSERT_EQ(worker_plan.schedule().size(), plan.schedule().size());
 
+  const ThreadedTcpRun refused = run_with_worker_config(cfg, worker_cfg);
+  EXPECT_NE(refused.worker_error.find(plan.identity().hex()),
+            std::string::npos)
+      << refused.worker_error;
+  EXPECT_TRUE(refused.out.results.empty());
+  EXPECT_TRUE(refused.out.master.all_workers_lost);
+  EXPECT_TRUE(plinger::store::read_journal(cfg.store).results.empty());
+
+  // Admitted under the master's own identity, towers of l_max 40.
   auto world = pm::TcpWorld::listen("127.0.0.1", 0, cfg.workers);
   std::thread worker([&] {
     auto link = pm::TcpWorld::connect("127.0.0.1", world->port());
-    pp::run_plinger_tcp_worker(ctx->background(), ctx->recombination(),
-                               worker_plan.perturbation(),
-                               worker_plan.schedule(), worker_plan.setup(),
-                               *link);
+    auto wctx = pm::initpass(*link, link->local_rank());
+    pp::run_worker(wctx, plan.schedule(), plan.identity(),
+                   [](const pb::EvolveRequest& req) {
+                     pb::ModeResult r;
+                     r.k = req.k;
+                     r.lmax = 40;
+                     r.f_gamma.assign(41, 1e-3);
+                     r.g_gamma.assign(41, 0.0);
+                     return r;
+                   });
+    pm::endpass(wctx);
   });
   ASSERT_EQ(world->accept_workers(30.0), cfg.workers);
   try {

@@ -32,11 +32,10 @@ pp::KSchedule sched() {
                        pp::IssueOrder::largest_first);
 }
 
-pp::RunSetup setup_for(const pp::KSchedule& s) {
+pp::RunSetup short_setup() {
   pp::RunSetup setup;
   setup.tau_end = 500.0;
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   return setup;
 }
 }  // namespace
@@ -45,7 +44,7 @@ TEST(Autotask, MatchesSerialBitwise) {
   // The paper's point: the Autotasked serial code is the same code.
   const auto& w = world();
   const auto s = sched();
-  const auto setup = setup_for(s);
+  const auto setup = short_setup();
   const auto serial = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
   const auto auto2 =
       pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, 2);
@@ -64,7 +63,7 @@ TEST(Autotask, MatchesSerialBitwise) {
 TEST(Autotask, MatchesMessagePassingDriver) {
   const auto& w = world();
   const auto s = sched();
-  const auto setup = setup_for(s);
+  const auto setup = short_setup();
   const auto mp = pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2);
   const auto at =
       pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, 3);
@@ -80,7 +79,7 @@ TEST(Autotask, MatchesMessagePassingDriver) {
 TEST(Autotask, ThreadCountSweep) {
   const auto& w = world();
   const auto s = sched();
-  const auto setup = setup_for(s);
+  const auto setup = short_setup();
   for (int n : {1, 4, 8}) {
     const auto r = pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, n);
     EXPECT_EQ(r.results.size(), s.size()) << n;
@@ -91,7 +90,7 @@ TEST(Autotask, ThreadCountSweep) {
 TEST(Autotask, PropagatesWorkerExceptions) {
   const auto& w = world();
   const auto s = sched();
-  pp::RunSetup setup = setup_for(s);
+  pp::RunSetup setup = short_setup();
   setup.tau_end = 1e9;  // beyond today: every evolve must throw
   EXPECT_THROW(pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, 2),
                plinger::Error);

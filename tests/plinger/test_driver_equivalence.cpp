@@ -51,11 +51,10 @@ pp::KSchedule schedule_with(pp::IssueOrder order) {
                        order);
 }
 
-pp::RunSetup setup_for(const pp::KSchedule& s, double tau_end) {
+pp::RunSetup setup_for(double tau_end) {
   pp::RunSetup setup;
   setup.tau_end = tau_end;
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   return setup;
 }
 
@@ -63,7 +62,7 @@ pp::RunSetup setup_for(const pp::KSchedule& s, double tau_end) {
 std::map<std::size_t, pb::ModeResult> serial_reference(double tau_end) {
   const auto& w = world();
   const auto s = schedule_with(pp::IssueOrder::natural);
-  return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup_for(s, tau_end))
+  return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup_for(tau_end))
       .results;
 }
 
@@ -138,7 +137,7 @@ void expect_all_drivers_match(
     const std::map<std::size_t, pb::ModeResult>& ref) {
   const auto& w = world();
   const auto s = schedule_with(order);
-  const auto setup = setup_for(s, tau_end);
+  const auto setup = setup_for(tau_end);
 
   const auto serial = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
   expect_matches_reference(serial.results, false, ref);
@@ -206,7 +205,7 @@ TEST(LosProjectionOracle, WorkersMatchTheMasterSideRecipeBitwise) {
   // results' largest k tau_end.
   const auto& w = world();
   const auto s = schedule_with(pp::IssueOrder::largest_first);
-  pp::RunSetup setup = setup_for(s, /*tau_end=*/0.0);
+  pp::RunSetup setup = setup_for(/*tau_end=*/0.0);
   const pb::LosOptions opts = pb::los_options_for_accuracy("draft");
   setup.los.enabled = true;
   setup.los.lmax_evolve = opts.lmax_evolve;

@@ -49,6 +49,9 @@ pb::ModeResult fake_result(const pb::EvolveRequest& req) {
   return r;
 }
 
+/// The identity master and workers share in the protocol-level runs.
+constexpr plinger::store::RunIdentity kRun{0xABCDu};
+
 pp::KSchedule sched_n(std::size_t n) {
   return pp::KSchedule(plinger::math::linspace(0.01, 0.1, n),
                        pp::IssueOrder::largest_first);
@@ -78,7 +81,7 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
                     pp::EvolveFn evolve = nullptr,
                     bool rendezvous = false) {
   if (!evolve) {
-    evolve = [](const pb::EvolveRequest& req, double) {
+    evolve = [](const pb::EvolveRequest& req) {
       return fake_result(req);
     };
   }
@@ -93,7 +96,6 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;  // fake evolvers ignore lmax
-  setup.n_k = static_cast<double>(sched.size());
   setup.fault = fc;
 
   std::vector<std::jthread> threads;
@@ -102,19 +104,19 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
       pp::EvolveFn fn = evolve;
       if (rendezvous && !is_target[static_cast<std::size_t>(rank)]) {
         fn = [&world, n_actions, inner = evolve](
-                 const pb::EvolveRequest& req, double tau_end) {
+                 const pb::EvolveRequest& req) {
           const auto t0 = std::chrono::steady_clock::now();
           while (world.n_fired() < n_actions &&
                  std::chrono::steady_clock::now() - t0 <
                      std::chrono::seconds(5)) {  // valve: never hang
             std::this_thread::sleep_for(std::chrono::microseconds(100));
           }
-          return inner(req, tau_end);
+          return inner(req);
         };
       }
       try {
         auto ctx = pm::initpass(world, rank);
-        pp::run_worker(ctx, sched, fn);
+        pp::run_worker(ctx, sched, kRun, fn);
       } catch (const pm::RankKilled&) {
         // simulated process death — the master recovers
       }
@@ -123,7 +125,7 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
   FaultRun out;
   auto ctx = pm::initpass(world, 0);
   out.stats = pp::run_master(
-      ctx, sched, setup,
+      ctx, sched, setup, kRun,
       [&out](std::size_t ik, const pb::ModeResult& r) {
         ++out.sink_count[ik];
         out.sunk_k[ik] = r.k;
@@ -198,11 +200,10 @@ pp::KSchedule phys_schedule() {
                        pp::IssueOrder::largest_first);
 }
 
-pp::RunSetup phys_setup(const pp::KSchedule& s) {
+pp::RunSetup phys_setup() {
   pp::RunSetup setup;
   setup.tau_end = 600.0;  // stop well before today: keeps the sweep fast
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   return setup;
 }
 
@@ -211,7 +212,7 @@ const std::map<std::size_t, pb::ModeResult>& reference() {
   static const auto ref = [] {
     const auto& w = phys();
     const auto s = phys_schedule();
-    return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, phys_setup(s))
+    return pp::run_linger_serial(w.bg, w.rec, w.cfg, s, phys_setup())
         .results;
   }();
   return ref;
@@ -308,8 +309,8 @@ TEST(FaultMatrix, StallTimeoutReassignsAndDeduplicatesLateResult) {
   // result must not be sunk a second time.
   const auto sched = sched_n(8);
   std::atomic<int> naps{0};
-  pp::EvolveFn sleepy = [&naps](const pb::EvolveRequest& req,
-                                double) -> pb::ModeResult {
+  pp::EvolveFn sleepy =
+      [&naps](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (naps.fetch_add(1) == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
     }
@@ -413,8 +414,8 @@ TEST(FaultMatrix, IntegrationFailureRetriesStillBounded) {
   // under the new master: a mode that always fails is retried
   // max_retries times after the rest of the schedule, then recorded.
   const auto sched = sched_n(10);
-  pp::EvolveFn poisoned = [&sched](const pb::EvolveRequest& req,
-                                   double) -> pb::ModeResult {
+  pp::EvolveFn poisoned =
+      [&sched](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (req.k == sched.k_of_ik(1)) {
       throw plinger::NumericalFailure("always fails");
     }
@@ -443,7 +444,7 @@ TEST(FaultDriver, KillMatrixBitwiseIdenticalToFaultFreeRun) {
         SCOPED_TRACE(std::string(phase.name) + " victim " +
                      std::to_string(victim) + "/" +
                      std::to_string(workers));
-        auto setup = phys_setup(s);
+        auto setup = phys_setup();
         setup.inject = kill_plan(phase, victim);
         const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, s,
                                                  setup, workers);
@@ -462,7 +463,7 @@ TEST(FaultDriver, LibraryPersonalitiesSurviveAKill) {
   const auto s = phys_schedule();
   for (const auto lib : {pm::Library::pvmsim, pm::Library::mplsim}) {
     SCOPED_TRACE(lib == pm::Library::pvmsim ? "pvmsim" : "mplsim");
-    auto setup = phys_setup(s);
+    auto setup = phys_setup();
     setup.inject = kill_plan(kKillPhases[3], 1);  // dies after a result
     const auto out =
         pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2, lib);
@@ -481,7 +482,7 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   // well past the stalled worker's 1.3 s allowance.
   const auto& w = phys();
   const auto s = phys_schedule();
-  auto setup = phys_setup(s);
+  auto setup = phys_setup();
   pm::FaultAction a;
   a.kind = pm::FaultKind::delay_message;
   a.rank = 1;
@@ -512,7 +513,7 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
 TEST(FaultDriver, TraceRecordsWorkerLostInstant) {
   const auto& w = phys();
   const auto s = phys_schedule();
-  auto setup = phys_setup(s);
+  auto setup = phys_setup();
   setup.inject = kill_plan(kKillPhases[1], 2);  // dies mid-mode
   setup.trace.enabled = true;
   const auto out =
@@ -540,7 +541,7 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
       ::testing::TempDir() + "/fault_store_journal.bin";
   std::remove(path.c_str());
 
-  auto setup1 = phys_setup(s);
+  auto setup1 = phys_setup();
   setup1.inject = kill_plan(kKillPhases[1], 1);
   setup1.fault.max_reassignments = 0;
   setup1.store.path = path;
@@ -552,7 +553,7 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
   EXPECT_EQ(run1.results.size(), kNModes - 1);
   EXPECT_TRUE(run1.completed_degraded);
 
-  auto setup2 = phys_setup(s);
+  auto setup2 = phys_setup();
   setup2.store.path = path;
   setup2.store.resume = true;
   const auto run2 =

@@ -1,7 +1,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <new>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +31,9 @@ pb::ModeResult fake_result(const pb::EvolveRequest& req) {
   return r;
 }
 
+/// The identity master and workers share in these protocol-level runs.
+constexpr plinger::store::RunIdentity kRun{0xABCDu};
+
 /// Run master+workers over a world with the given per-worker evolve
 /// functions; returns (results-count, master stats).
 std::pair<std::size_t, pp::MasterStats> run_protocol(
@@ -36,20 +43,19 @@ std::pair<std::size_t, pp::MasterStats> run_protocol(
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;  // fake evolvers ignore lmax
-  setup.n_k = static_cast<double>(sched.size());
   setup.fault.max_retries = max_retries;
 
   std::vector<std::jthread> threads;
   for (std::size_t i = 0; i < workers.size(); ++i) {
     threads.emplace_back([&, i] {
       auto ctx = pm::initpass(world, static_cast<int>(i) + 1);
-      pp::run_worker(ctx, sched, workers[i]);
+      pp::run_worker(ctx, sched, kRun, workers[i]);
     });
   }
   std::size_t n_results = 0;
   auto ctx = pm::initpass(world, 0);
   const auto stats = pp::run_master(
-      ctx, sched, setup,
+      ctx, sched, setup, kRun,
       [&n_results](std::size_t, const pb::ModeResult&) { ++n_results; });
   threads.clear();
   return {n_results, stats};
@@ -65,8 +71,8 @@ pp::KSchedule sched_n(std::size_t n) {
 TEST(FaultTolerance, TransientFailureIsRetried) {
   // One worker fails the first 3 calls, then recovers.
   auto fail_count = std::make_shared<std::atomic<int>>(0);
-  pp::EvolveFn flaky = [fail_count](const pb::EvolveRequest& req,
-                                    double) -> pb::ModeResult {
+  pp::EvolveFn flaky =
+      [fail_count](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (fail_count->fetch_add(1) < 3) {
       throw plinger::NumericalFailure("transient");
     }
@@ -75,7 +81,7 @@ TEST(FaultTolerance, TransientFailureIsRetried) {
   // The good worker holds its first result until the flaky one has
   // failed three times (valve: 5 s): on a loaded machine it could
   // otherwise drain the schedule before the flaky thread ever runs.
-  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req, double) {
+  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req) {
     const auto t0 = std::chrono::steady_clock::now();
     while (fail_count->load() < 3 &&
            std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
@@ -93,8 +99,7 @@ TEST(FaultTolerance, TransientFailureIsRetried) {
 TEST(FaultTolerance, PersistentFailureIsBounded) {
   // Every evolve of one k throws: the master gives up after max_retries
   // and the run still terminates with the other modes done.
-  pp::EvolveFn poisoned = [](const pb::EvolveRequest& req,
-                             double) -> pb::ModeResult {
+  pp::EvolveFn poisoned = [](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (std::abs(req.k - 0.1) < 1e-12) {
       throw plinger::NumericalFailure("always fails at k=0.1");
     }
@@ -110,8 +115,8 @@ TEST(FaultTolerance, PersistentFailureIsBounded) {
 
 TEST(FaultTolerance, AllWorkersFlakyStillCompletes) {
   auto countdown = std::make_shared<std::atomic<int>>(6);
-  pp::EvolveFn flaky = [countdown](const pb::EvolveRequest& req,
-                                   double) -> pb::ModeResult {
+  pp::EvolveFn flaky =
+      [countdown](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (countdown->fetch_sub(1) > 0) {
       throw plinger::NumericalFailure("warming up");
     }
@@ -133,21 +138,19 @@ TEST(FaultTolerance, ThrowingSinkStopsWorkersCleanly) {
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;
-  setup.n_k = static_cast<double>(sched.size());
 
   std::vector<std::jthread> threads;
   for (int rank = 1; rank <= 2; ++rank) {
     threads.emplace_back([&, rank] {
       auto ctx = pm::initpass(world, rank);
-      pp::run_worker(ctx, sched,
-                     [](const pb::EvolveRequest& req, double) {
-                       return fake_result(req);
-                     });
+      pp::run_worker(ctx, sched, kRun, [](const pb::EvolveRequest& req) {
+        return fake_result(req);
+      });
     });
   }
   auto ctx = pm::initpass(world, 0);
   int sunk = 0;
-  EXPECT_THROW(pp::run_master(ctx, sched, setup,
+  EXPECT_THROW(pp::run_master(ctx, sched, setup, kRun,
                               [&sunk](std::size_t,
                                       const pb::ModeResult&) {
                                 if (++sunk == 2) {
@@ -156,6 +159,85 @@ TEST(FaultTolerance, ThrowingSinkStopsWorkersCleanly) {
                               }),
                plinger::Error);
   threads.clear();  // the joins must return, not hang
+}
+
+TEST(FaultTolerance, AnyEvolveExceptionIsAReportNotADeadWorker) {
+  // std::bad_alloc is not a plinger::Error, but it is still one failed
+  // evolve step: reported on tag 7, retried, then recorded failed.  The
+  // worker keeps serving, so the master never waits on a dead thread.
+  const auto sched = sched_n(10);
+  const double k_bad = sched.k_of_ik(3);
+  const pp::EvolveFn alloc_fails =
+      [k_bad](const pb::EvolveRequest& req) -> pb::ModeResult {
+    if (req.k == k_bad) throw std::bad_alloc();
+    return fake_result(req);
+  };
+  const auto [n, stats] = run_protocol(sched, {alloc_fails, alloc_fails}, 2);
+  EXPECT_EQ(n, 9u);
+  EXPECT_EQ(stats.failed_ik, std::vector<std::size_t>{3});
+  EXPECT_EQ(stats.n_requeued, 2u);
+  EXPECT_TRUE(stats.lost_workers.empty());
+}
+
+namespace {
+
+/// One master and one fake worker under the given run identities.
+struct AdmissionRun {
+  std::size_t n_sunk = 0;
+  pp::MasterStats stats;
+  std::string worker_error;  ///< what the worker threw; empty if none
+};
+
+AdmissionRun run_admission(const pp::KSchedule& sched,
+                           plinger::store::RunIdentity master,
+                           plinger::store::RunIdentity worker) {
+  pm::InProcWorld world(2);
+  AdmissionRun r;
+  std::jthread thread([&] {
+    auto ctx = pm::initpass(world, 1);
+    try {
+      pp::run_worker(ctx, sched, worker, fake_result);
+    } catch (const plinger::Error& e) {
+      r.worker_error = e.what();
+    }
+  });
+  auto ctx = pm::initpass(world, 0);
+  r.stats = pp::run_master(
+      ctx, sched, pp::RunSetup{}, master,
+      [&r](std::size_t, const pb::ModeResult&) { ++r.n_sunk; });
+  thread.join();
+  return r;
+}
+
+}  // namespace
+
+TEST(Admission, IdentitiesCrossTheBroadcastExactly) {
+  // The broadcast carries the identity as two exact 32-bit halves: the
+  // top bit and values past 2^53 (where one double would round) arrive
+  // whole, and a one-bit difference anywhere is a refusal that settles
+  // the worker at once.
+  const auto sched = sched_n(4);
+  for (const std::uint64_t v :
+       {UINT64_C(0xFFFFFFFFFFFFFFFF), UINT64_C(0x8000000000000001),
+        (UINT64_C(1) << 53) + 1}) {
+    const plinger::store::RunIdentity id{v};
+    SCOPED_TRACE(id.hex());
+    const AdmissionRun same = run_admission(sched, id, id);
+    EXPECT_EQ(same.n_sunk, 4u);
+    EXPECT_EQ(same.worker_error, "");
+    EXPECT_TRUE(same.stats.lost_workers.empty());
+
+    for (const std::uint64_t flip : {UINT64_C(1), UINT64_C(1) << 63}) {
+      const plinger::store::RunIdentity other{v ^ flip};
+      const AdmissionRun refused = run_admission(sched, id, other);
+      EXPECT_EQ(refused.n_sunk, 0u);
+      EXPECT_TRUE(refused.stats.all_workers_lost);
+      EXPECT_NE(refused.worker_error.find(id.hex()), std::string::npos)
+          << refused.worker_error;
+      EXPECT_NE(refused.worker_error.find(other.hex()), std::string::npos)
+          << refused.worker_error;
+    }
+  }
 }
 
 TEST(HeterogeneousCluster, FasterNodesDoMoreWork) {

@@ -33,11 +33,10 @@ pp::KSchedule small_schedule(std::size_t n,
   return pp::KSchedule(plinger::math::linspace(0.002, 0.02, n), order);
 }
 
-pp::RunSetup small_setup(const pp::KSchedule& s) {
+pp::RunSetup small_setup() {
   pp::RunSetup setup;
   setup.tau_end = 600.0;  // stop well before today: keeps the test fast
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   return setup;
 }
 }  // namespace
@@ -46,7 +45,7 @@ TEST(Protocol, SerialRunCompletesAllWavenumbers) {
   const auto& w = world();
   const auto sched = small_schedule(8);
   const auto out = pp::run_linger_serial(w.bg, w.rec, w.cfg, sched,
-                                         small_setup(sched));
+                                         small_setup());
   EXPECT_EQ(out.results.size(), 8u);
   for (std::size_t ik = 1; ik <= 8; ++ik) {
     ASSERT_TRUE(out.results.count(ik)) << ik;
@@ -64,7 +63,7 @@ TEST(Protocol, MoreWorkersThanWork) {
   const auto& w = world();
   const auto sched = small_schedule(2);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           small_setup(sched), 5);
+                                           small_setup(), 5);
   EXPECT_EQ(out.results.size(), 2u);
 }
 
@@ -72,7 +71,7 @@ TEST(Protocol, SingleWorker) {
   const auto& w = world();
   const auto sched = small_schedule(4);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           small_setup(sched), 1);
+                                           small_setup(), 1);
   EXPECT_EQ(out.results.size(), 4u);
 }
 
@@ -83,7 +82,7 @@ TEST(Protocol, WorksUnderMplOrderingRules) {
   const auto sched = small_schedule(6);
   EXPECT_NO_THROW({
     const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                             small_setup(sched), 3,
+                                             small_setup(), 3,
                                              plinger::mp::Library::mplsim);
     EXPECT_EQ(out.results.size(), 6u);
   });
@@ -95,7 +94,7 @@ TEST(Protocol, TransportAccountingMatchesProtocol) {
   const int n_workers = 2;
   const auto sched = small_schedule(nk);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           small_setup(sched), n_workers);
+                                           small_setup(), n_workers);
   const auto& t = out.transport;
   // tag 1: one per worker; tag 2: one per worker; tag 4/5: one per k;
   // tag 3: one per k; tag 6: one per worker.
@@ -113,9 +112,9 @@ TEST(Protocol, IssueOrderDoesNotChangeResults) {
   const auto sched_lf = small_schedule(5, pp::IssueOrder::largest_first);
   const auto sched_nat = small_schedule(5, pp::IssueOrder::natural);
   const auto a = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched_lf,
-                                         small_setup(sched_lf), 2);
+                                         small_setup(), 2);
   const auto b = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched_nat,
-                                         small_setup(sched_nat), 2);
+                                         small_setup(), 2);
   for (std::size_t ik = 1; ik <= 5; ++ik) {
     EXPECT_EQ(a.results.at(ik).final_state.delta_c,
               b.results.at(ik).final_state.delta_c);
@@ -126,7 +125,7 @@ TEST(Protocol, EfficiencyFieldsPopulated) {
   const auto& w = world();
   const auto sched = small_schedule(4);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           small_setup(sched), 2);
+                                           small_setup(), 2);
   EXPECT_GT(out.wallclock_seconds, 0.0);
   EXPECT_GT(out.parallel_efficiency(), 0.0);
   EXPECT_GT(out.flops_per_second(), 0.0);

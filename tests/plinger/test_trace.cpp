@@ -52,11 +52,10 @@ pp::KSchedule small_schedule(std::size_t n) {
                        pp::IssueOrder::largest_first);
 }
 
-pp::RunSetup traced_setup(const pp::KSchedule& s) {
+pp::RunSetup traced_setup() {
   pp::RunSetup setup;
   setup.tau_end = 600.0;
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   setup.trace.enabled = true;
   return setup;
 }
@@ -93,6 +92,9 @@ void expect_each_ik_completed_once(const pp::Trace& trace,
   }
 }
 
+/// The identity master and workers share in the protocol-level runs.
+constexpr plinger::store::RunIdentity kRun{0xABCDu};
+
 /// run_protocol harness from test_faults, with a trace recorder wired
 /// through the master and every worker.
 std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
@@ -107,19 +109,18 @@ std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;
-  setup.n_k = static_cast<double>(sched.size());
   setup.fault.max_retries = max_retries;
 
   std::vector<std::jthread> threads;
   for (std::size_t i = 0; i < workers.size(); ++i) {
     threads.emplace_back([&, i] {
       auto ctx = pm::initpass(world_mp, static_cast<int>(i) + 1);
-      pp::run_worker(ctx, sched, workers[i], &recorder);
+      pp::run_worker(ctx, sched, kRun, workers[i], &recorder);
     });
   }
   auto ctx = pm::initpass(world_mp, 0);
   const auto stats = pp::run_master(
-      ctx, sched, setup, [](std::size_t, const pb::ModeResult&) {},
+      ctx, sched, setup, kRun, [](std::size_t, const pb::ModeResult&) {},
       &recorder);
   threads.clear();
   if (transport_out) *transport_out = world_mp.stats();
@@ -141,7 +142,7 @@ pb::ModeResult fake_result(const pb::EvolveRequest& req) {
 TEST(TraceInvariants, DisabledByDefaultAndNullTrace) {
   const auto& w = world();
   const auto sched = small_schedule(3);
-  auto setup = traced_setup(sched);
+  auto setup = traced_setup();
   setup.trace.enabled = false;
   const auto out =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched, setup, 2);
@@ -154,7 +155,7 @@ TEST(TraceInvariants, RealRunSpansAndMessagesReconcile) {
   const int n_workers = 3;
   const auto sched = small_schedule(n_modes);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           traced_setup(sched), n_workers);
+                                           traced_setup(), n_workers);
   ASSERT_NE(out.trace, nullptr);
   const pp::Trace& trace = *out.trace;
 
@@ -196,7 +197,7 @@ TEST(TraceInvariants, SerialAndAutotaskTracesCoverSchedule) {
   const auto& w = world();
   const std::size_t n_modes = 5;
   const auto sched = small_schedule(n_modes);
-  const auto setup = traced_setup(sched);
+  const auto setup = traced_setup();
 
   const auto serial =
       pp::run_linger_serial(w.bg, w.rec, w.cfg, sched, setup);
@@ -217,8 +218,8 @@ TEST(TraceInvariants, RequeuedFaultsLeaveDuplicateAttemptSpans) {
   // failed attempts (completed == false), attempt numbers above 1 for
   // the requeued modes, and exactly one completed span per ik.
   auto fail_count = std::make_shared<std::atomic<int>>(0);
-  pp::EvolveFn flaky = [fail_count](const pb::EvolveRequest& req,
-                                    double) -> pb::ModeResult {
+  pp::EvolveFn flaky =
+      [fail_count](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (fail_count->fetch_add(1) < 3) {
       throw plinger::NumericalFailure("transient");
     }
@@ -227,7 +228,7 @@ TEST(TraceInvariants, RequeuedFaultsLeaveDuplicateAttemptSpans) {
   // The good worker holds its first result until the flaky one has
   // failed three times (valve: 5 s): on a loaded machine it could
   // otherwise drain the schedule before the flaky thread ever runs.
-  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req, double) {
+  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req) {
     const auto t0 = std::chrono::steady_clock::now();
     while (fail_count->load() < 3 &&
            std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
@@ -261,8 +262,7 @@ TEST(TraceInvariants, RequeuedFaultsLeaveDuplicateAttemptSpans) {
 }
 
 TEST(TraceInvariants, ExhaustedRetriesHaveNoCompletedSpan) {
-  pp::EvolveFn poisoned = [](const pb::EvolveRequest& req,
-                             double) -> pb::ModeResult {
+  pp::EvolveFn poisoned = [](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (std::abs(req.k - 0.1) < 1e-12) {
       throw plinger::NumericalFailure("always fails at k=0.1");
     }
@@ -290,7 +290,7 @@ TEST(TraceReport, ReportQuantitiesAreConsistent) {
   const int n_workers = 2;
   const auto sched = small_schedule(n_modes);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           traced_setup(sched), n_workers);
+                                           traced_setup(), n_workers);
   ASSERT_NE(out.trace, nullptr);
   const auto rep = pp::make_run_report(*out.trace);
 
@@ -343,7 +343,7 @@ TEST(TraceExport, AsciiAndChromeOutputsWellFormed) {
   const auto& w = world();
   const auto sched = small_schedule(4);
   const auto out = pp::run_plinger_threads(w.bg, w.rec, w.cfg, sched,
-                                           traced_setup(sched), 2);
+                                           traced_setup(), 2);
   ASSERT_NE(out.trace, nullptr);
 
   std::ostringstream ascii;

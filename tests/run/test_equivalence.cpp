@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 
 #include "cosmo/background.hpp"
@@ -24,6 +25,7 @@
 #include "run/products.hpp"
 #include "spectra/cl.hpp"
 #include "store/identity.hpp"
+#include "store/mode_result_store.hpp"
 
 using namespace plinger;
 
@@ -77,7 +79,6 @@ parallel::RunOutput legacy_run(const run::RunConfig& cfg) {
   parallel::RunSetup setup;
   setup.tau_end = cfg.tau_end;
   setup.lmax_cap = cfg.lmax_cap;
-  setup.n_k = static_cast<double>(schedule.size());
   return parallel::run_linger_serial(bg, rec, pcfg, schedule, setup);
 }
 
@@ -138,7 +139,7 @@ TEST(RunEquivalence, IdentityMatchesLegacyHash) {
   pcfg.lmax_neutrino = cfg.lmax_neutrino;
   const auto kgrid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
   const store::RunIdentity legacy = store::run_identity(
-      params, pcfg, kgrid, cfg.tau_end, cfg.lmax_cap);
+      params, {}, pcfg, kgrid, cfg.tau_end, cfg.lmax_cap);
 
   const run::RunPlan plan(cfg, run::make_context(cfg));
   EXPECT_EQ(plan.identity(), legacy);
@@ -151,6 +152,28 @@ TEST(RunEquivalence, IdentityHashIsStableAcrossReleases) {
   // not just a new constant.
   const run::RunPlan plan(small_config(), run::make_context(small_config()));
   EXPECT_EQ(plan.identity().value, UINT64_C(0xE0DE65790795AA5C));
+}
+
+TEST(RunEquivalence, ReionizationIsPartOfTheIdentity) {
+  // The recombination options are hashed only when they leave the
+  // defaults: z_reion = 0 keeps the pinned value above, and any other
+  // z_reion moves the identity and the context key.  A journal written
+  // without reionization is then refused by a run with it.
+  run::RunConfig cfg = small_config();
+  cfg.store = ::testing::TempDir() + "plinger_reion_identity.pj";
+  std::filesystem::remove(cfg.store);
+  const run::RunPlan plain(cfg, run::make_context(cfg));
+  EXPECT_EQ(plain.identity().value, UINT64_C(0xE0DE65790795AA5C));
+  (void)plain.execute();
+
+  run::RunConfig reion = cfg;
+  reion.z_reion = 10.0;
+  const run::RunPlan reionized(reion, run::make_context(reion));
+  EXPECT_NE(reionized.identity(), plain.identity());
+  EXPECT_NE(run::RunContext::cosmology_key(reion),
+            run::RunContext::cosmology_key(cfg));
+  EXPECT_THROW((void)reionized.execute(), store::StoreIdentityMismatch);
+  std::filesystem::remove(cfg.store);
 }
 
 TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
@@ -183,8 +206,8 @@ TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
   const store::LosIdentity ext{spec.lmax_evolve, spec.sample_taus,
                                cfg.l_max};
   EXPECT_EQ(los.identity(),
-            store::run_identity(params, pcfg, kgrid, cfg.tau_end,
-                                cfg.lmax_cap, ext));
+            store::run_identity(params, {}, pcfg, kgrid, cfg.tau_end,
+                                cfg.lmax_cap, &ext));
 
   // The towers' length is part of it: on this linear grid l_max moves
   // nothing but the projection, and still the identity.

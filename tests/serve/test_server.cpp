@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,6 +253,39 @@ TEST(SpectrumServer, BadRequestsGetErrReplies) {
   c.send_text("PING\n");
   EXPECT_EQ(c.read_line(), "PONG");
   EXPECT_EQ(fx.service().stats().requests, 0u);
+}
+
+TEST(SpectrumServer, AnyExceptionOfOneRequestIsItsErrNotTheDaemons) {
+  // A failure that is not a plinger::Error (here the compute hook's
+  // std::runtime_error, in production std::bad_alloc) is that request's
+  // ERR line; the connection and the daemon keep serving.
+  std::atomic<int> throws_left{1};
+  sv::ServeOptions sopts;
+  sopts.on_compute = [&throws_left] {
+    if (throws_left.fetch_sub(1) > 0) {
+      throw std::runtime_error("hook failed once");
+    }
+  };
+  ServerFixture fx(std::move(sopts));
+  Client c(fx.port());
+  ASSERT_TRUE(c.connected());
+
+  const std::string run = std::string("RUN\n") + kFastBody + "END\n";
+  c.send_text(run);
+  const std::vector<std::string> failed = c.read_reply();
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0], "ERR hook failed once");
+
+  c.send_text("PING\n");
+  EXPECT_EQ(c.read_line(), "PONG");
+
+  c.send_text(run);
+  const std::vector<std::string> ok = c.read_reply();
+  ASSERT_FALSE(ok.empty());
+  EXPECT_EQ(ok.back(), "DONE");
+  bool answered = false;
+  for (const std::string& line : ok) answered |= line.rfind("OK ", 0) == 0;
+  EXPECT_TRUE(answered);
 }
 
 TEST(SpectrumServer, OverlongRequestsGetErrAndClose) {

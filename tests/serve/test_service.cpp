@@ -93,6 +93,25 @@ TEST(SpectrumService, TierProgressionComputeThenLruThenJournal) {
   fs::remove_all(dir);
 }
 
+TEST(SpectrumService, ReionizationIsAnotherAnswer) {
+  // z_reion is part of the run identity: a RUN differing only in it is
+  // computed, not answered from the other's LRU entry or journal.
+  const std::string dir = scratch_dir("reion");
+  sv::ServeOptions opts;
+  opts.journal_dir = dir;
+  sv::SpectrumService service(opts);
+  const sv::Answer plain = service.answer(fast_config());
+  rn::RunConfig cfg = fast_config();
+  cfg.z_reion = 10.0;
+  const sv::Answer reion = service.answer(cfg);
+  EXPECT_EQ(plain.tier, sv::Tier::compute);
+  EXPECT_EQ(reion.tier, sv::Tier::compute);
+  EXPECT_NE(reion.body->identity, plain.body->identity);
+  EXPECT_NE(reion.body->payload, plain.body->payload);
+  EXPECT_EQ(service.stats().computes, 2u);
+  fs::remove_all(dir);
+}
+
 TEST(SpectrumService, PayloadCarriesPolarizationColumnsAndCoverage) {
   // Every CL row is "CL l tt ee te"; the POL line between the rows and
   // the COBE factor reports the honest polarization reach, so a client

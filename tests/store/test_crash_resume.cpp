@@ -55,11 +55,10 @@ pp::KSchedule make_schedule() {
                        pp::IssueOrder::largest_first);
 }
 
-pp::RunSetup setup_for(const pp::KSchedule& s, const std::string& store) {
+pp::RunSetup setup_for(const std::string& store) {
   pp::RunSetup setup;
   setup.tau_end = 600.0;
   setup.lmax_cap = 24;
-  setup.n_k = static_cast<double>(s.size());
   setup.store.path = store;
   return setup;
 }
@@ -79,7 +78,7 @@ const pp::RunOutput& reference() {
     const auto& w = world();
     const auto s = make_schedule();
     return pp::run_linger_serial(w.bg, w.rec, w.cfg, s,
-                                 setup_for(s, ""));
+                                 setup_for(""));
   }();
   return ref;
 }
@@ -168,7 +167,7 @@ TEST_P(CrashResume, KillAfterThreeModesThenResumeBitwise) {
   // Phase 1: "crash" after 3 checkpointed modes.  Parallel drivers may
   // finish modes already in flight when the stop trips, so the count is
   // >= 3 but must be short of the full run.
-  auto setup = setup_for(s, path);
+  auto setup = setup_for(path);
   setup.store.stop_after = 3;
   const auto partial = run_driver(d, s, setup);
   EXPECT_GE(partial.n_modes_computed, 3u);
@@ -196,7 +195,7 @@ TEST_P(CrashResume, FullyResumedRunComputesNothing) {
   const Driver d = GetParam();
   const auto path = temp_path(std::string("full") + driver_name(d));
   const auto s = make_schedule();
-  const auto setup = setup_for(s, path);
+  const auto setup = setup_for(path);
 
   const auto first = run_driver(d, s, setup);
   EXPECT_EQ(first.n_modes_computed, kNModes);
@@ -218,7 +217,7 @@ TEST_P(CrashResume, ResumeOffRecomputesFullSchedule) {
   const auto s = make_schedule();
 
   // Phase 1: a partial journal ("crash" after 3 checkpoints).
-  auto setup = setup_for(s, path);
+  auto setup = setup_for(path);
   setup.store.stop_after = 3;
   const auto partial = run_driver(d, s, setup);
   const auto n_journaled = ps::read_journal(path).iks.size();
@@ -256,7 +255,7 @@ TEST(CrashResumeCross, SerialCrashResumedByPlinger) {
   // keys on run identity (physics), not on scheduling or transport.
   const auto path = temp_path("cross");
   const auto s = make_schedule();
-  auto setup = setup_for(s, path);
+  auto setup = setup_for(path);
   setup.store.stop_after = 3;
   const auto partial = run_driver(Driver::serial, s, setup);
   ASSERT_EQ(partial.results.size(), 3u);  // serial stop is exact
@@ -273,7 +272,7 @@ TEST(CrashResumeCross, ResumeAcrossIssueOrders) {
   // largest-first resumes natural-order (same physics, same bits).
   const auto path = temp_path("order");
   const auto s_lf = make_schedule();
-  auto setup = setup_for(s_lf, path);
+  auto setup = setup_for(path);
   setup.store.stop_after = 3;
   run_driver(Driver::serial, s_lf, setup);
 
@@ -290,7 +289,7 @@ TEST(CrashResumeCross, ResumeAcrossIssueOrders) {
 TEST(CrashResumeTrace, LoadedModesAppearAsZeroCostSpans) {
   const auto path = temp_path("trace");
   const auto s = make_schedule();
-  auto setup = setup_for(s, path);
+  auto setup = setup_for(path);
   run_driver(Driver::serial, s, setup);
 
   setup.trace.enabled = true;
@@ -327,12 +326,11 @@ TEST(CrashResumeFaults, RetriedModesCheckpointExactlyOnce) {
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;
-  setup.n_k = static_cast<double>(sched.size());
   setup.fault.max_retries = 5;
 
   auto fail_count = std::make_shared<std::atomic<int>>(0);
-  const pp::EvolveFn flaky = [fail_count](const pb::EvolveRequest& req,
-                                          double) -> pb::ModeResult {
+  const pp::EvolveFn flaky =
+      [fail_count](const pb::EvolveRequest& req) -> pb::ModeResult {
     if (fail_count->fetch_add(1) < 3) {
       throw plinger::NumericalFailure("transient");
     }
@@ -355,12 +353,12 @@ TEST(CrashResumeFaults, RetriedModesCheckpointExactlyOnce) {
   for (int rank = 1; rank <= 2; ++rank) {
     threads.emplace_back([&, rank] {
       auto ctx = pm::initpass(world, rank);
-      pp::run_worker(ctx, sched, flaky);
+      pp::run_worker(ctx, sched, id, flaky);
     });
   }
   auto ctx = pm::initpass(world, 0);
   const auto stats = pp::run_master(
-      ctx, sched, setup,
+      ctx, sched, setup, id,
       [&store](std::size_t ik, const pb::ModeResult& r) {
         store.append(ik, r);
       });

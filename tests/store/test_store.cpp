@@ -52,7 +52,7 @@ ps::RunIdentity test_identity() {
   const pc::CosmoParams params = pc::CosmoParams::standard_cdm();
   const pb::PerturbationConfig cfg;
   const std::vector<double> grid = {0.01, 0.02, 0.05, 0.1};
-  return ps::run_identity(params, cfg, grid, 600.0, 24.0);
+  return ps::run_identity(params, {}, cfg, grid, 600.0, 24.0);
 }
 
 ps::StoreOptions opts_for(const std::string& path) {
@@ -117,34 +117,60 @@ TEST(RunIdentity, DeterministicAndSensitive) {
   const pc::CosmoParams params = pc::CosmoParams::standard_cdm();
   const pb::PerturbationConfig cfg;
   const std::vector<double> grid = {0.01, 0.02, 0.05};
-  const auto base = ps::run_identity(params, cfg, grid, 600.0, 24.0);
+  const auto base = ps::run_identity(params, {}, cfg, grid, 600.0, 24.0);
 
   // Same inputs, same hash.
-  EXPECT_EQ(ps::run_identity(params, cfg, grid, 600.0, 24.0), base);
+  EXPECT_EQ(ps::run_identity(params, {}, cfg, grid, 600.0, 24.0), base);
 
   // Every input class moves the hash.
   pc::CosmoParams p2 = params;
   p2.h += 1e-10;
-  EXPECT_NE(ps::run_identity(p2, cfg, grid, 600.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(p2, {}, cfg, grid, 600.0, 24.0), base);
 
   pb::PerturbationConfig c2 = cfg;
   c2.rtol *= 0.5;
-  EXPECT_NE(ps::run_identity(params, c2, grid, 600.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, c2, grid, 600.0, 24.0), base);
 
   pb::PerturbationConfig c3 = cfg;
   c3.ic_type = pb::InitialConditionType::cdm_isocurvature;
-  EXPECT_NE(ps::run_identity(params, c3, grid, 600.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, c3, grid, 600.0, 24.0), base);
 
   std::vector<double> g2 = grid;
   g2.back() += 1e-12;
-  EXPECT_NE(ps::run_identity(params, cfg, g2, 600.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, cfg, g2, 600.0, 24.0), base);
 
   std::vector<double> g3 = grid;
   g3.push_back(0.1);
-  EXPECT_NE(ps::run_identity(params, cfg, g3, 600.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, cfg, g3, 600.0, 24.0), base);
 
-  EXPECT_NE(ps::run_identity(params, cfg, grid, 700.0, 24.0), base);
-  EXPECT_NE(ps::run_identity(params, cfg, grid, 600.0, 32.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, cfg, grid, 700.0, 24.0), base);
+  EXPECT_NE(ps::run_identity(params, {}, cfg, grid, 600.0, 32.0), base);
+
+  // Recombination options: the defaults hash nothing, anything else does.
+  EXPECT_EQ(ps::run_identity(params, pc::Recombination::Options{}, cfg,
+                             grid, 600.0, 24.0),
+            base);
+  pc::Recombination::Options reion;
+  reion.z_reion = 10.0;
+  EXPECT_NE(ps::run_identity(params, reion, cfg, grid, 600.0, 24.0), base);
+  EXPECT_NE(ps::cosmology_key(params, reion), ps::cosmology_key(params, {}));
+}
+
+TEST(RunIdentity, HalvesRoundTripEveryBitExactly) {
+  for (const std::uint64_t v :
+       {UINT64_C(0), UINT64_C(0xE0DE65790795AA5C), UINT64_C(0xFFFFFFFFFFFFFFFF),
+        (UINT64_C(1) << 53) + 1, UINT64_C(0x8000000000000001)}) {
+    const ps::RunIdentity id{v};
+    const auto [hi, lo] = id.halves();
+    EXPECT_EQ(ps::RunIdentity::from_halves(hi, lo), id) << id.hex();
+  }
+  EXPECT_EQ(ps::RunIdentity{0xE0DE65790795AA5Cu}.hex(), "0xe0de65790795aa5c");
+  // Not an integer in [0, 2^32): no identity, never a cast.
+  for (const double bad : {-1.0, 4294967296.0, 0.5,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(ps::RunIdentity::from_halves(bad, 0.0).has_value()) << bad;
+    EXPECT_FALSE(ps::RunIdentity::from_halves(0.0, bad).has_value()) << bad;
+  }
 }
 
 TEST(ModeResultStore, FreshJournalRoundTrip) {

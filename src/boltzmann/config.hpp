@@ -59,13 +59,16 @@ struct PerturbationConfig {
 
 /// Photon hierarchy size needed to free-stream moments up to l ~ k tau0
 /// without truncation reflections: lmax = margin * k tau0 + pad, capped.
+/// The cap is applied in double, before the cast, so a huge, infinite or
+/// NaN want comes out as cap instead of an out-of-range conversion.
 inline std::size_t lmax_photon_for_k(double k, double tau0,
                                      std::size_t cap = 12000,
                                      double margin = 1.15,
                                      std::size_t pad = 60) {
   const double want = margin * k * tau0 + static_cast<double>(pad);
+  if (!(want < static_cast<double>(cap))) return cap;
   const auto lmax = static_cast<std::size_t>(want);
-  return (lmax > cap) ? cap : (lmax < 12 ? 12 : lmax);
+  return lmax < 12 ? 12 : lmax;
 }
 
 /// Index map over the state vector described above.

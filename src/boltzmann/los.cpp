@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -87,36 +89,81 @@ BesselTable::BesselTable(std::size_t l_max, double x_max, double dx)
     : l_max_(l_max), x_max_(x_max), dx_(dx) {
   PLINGER_REQUIRE(x_max > 0.0, "BesselTable: x_max must be positive");
   PLINGER_REQUIRE(dx > 0.0, "BesselTable: dx must be positive");
-  // One node past x_max so eval() always has a bracketing interval.
-  n_nodes_ = static_cast<std::size_t>(std::ceil(x_max / dx)) + 2;
+  // One node past x_max so eval() always has a bracketing interval.  The
+  // node count is clamped in double before the cast: 2^64 is the first
+  // double that does not convert to size_t.
   const std::size_t width = l_max_ + 1;
-  j_.assign(n_nodes_ * width, 0.0);
-  jp_.assign(n_nodes_ * width, 0.0);
+  const double cells = std::ceil(x_max / dx);
+  if (!std::isfinite(x_max) || !(cells < 0x1p64) ||
+      static_cast<std::size_t>(cells) + 2 >
+          std::numeric_limits<std::size_t>::max() / width) {
+    std::ostringstream os;
+    os << "BesselTable: x_max = " << x_max << " at dx = " << dx
+       << " asks for a table of " << cells << " nodes x " << width
+       << " multipoles, which cannot be held";
+    throw InvalidArgument(os.str());
+  }
+  const std::size_t n_nodes = static_cast<std::size_t>(cells) + 2;
 
-  // Per node: j_l from the backward-stable evaluator (one extra l so the
-  // derivative recurrence j_l' = j_{l-1} - (l+1)/x j_l closes), then the
-  // exact derivative — it is what makes the Hermite interpolant O(dx^4).
-  std::vector<double> jl(width + 1, 0.0);
-  for (std::size_t i = 0; i < n_nodes_; ++i) {
+  // node(i) writes node i into buf at the full width — j_l from the
+  // backward-stable evaluator, whose Miller start (and so every bit)
+  // depends on the buffer width, then the exact derivative that makes
+  // the Hermite interpolant O(dx^4) — and returns the row length the
+  // node needs: one past its last entry at or above kBesselCut.
+  std::vector<double> jl(width + 1, 0.0), buf(2 * width);
+  const auto node = [&](std::size_t i) {
     const double x = static_cast<double>(i) * dx_;
-    double* jrow = j_.data() + i * width;
-    double* jprow = jp_.data() + i * width;
+    double* jrow = buf.data();
+    double* jprow = jrow + width;
     if (x < 1e-12) {
+      std::fill(buf.begin(), buf.end(), 0.0);
       jrow[0] = 1.0;  // j_0(0) = 1, all higher l vanish
       if (l_max_ >= 1) jprow[1] = 1.0 / 3.0;  // j_1'(0); j_0'(0) = 0
-      continue;
+    } else {
+      math::sph_bessel_j_array(x, jl);
+      for (std::size_t l = 0; l <= l_max_; ++l) {
+        jrow[l] = jl[l];
+        jprow[l] = (l == 0) ? -jl[1]
+                            : jl[l - 1] -
+                                  (static_cast<double>(l) + 1.0) / x * jl[l];
+      }
     }
-    math::sph_bessel_j_array(x, jl);
-    for (std::size_t l = 0; l <= l_max_; ++l) {
-      jrow[l] = jl[l];
-      jprow[l] = (l == 0) ? -jl[1]
-                          : jl[l - 1] -
-                                (static_cast<double>(l) + 1.0) / x * jl[l];
+    for (std::size_t l = width; l-- > 0;) {
+      if (std::abs(jrow[l]) >= kBesselCut ||
+          std::abs(jprow[l]) >= kBesselCut) {
+        return l + 2;
+      }
     }
+    return std::size_t{0};
+  };
+
+  // Two passes, so each column is one block allocated once at its exact
+  // size: the first sizes the rows, the second fills them.  Row i serves
+  // the interval [x_i, x_{i+1}], so it keeps what either node needs and
+  // never less than the row before; once a row is full every later one
+  // is, so sizing stops evaluating nodes there.  The last node only
+  // closes the last interval, which the row before already sized for it.
+  start_.assign(n_nodes + 1, 0);
+  std::size_t len = std::min<std::size_t>(2, width);
+  std::size_t need_next = node(0);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const std::size_t need = need_next;
+    if (len < width && i + 1 < n_nodes) need_next = node(i + 1);
+    len = std::min(width, std::max({len, need, need_next}));
+    start_[i + 1] = start_[i] + len;
+  }
+  j_.resize(start_.back());
+  jp_.resize(start_.back());
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    node(i);
+    const std::size_t n = start_[i + 1] - start_[i];
+    std::copy_n(buf.begin(), n, j_.begin() + start_[i]);
+    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(width), n,
+                jp_.begin() + start_[i]);
   }
 }
 
-void BesselTable::eval(double x, std::span<double> jl) const {
+std::size_t BesselTable::eval(double x, std::span<double> jl) const {
   PLINGER_REQUIRE(!jl.empty(), "BesselTable::eval: empty output span");
   if (jl.size() - 1 > l_max_) {
     std::ostringstream os;
@@ -130,8 +177,9 @@ void BesselTable::eval(double x, std::span<double> jl) const {
        << " is outside the Bessel table range [0, " << x_max_ << "]";
     throw InvalidArgument(os.str());
   }
+  // The last interval starts at node n_nodes - 2 = start_.size() - 3.
   std::size_t i = static_cast<std::size_t>(x / dx_);
-  i = std::min(i, n_nodes_ - 2);
+  i = std::min(i, start_.size() - 3);
   const double t = x / dx_ - static_cast<double>(i);
   // Cubic Hermite basis on [x_i, x_{i+1}].
   const double t2 = t * t, t3 = t2 * t;
@@ -139,15 +187,19 @@ void BesselTable::eval(double x, std::span<double> jl) const {
   const double h10 = t3 - 2.0 * t2 + t;
   const double h01 = -2.0 * t3 + 3.0 * t2;
   const double h11 = t3 - t2;
-  const std::size_t width = l_max_ + 1;
-  const double* j0 = j_.data() + i * width;
-  const double* j1 = j0 + width;
-  const double* p0 = jp_.data() + i * width;
-  const double* p1 = p0 + width;
-  for (std::size_t l = 0; l < jl.size(); ++l) {
-    jl[l] = h00 * j0[l] + h01 * j1[l] +
-            dx_ * (h10 * p0[l] + h11 * p1[l]);
+  const double dx = dx_;
+  // Row i's length covers the interval; row i + 1 is at least as long.
+  const std::size_t n = std::min(jl.size(), start_[i + 1] - start_[i]);
+  const double* j0 = j_.data() + start_[i];
+  const double* j1 = j_.data() + start_[i + 1];
+  const double* p0 = jp_.data() + start_[i];
+  const double* p1 = jp_.data() + start_[i + 1];
+  double* out = jl.data();
+  for (std::size_t l = 0; l < n; ++l) {
+    out[l] = h00 * j0[l] + h01 * j1[l] + dx * (h10 * p0[l] + h11 * p1[l]);
   }
+  std::fill(jl.begin() + static_cast<std::ptrdiff_t>(n), jl.end(), 0.0);
+  return n;
 }
 
 }  // namespace plinger::boltzmann

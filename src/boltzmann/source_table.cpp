@@ -64,12 +64,42 @@ namespace {
 /// error at l ~ k tau0 before refinement, <1% after).
 constexpr double kProjectionDx = 0.25;
 
+/// One refined point's trapezoid term, folded into l = 0..n_l-1 of both
+/// towers (x > 1e-6, so the kernels need no series limits).  l + 1 and
+/// l (l + 1) come from per-l rows of exact doubles, so the l loop is
+/// one vector stream and each l keeps its scalar sequence of IEEE
+/// operations.
+void fold_point(double x, double w, double st0, double st1, double st2,
+                double se, std::size_t n_l, const double* __restrict__ jl,
+                const double* __restrict__ lp1,
+                const double* __restrict__ llp1, double* __restrict__ f,
+                double* __restrict__ g) {
+  const double xx = x * x, two_x = 2.0 / x;
+  // l = 0: j_0' = -j_1.
+  {
+    const double jlp = -jl[1];
+    const double ek = llp1[0] / xx * jl[0] - two_x * jlp;
+    f[0] += w * (st0 * jl[0] + st1 * jlp + st2 * (3.0 * ek - 2.0 * jl[0]));
+    g[0] += w * se * ek;
+  }
+  for (std::size_t l = 1; l < n_l; ++l) {
+    // j_l'(x) = j_{l-1}(x) - (l+1)/x j_l(x).
+    const double jlp = jl[l - 1] - lp1[l] / x * jl[l];
+    // E-mode kernel Ek = j_l + j_l'' = l(l+1)/x^2 j_l - (2/x) j_l'
+    // (from the Bessel ODE).
+    const double ek = llp1[l] / xx * jl[l] - two_x * jlp;
+    f[l] += w * (st0 * jl[l] + st1 * jlp + st2 * (3.0 * ek - 2.0 * jl[l]));
+    g[l] += w * se * ek;
+  }
+}
+
 /// Trapezoid projection of the sources onto the j_l / j_l' / Ek_l
 /// kernels.  The sampled columns are carried onto a kernel-resolving
 /// fine grid by cubic splines (the sources are smooth on the sampling
 /// scale; the kernel is not).  The Bessel evaluator is the only
 /// difference between the reference path (sph_bessel_j_array) and the
-/// fast path (BesselTable).
+/// fast path (BesselTable): fill_jl(x, jl) fills jl and returns how many
+/// leading entries can be nonzero, and each point folds only those.
 template <typename FillJl>
 ProjectedMode project(const SourceTable& src, std::size_t l_max,
                       FillJl&& fill_jl) {
@@ -122,6 +152,14 @@ ProjectedMode project(const SourceTable& src, std::size_t l_max,
   ProjectedMode out;
   out.f_gamma.assign(l_max + 1, 0.0);
   out.g_gamma.assign(l_max + 1, 0.0);
+  std::vector<double> lp1(l_max + 1), llp1(l_max + 1);
+  for (std::size_t l = 0; l <= l_max; ++l) {
+    const double dl = static_cast<double>(l);
+    lp1[l] = dl + 1.0;
+    llp1[l] = dl * (dl + 1.0);
+  }
+  // One l past the tower: the direct path's Miller start, and so its
+  // bits, depend on the buffer width.
   std::vector<double> jl(l_max + 2, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const double w =
@@ -129,29 +167,27 @@ ProjectedMode project(const SourceTable& src, std::size_t l_max,
         : (j == n - 1) ? 0.5 * (tau[n - 1] - tau[n - 2])
                        : 0.5 * (tau[j + 1] - tau[j - 1]);
     const double x = k * (tau0 - tau[j]);
-    fill_jl(x, std::span<double>(jl));
+    const std::size_t n_l =
+        std::min(l_max + 1, fill_jl(x, std::span<double>(jl)));
     const double st0 = st0_c[j], st1 = st1_c[j];
     const double st2 = st2_c[j], se = se_c[j];
-    for (std::size_t l = 0; l <= l_max; ++l) {
-      // j_l'(x) = j_{l-1}(x) - (l+1)/x j_l(x); j_0' = -j_1.
+    if (x > 1e-6) {
+      fold_point(x, w, st0, st1, st2, se, n_l, jl.data(), lp1.data(),
+                 llp1.data(), out.f_gamma.data(), out.g_gamma.data());
+      continue;
+    }
+    // The x -> 0 end of the window: the kernels' series limits.
+    for (std::size_t l = 0; l < n_l; ++l) {
       double jlp;
       if (l == 0) {
         jlp = -jl[1];
       } else if (x > 1e-12) {
-        jlp = jl[l - 1] - (static_cast<double>(l) + 1.0) / x * jl[l];
+        jlp = jl[l - 1] - lp1[l] / x * jl[l];
       } else {
         jlp = (l == 1) ? 1.0 / 3.0 : 0.0;
       }
-      // E-mode kernel Ek = j_l + j_l'' = l(l+1)/x^2 j_l - (2/x) j_l'
-      // (from the Bessel ODE).  The x -> 0 limits come from the series:
       // Ek_0(0) = 2/3, Ek_2(0) = 2/15, all other l vanish.
-      double ek;
-      if (x > 1e-6) {
-        const double dl = static_cast<double>(l);
-        ek = dl * (dl + 1.0) / (x * x) * jl[l] - 2.0 / x * jlp;
-      } else {
-        ek = (l == 0) ? 2.0 / 3.0 : (l == 2) ? 2.0 / 15.0 : 0.0;
-      }
+      const double ek = (l == 0) ? 2.0 / 3.0 : (l == 2) ? 2.0 / 15.0 : 0.0;
       out.f_gamma[l] +=
           w * (st0 * jl[l] + st1 * jlp + st2 * (3.0 * ek - 2.0 * jl[l]));
       out.g_gamma[l] += w * se * ek;
@@ -170,14 +206,16 @@ ProjectedMode project_source_table(const SourceTable& src,
                                    std::size_t l_max) {
   return project(src, l_max, [](double x, std::span<double> jl) {
     math::sph_bessel_j_array(x, jl);
+    return jl.size();
   });
 }
 
 ProjectedMode project_source_table(const SourceTable& src,
                                    std::size_t l_max,
                                    const BesselTable& table) {
-  // The derivative recurrence inside project() reads jl[l_max + 1], so
-  // the table must extend one l past the requested multipole.
+  // project() reads l <= l_max only, but its Bessel buffer spans
+  // l <= l_max + 1 (node values depend on the evaluator's width), so the
+  // table must carry that width too.
   if (l_max + 1 > table.l_max()) {
     std::ostringstream os;
     os << "project_source_table: l_max = " << l_max
@@ -186,7 +224,7 @@ ProjectedMode project_source_table(const SourceTable& src,
     throw InvalidArgument(os.str());
   }
   return project(src, l_max, [&table](double x, std::span<double> jl) {
-    table.eval(x, jl);
+    return table.eval(x, jl);
   });
 }
 

@@ -76,9 +76,12 @@ ProjectedMode project_source_table(const SourceTable& src,
                                    std::size_t l_max);
 
 /// The production fast path: identical projection, j_l from a shared
-/// BesselTable.  Requires l_max + 1 <= table.l_max() (the derivative
-/// recurrence reads one l past the requested multipole) and every
-/// sample's argument within the table range.
+/// BesselTable, and each refined point folds only the l its table row
+/// carries (the rest have |j_l| below kBesselCut).  Requires
+/// l_max + 1 <= table.l_max() — the projection reads l <= l_max, but its
+/// Bessel buffer is one l wider, since node values depend on the
+/// evaluator's width — and every sample's argument within the table
+/// range.
 ProjectedMode project_source_table(const SourceTable& src,
                                    std::size_t l_max,
                                    const BesselTable& table);

@@ -66,10 +66,12 @@ bool on_los_route(const RunSetup& setup, double k) {
 
 /// The per-run projection table of an LOS run (null otherwise), built
 /// next to the thermo cache and shared read-only by every worker of the
-/// process: j_l for l = 0..los.l_max + 1 (the derivative recurrence
-/// reads one l past the tower) out to the largest k tau_end of the base
-/// schedule.  Node values do not depend on that range, so every process
-/// projects the same bits.
+/// process: j_l for l = 0..los.l_max + 1 (the projection reads l <=
+/// los.l_max, but node values depend on the evaluator's width, so the
+/// width is fixed with the tower) out to the largest k tau_end of the
+/// base schedule.  Node values and the row lengths of the triangular
+/// table do not depend on that range, so every process projects the
+/// same bits.
 std::shared_ptr<const boltzmann::BesselTable> run_table(
     const cosmo::Background& bg, const KSchedule& schedule,
     const RunSetup& setup) {

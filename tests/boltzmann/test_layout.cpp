@@ -1,5 +1,6 @@
 #include "boltzmann/config.hpp"
 
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -48,4 +49,15 @@ TEST(LmaxForK, ScalesWithKTau) {
   EXPECT_NEAR(static_cast<double>(l2 - l1), 1.15 * 0.01 * tau0, 3.0);
   // Cap applies.
   EXPECT_EQ(pb::lmax_photon_for_k(10.0, tau0, 500), 500u);
+}
+
+TEST(LmaxForK, ClampsBeforeTheCast) {
+  // margin k tau0 + pad above every size_t (or not a number at all) is
+  // clamped in double, so the cap comes back instead of a wrapped size.
+  const double tau0 = 11839.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double k : {1e308, inf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(pb::lmax_photon_for_k(k, tau0), 12000u) << k;
+    EXPECT_EQ(pb::lmax_photon_for_k(k, tau0, 500), 500u) << k;
+  }
 }

@@ -1,6 +1,7 @@
 #include "boltzmann/los.hpp"
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -226,6 +227,51 @@ TEST(BesselTableTest, ProjectionRejectsLmaxAboveTable) {
   const std::string msg = thrown_message(
       [&] { (void)pb::project_source_table(src, 20, table); });
   EXPECT_NE(msg.find("above the Bessel table range"), std::string::npos);
+}
+
+TEST(BesselTableTest, RefusesASizeItCannotHold) {
+  // A non-finite x_max, a node count past size_t, or nodes x (l_max + 1)
+  // past size_t is refused by name before anything is allocated.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double x_max : {inf, 1e300}) {
+    const std::string msg =
+        thrown_message([&] { const pb::BesselTable t(401, x_max); });
+    EXPECT_NE(msg.find("x_max"), std::string::npos) << x_max;
+  }
+  // 8e15 + 2 nodes fit in size_t; times 1e5 multipoles they do not.
+  EXPECT_NE(thrown_message([] { const pb::BesselTable t(99999, 1e15); })
+                .find("x_max"),
+            std::string::npos);
+  EXPECT_THROW(pb::BesselTable(20, std::nan("")), plinger::InvalidArgument);
+  EXPECT_THROW(pb::BesselTable(20, 10.0, 0.0), plinger::InvalidArgument);
+}
+
+TEST(BesselTableTest, RowsStopWhereJlHasNotTurnedOn) {
+  // Below x ~ l, j_l and j_l' are under kBesselCut: eval interpolates
+  // only the rows' leading entries, says how many, and zeroes the rest;
+  // past the turn-on every l is tabled.
+  const pb::BesselTable table(200, 300.0);
+  std::vector<double> jl(201, -1.0), ref(202);
+  for (double x : {0.0, 0.06, 2.5, 40.3, 100.7}) {
+    const std::size_t n = table.eval(x, std::span<double>(jl));
+    ASSERT_GE(n, 2u) << x;
+    ASSERT_LT(n, jl.size()) << x;
+    plinger::math::sph_bessel_j_array(x, std::span<double>(ref));
+    // The first dropped l is far below the cut (the row stops one past
+    // its last entry at or above it, at either node).
+    EXPECT_LT(std::abs(ref[n]), pb::kBesselCut) << x;
+    for (std::size_t l = n; l < jl.size(); ++l) {
+      EXPECT_EQ(jl[l], 0.0) << "l=" << l << " x=" << x;
+    }
+  }
+  EXPECT_EQ(table.eval(299.0, std::span<double>(jl)), jl.size());
+  // Row lengths never shrink with x.
+  std::size_t last = 0;
+  for (double x = 0.0; x <= 300.0; x += 0.37) {
+    const std::size_t n = table.eval(x, std::span<double>(jl));
+    EXPECT_GE(n, last) << x;
+    last = n;
+  }
 }
 
 TEST(BesselTableTest, InterpolatesBesselToTabulatedAccuracy) {

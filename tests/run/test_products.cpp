@@ -9,6 +9,7 @@
 // caller silently-zero EE/TE columns.
 
 #include <cstddef>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "run/context.hpp"
 #include "run/plan.hpp"
 #include "run/products.hpp"
+#include "store/mode_result_store.hpp"
 
 namespace pr = plinger::run;
 
@@ -123,4 +125,36 @@ TEST(MakeSpectraPolarization, RefusesSilentZeroPolarizationColumns) {
     EXPECT_NE(msg.find("polarization"), std::string::npos) << msg;
     EXPECT_NE(msg.find("silently zero"), std::string::npos) << msg;
   }
+}
+
+TEST(LosProjectionTable, RefusesAGridItCannotTableBeforeAnyMode) {
+  // Every key passes validate(), but k_max = 1e300 asks for a Bessel
+  // table out to x ~ 1e304.  The run must refuse it by name before a
+  // mode is evolved: a table size wrapped past size_t reads far outside
+  // the table and finishes degraded, with garbage in the k = 0.001 mode
+  // (F_2 = -38.78 where a k_max = 0.05 run gives -0.347).
+  pr::RunConfig cfg;
+  cfg.set_preset("lcdm");
+  cfg.solver = "los";
+  cfg.grid = "log";
+  cfg.k_min = 1e-3;
+  cfg.k_max = 1e300;
+  cfg.n_k = 3;
+  cfg.l_max = 20;
+  cfg.driver = "threads";
+  cfg.workers = 2;
+  cfg.store = ::testing::TempDir() + "plinger_los_table_bounds.pj";
+  std::filesystem::remove(cfg.store);
+  cfg.validate();
+  const pr::RunPlan plan(cfg, pr::make_context(cfg));
+  try {
+    (void)plan.execute();
+    ADD_FAILURE() << "a k_max of 1e300 cannot be projected";
+  } catch (const plinger::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("x_max"), std::string::npos)
+        << e.what();
+  }
+  // Nothing was journaled: the refusal came before any mode.
+  EXPECT_TRUE(plinger::store::read_journal(cfg.store).results.empty());
+  std::filesystem::remove(cfg.store);
 }

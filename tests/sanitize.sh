@@ -4,7 +4,8 @@
 #   tests/sanitize.sh
 #
 # It runs two halves:
-# asan: ASan + UBSan (-fno-sanitize-recover=undefined,
+# asan: ASan + UBSan, float-cast-overflow included (GCC's `undefined`
+#       group leaves it out; -fno-sanitize-recover for both,
 #       -D_GLIBCXX_ASSERTIONS) in build-asan/, running test_math,
 #       test_boltzmann, test_integrator and test_golden — the Runge-Kutta
 #       stage kernel and the hierarchy streams, whose pointers are
@@ -59,7 +60,7 @@ run_asan() {
   local tests=(test_math test_boltzmann test_integrator test_golden
                test_plinger test_store test_io test_transport test_serve)
   configure_and_build "$dir" \
-    "-g -fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    "-g -fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -D_GLIBCXX_ASSERTIONS" \
     "${tests[@]}" plinger_worker ||
     { echo "sanitize: asan build failed"; status=1; return; }
   rm -rf "$reports" && mkdir -p "$reports"

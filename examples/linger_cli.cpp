@@ -25,7 +25,7 @@
 // instead, appending only modes missing from the journal).
 //
 // With fault_timeout=SECONDS the master arms a per-mode deadline
-// (scaled by each mode's flop estimate) and reassigns modes whose
+// (scaled by each mode's k / k_max) and reassigns modes whose
 // worker stalls or dies; max_retries bounds the integration-failure
 // requeues.  A run that lost workers or gave up on modes prints a
 // DEGRADED summary line but still writes every result it has — see

@@ -33,20 +33,6 @@ int fail(const char* what) {
   return 1;
 }
 
-bool send_all(int fd, const std::string& text) {
-  std::size_t off = 0;
-  while (off < text.size()) {
-    const ssize_t n = ::send(fd, text.data() + off, text.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -114,7 +100,7 @@ int main(int argc, char** argv) {
     ::close(fd);
     return fail("connect");
   }
-  if (!send_all(fd, request)) {
+  if (!plinger::mp::send_all(fd, request)) {
     ::close(fd);
     return fail("send");
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -89,20 +88,23 @@ BesselTable::BesselTable(std::size_t l_max, double x_max, double dx)
     : l_max_(l_max), x_max_(x_max), dx_(dx) {
   PLINGER_REQUIRE(x_max > 0.0, "BesselTable: x_max must be positive");
   PLINGER_REQUIRE(dx > 0.0, "BesselTable: dx must be positive");
-  // One node past x_max so eval() always has a bracketing interval.  The
-  // node count is clamped in double before the cast: 2^64 is the first
-  // double that does not convert to size_t.
+  // One node past x_max so eval() always has a bracketing interval.
+  // Bytes are counted in double (exact below 2^53, far past the ceiling
+  // above it), starting with the node index; the node count is cast
+  // only once that fits, which also refuses a non-finite x_max.
   const std::size_t width = l_max_ + 1;
   const double cells = std::ceil(x_max / dx);
-  if (!std::isfinite(x_max) || !(cells < 0x1p64) ||
-      static_cast<std::size_t>(cells) + 2 >
-          std::numeric_limits<std::size_t>::max() / width) {
+  const double ceiling = static_cast<double>(kBesselTableMaxBytes);
+  double bytes = sizeof(std::size_t) * (cells + 3.0);
+  const auto refuse = [&] {
     std::ostringstream os;
     os << "BesselTable: x_max = " << x_max << " at dx = " << dx
-       << " asks for a table of " << cells << " nodes x " << width
-       << " multipoles, which cannot be held";
+       << " with l_max = " << l_max_ << " asks for a table of at least "
+       << bytes << " bytes, above the " << kBesselTableMaxBytes
+       << "-byte ceiling";
     throw InvalidArgument(os.str());
-  }
+  };
+  if (!(bytes <= ceiling)) refuse();
   const std::size_t n_nodes = static_cast<std::size_t>(cells) + 2;
 
   // node(i) writes node i into buf at the full width — j_l from the
@@ -141,16 +143,31 @@ BesselTable::BesselTable(std::size_t l_max, double x_max, double dx)
   // size: the first sizes the rows, the second fills them.  Row i serves
   // the interval [x_i, x_{i+1}], so it keeps what either node needs and
   // never less than the row before; once a row is full every later one
-  // is, so sizing stops evaluating nodes there.  The last node only
-  // closes the last interval, which the row before already sized for it.
-  start_.assign(n_nodes + 1, 0);
+  // is, so sizing stops evaluating nodes there and counts the rest's
+  // bytes at once; it stops at the ceiling too, before the node index is
+  // allocated.  The last node only closes the last interval, which the
+  // row before already sized for it.
+  std::vector<std::size_t> head;  // row lengths before the first full row
   std::size_t len = std::min<std::size_t>(2, width);
   std::size_t need_next = node(0);
+  const double row_bytes = 2.0 * sizeof(double);  // a double per column
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const std::size_t need = need_next;
     if (len < width && i + 1 < n_nodes) need_next = node(i + 1);
     len = std::min(width, std::max({len, need, need_next}));
-    start_[i + 1] = start_[i] + len;
+    if (len == width) {
+      bytes += row_bytes * static_cast<double>(width) *
+               static_cast<double>(n_nodes - i);
+      break;
+    }
+    head.push_back(len);
+    bytes += row_bytes * static_cast<double>(len);
+    if (bytes > ceiling) break;
+  }
+  if (bytes > ceiling) refuse();
+  start_.assign(n_nodes + 1, 0);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    start_[i + 1] = start_[i] + (i < head.size() ? head[i] : width);
   }
   j_.resize(start_.back());
   jp_.resize(start_.back());

@@ -78,6 +78,11 @@ std::vector<double> los_sample_taus(const cosmo::Background& bg,
 /// but moves towers to 4e-19 of their peak, and 1e-12 moves C_l.
 inline constexpr double kBesselCut = 1e-30;
 
+/// The largest BesselTable a process builds (node index and both
+/// columns): 4 GiB, about 37x the 110 MB of bench_los at l_max 1000.  The
+/// table grows with x_max = k_max tau_end, which RunConfig only keeps finite.
+inline constexpr std::size_t kBesselTableMaxBytes = std::size_t{4} << 30;
+
 /// Precomputed spherical Bessel table for the projection hot loop:
 /// j_l(x) for l = 0..l_max on a uniform x-grid, evaluated between nodes
 /// by cubic Hermite interpolation (the exact derivative j_l' at every
@@ -99,8 +104,9 @@ inline constexpr double kBesselCut = 1e-30;
 class BesselTable {
  public:
   /// Tabulate l = 0..l_max over x in [0, x_max] with node spacing dx.
-  /// Throws InvalidArgument naming x_max when x_max is not finite or the
-  /// table it asks for cannot be indexed in size_t.
+  /// Throws InvalidArgument naming x_max, l_max and the bytes when the
+  /// table would exceed kBesselTableMaxBytes (a non-finite x_max
+  /// included), before any allocation that grows with x_max.
   BesselTable(std::size_t l_max, double x_max, double dx = 0.125);
 
   std::size_t l_max() const { return l_max_; }

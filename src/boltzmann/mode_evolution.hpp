@@ -68,7 +68,9 @@ struct EvolveRequest {
 };
 
 /// Integrates single modes.  Holds references to the shared immutable
-/// background/thermodynamics; each worker owns one evolver.
+/// background/thermodynamics; evolve() is const and keeps its per-mode
+/// state local, so one evolver serves every worker thread of a run (the
+/// drivers' mode runner).
 class ModeEvolver {
  public:
   /// Builds a private ThermoCache for this evolver (convenience for
@@ -86,7 +88,6 @@ class ModeEvolver {
   /// Evolve one wavenumber to tau_end (default: the conformal age).
   ModeResult evolve(const EvolveRequest& req, double tau_end = 0.0) const;
 
-  const PerturbationConfig& config() const { return cfg_; }
   const cosmo::Background& background() const { return bg_; }
   const cosmo::Recombination& recombination() const { return rec_; }
   const cosmo::ThermoCache* thermo_cache() const { return cache_.get(); }

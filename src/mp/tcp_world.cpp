@@ -50,19 +50,6 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-bool write_all(int fd, const unsigned char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 /// Read exactly n bytes from fd before the deadline; false on timeout,
 /// EOF, or a read error.
 bool read_exact(int fd, unsigned char* out, std::size_t n,
@@ -201,6 +188,20 @@ std::optional<Frame> FrameParser::next() {
   return f;
 }
 
+bool send_all(int fd, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  while (n > 0) {
+    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
 sockaddr_in ipv4_address(const std::string& host, int port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -311,7 +312,7 @@ int TcpWorld::accept_workers(double timeout_seconds) {
                                static_cast<double>(rank),
                                static_cast<double>(size())};
     const auto frame = encode_frame(kCtrlWelcome, 0, welcome);
-    if (!write_all(fd, frame.data(), frame.size())) {
+    if (!send_all(fd, frame.data(), frame.size())) {
       ::close(fd);
       continue;
     }
@@ -357,7 +358,7 @@ std::unique_ptr<TcpWorld> TcpWorld::connect_once(const std::string& host,
   set_nodelay(fd);
   const double hv = static_cast<double>(kWireVersion);
   const auto hello = encode_frame(kCtrlHello, -1, {&hv, 1});
-  if (!write_all(fd, hello.data(), hello.size())) {
+  if (!send_all(fd, hello.data(), hello.size())) {
     ::close(fd);
     throw Error("TcpWorld::connect: handshake write failed");
   }
@@ -434,7 +435,7 @@ void TcpWorld::sender_loop(Peer& p) {
       frame = std::move(p.queue.front());
       p.queue.pop_front();
     }
-    if (!write_all(p.fd, frame.data(), frame.size())) {
+    if (!send_all(p.fd, frame.data(), frame.size())) {
       mark_lost(p, "write error");
       return;
     }

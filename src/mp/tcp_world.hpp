@@ -39,6 +39,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -111,6 +112,14 @@ TcpEndpoint parse_endpoint(const std::string& text);
 /// "localhost" maps to 127.0.0.1; any other host must be a dotted-quad
 /// IPv4 address (no DNS lookup).  Throws InvalidArgument otherwise.
 sockaddr_in ipv4_address(const std::string& host, int port);
+
+/// Write all n bytes to a connected socket, the one write loop of every
+/// plinger socket; false once the peer is gone.  MSG_NOSIGNAL keeps a
+/// dead peer from raising SIGPIPE, and EINTR retries.
+bool send_all(int fd, const void* data, std::size_t n);
+inline bool send_all(int fd, std::string_view text) {
+  return send_all(fd, text.data(), text.size());
+}
 
 /// The socket-backed world.  Construct via the factories: listen() on
 /// the master, connect() on a worker.  All InProcWorld semantics hold

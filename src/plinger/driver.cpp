@@ -40,21 +40,6 @@ store::RunIdentity store_identity(const cosmo::Background& bg,
 
 namespace {
 
-/// The per-run thermo cache: the one the caller prebuilt (RunSetup::
-/// thermo, e.g. a batched run reusing a RunContext), or a fresh build.
-std::shared_ptr<const cosmo::ThermoCache> run_cache(
-    const cosmo::Background& bg, const cosmo::Recombination& rec,
-    const RunSetup& setup) {
-  if (setup.thermo) return setup.thermo;
-  return std::make_shared<const cosmo::ThermoCache>(bg, rec);
-}
-
-/// The evolution end time of every mode: tau_end = 0 selects the
-/// conformal age.
-double resolved_tau_end(const cosmo::Background& bg, const RunSetup& setup) {
-  return setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age();
-}
-
 /// True when the mode at k takes the line-of-sight route: every mode
 /// under solver=los, and under solver=auto the modes at or above
 /// los.k_crossover — at low k lmax_photon_for_k is already small, so LOS
@@ -62,24 +47,6 @@ double resolved_tau_end(const cosmo::Background& bg, const RunSetup& setup) {
 bool on_los_route(const RunSetup& setup, double k) {
   return setup.los.enabled &&
          !(setup.los.k_crossover > 0.0 && k < setup.los.k_crossover);
-}
-
-/// The per-run projection table of an LOS run (null otherwise), built
-/// next to the thermo cache and shared read-only by every worker of the
-/// process: j_l for l = 0..los.l_max + 1 (the projection reads l <=
-/// los.l_max, but node values depend on the evaluator's width, so the
-/// width is fixed with the tower) out to the largest k tau_end of the
-/// base schedule.  Node values and the row lengths of the triangular
-/// table do not depend on that range, so every process projects the
-/// same bits.
-std::shared_ptr<const boltzmann::BesselTable> run_table(
-    const cosmo::Background& bg, const KSchedule& schedule,
-    const RunSetup& setup) {
-  if (!setup.los.enabled) return nullptr;
-  const double x_max = std::max(
-      1.0, schedule.k_grid().back() * resolved_tau_end(bg, setup));
-  return std::make_shared<const boltzmann::BesselTable>(
-      setup.los.l_max + 1, x_max);
 }
 
 /// The one request shaper: the LOS route pins the mode to the short
@@ -104,33 +71,65 @@ void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
   }
 }
 
-/// The one per-mode path, run by the serial loop, the autotask cursor
-/// and every worker rank (in-process or in a plinger_worker process),
-/// so a mode's result cannot depend on who computes it: resolve
-/// tau_end = 0 to the conformal age, shape the request, evolve.  A mode
-/// that recorded line-of-sight sources is then projected through the
-/// process's `table` and leaves in the shape of a hierarchy mode: F_l
-/// and G_l towers for l = 0..los.l_max, no samples.  cpu_seconds stays
-/// the evolution's own thread CPU.
-ModeResult run_mode(const ModeEvolver& evolver,
-                    const boltzmann::BesselTable* table,
-                    const RunSetup& setup, double k) {
-  const double tau_end = resolved_tau_end(evolver.background(), setup);
-  boltzmann::EvolveRequest req;
-  req.k = k;
-  shape_request(req, setup, tau_end);
-  ModeResult r = evolver.evolve(req, tau_end);
-  if (r.samples.empty()) return r;
-  boltzmann::ProjectedMode towers = boltzmann::project_source_table(
-      boltzmann::build_source_table(evolver.background(),
-                                    evolver.recombination(), r),
-      setup.los.l_max, *table);
-  r.f_gamma = std::move(towers.f_gamma);
-  r.g_gamma = std::move(towers.g_gamma);
-  r.lmax = setup.los.l_max;
-  r.samples = std::vector<boltzmann::TransferSample>();
-  return r;
-}
+/// What every worker of a run reads, built once per process and shared
+/// read-only by the serial loop, every autotask thread, every worker
+/// rank in-process and a plinger_worker: the evolver over the run's
+/// thermo cache (RunSetup::thermo, or one fresh build), the LOS
+/// projection table, tau_end (0 selects the conformal age) and the
+/// identity its worker ranks admit.  Sharing is safe because
+/// ModeEvolver::evolve is const and keeps its per-mode state local.
+///
+/// Its call is the one per-mode path, so a mode's result cannot depend
+/// on who computes it: shape the request, evolve, and project a mode
+/// that recorded line-of-sight sources onto F_l/G_l towers for l =
+/// 0..los.l_max, leaving it in the shape of a hierarchy mode.
+/// cpu_seconds stays the evolution's own thread CPU.
+struct ModeRunner {
+  ModeRunner(const cosmo::Background& bg, const cosmo::Recombination& rec,
+             const boltzmann::PerturbationConfig& cfg,
+             const KSchedule& schedule, const RunSetup& setup)
+      : setup(setup),
+        identity(store_identity(bg, rec, cfg, schedule, setup)),
+        tau_end(setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age()),
+        evolver(bg, rec, cfg,
+                setup.thermo ? setup.thermo
+                             : std::make_shared<const cosmo::ThermoCache>(
+                                   bg, rec)) {
+    // j_l for l = 0..los.l_max + 1 (node values depend on the
+    // evaluator's width, so it is fixed with the tower) out to the
+    // largest k tau_end of the base schedule; node values and row
+    // lengths do not depend on that range, so every process projects
+    // the same bits.
+    if (setup.los.enabled) {
+      table.emplace(setup.los.l_max + 1,
+                    std::max(1.0, schedule.k_grid().back() * tau_end));
+    }
+  }
+  ModeRunner(const ModeRunner&) = delete;  // workers hold its address
+
+  ModeResult operator()(double k) const {
+    boltzmann::EvolveRequest req;
+    req.k = k;
+    shape_request(req, setup, tau_end);
+    ModeResult r = evolver.evolve(req, tau_end);
+    if (r.samples.empty()) return r;
+    boltzmann::ProjectedMode towers = boltzmann::project_source_table(
+        boltzmann::build_source_table(evolver.background(),
+                                      evolver.recombination(), r),
+        setup.los.l_max, *table);
+    r.f_gamma = std::move(towers.f_gamma);
+    r.g_gamma = std::move(towers.g_gamma);
+    r.lmax = setup.los.l_max;
+    r.samples = std::vector<boltzmann::TransferSample>();
+    return r;
+  }
+
+  const RunSetup& setup;
+  const store::RunIdentity identity;
+  const double tau_end;
+  const ModeEvolver evolver;
+  std::optional<boltzmann::BesselTable> table;
+};
 
 /// A mode on the line-of-sight route must reach the sink as the towers
 /// the run accumulates: projected, to l = 0..los.l_max.  Admission
@@ -240,16 +239,15 @@ class ModeSink {
   std::optional<KSchedule> residual_;
 };
 
-/// The in-process loops' step: run_mode under its trace span, then the
-/// sink.
-void compute_mode(std::size_t ik, int worker, const ModeEvolver& evolver,
-                  const boltzmann::BesselTable* table, const RunSetup& setup,
+/// The in-process loops' step: the runner under its trace span, then
+/// the sink.
+void compute_mode(std::size_t ik, int worker, const ModeRunner& run,
                   ModeSink& sink) {
   TraceRecorder* recorder = sink.recorder().get();
   const double k = sink.issue().k_of_ik(ik);
   if (recorder) recorder->record_assign(ik, worker);
   const double t0 = recorder ? recorder->now() : 0.0;
-  ModeResult r = run_mode(evolver, table, setup, k);
+  ModeResult r = run(k);
   if (recorder) {
     recorder->record_span(ik, k, worker, /*completed=*/true, t0,
                           recorder->now(), r.cpu_seconds, r.flops);
@@ -275,21 +273,16 @@ class FirstError {
 };
 
 /// A worker rank's whole life over `world`, in a thread or in a
-/// plinger_worker process: the Appendix-A worker loop with run_mode as
-/// its step.  It admits the master's run only under the identity its
-/// own evolver, schedule and setup give, so no mode is computed from
+/// plinger_worker process: the Appendix-A worker loop with the runner as
+/// its step.  It admits the master's run only under the runner's
+/// identity, the one its own inputs give, so no mode is computed from
 /// inputs the master did not hash.
-void serve_worker(mp::InProcWorld& world, int rank,
-                  const ModeEvolver& evolver,
-                  const boltzmann::BesselTable* table,
-                  const KSchedule& schedule, const RunSetup& setup,
-                  TraceRecorder* recorder) {
+void serve_worker(mp::InProcWorld& world, int rank, const ModeRunner& run,
+                  const KSchedule& schedule, TraceRecorder* recorder) {
   mp::PassContext ctx = mp::initpass(world, rank);
-  run_worker(ctx, schedule,
-             store_identity(evolver.background(), evolver.recombination(),
-                            evolver.config(), schedule, setup),
-             [&evolver, table, &setup](const boltzmann::EvolveRequest& req) {
-               return run_mode(evolver, table, setup, req.k);
+  run_worker(ctx, schedule, run.identity,
+             [&run](const boltzmann::EvolveRequest& req) {
+               return run(req.k);
              },
              recorder);
   mp::endpass(ctx);
@@ -384,15 +377,14 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
                             const RunSetup& setup) {
   ModeSink sink(store_identity(bg, rec, cfg, schedule, setup), schedule,
                 setup, 1);
-  const ModeEvolver evolver(bg, rec, cfg, run_cache(bg, rec, setup));
-  const auto table = run_table(bg, schedule, setup);
+  const ModeRunner run(bg, rec, cfg, schedule, setup);
   // The serial main loop in k (paper §4: "The main loop of the serial
   // code is in k"), walked in the schedule's issue order (only the
   // residual modes when resuming from a store).
   const KSchedule& issue = sink.issue();
   for (std::size_t ik = issue.ik_first();
        ik != 0 && !sink.stop_requested(); ik = issue.ik_next(ik)) {
-    compute_mode(ik, 1, evolver, table.get(), setup, sink);
+    compute_mode(ik, 1, run, sink);
   }
   return sink.finish();
 }
@@ -414,23 +406,17 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
   }
   std::atomic<std::size_t> cursor{0};
   FirstError error;
-  // One fused thermo/background cache and one projection table per run,
-  // shared read-only by every worker thread (immutable after
-  // construction, so no synchronization).
-  const auto cache = run_cache(bg, rec, setup);
-  const auto table = run_table(bg, schedule, setup);
+  const ModeRunner run(bg, rec, cfg, schedule, setup);
   {
     std::vector<std::jthread> threads;
     // Worker ids 1..n, as PLINGER numbers its worker ranks.
     for (int worker = 1; worker <= n_threads; ++worker) {
       threads.emplace_back([&, worker] {
         try {
-          const ModeEvolver evolver(bg, rec, cfg, cache);
           while (!sink.stop_requested()) {  // flush-then-stop hook
             const std::size_t i = cursor.fetch_add(1);
             if (i >= order.size()) break;
-            compute_mode(order[i], worker, evolver, table.get(), setup,
-                         sink);
+            compute_mode(order[i], worker, run, sink);
           }
         } catch (...) {
           error.capture();
@@ -465,17 +451,16 @@ RunOutput run_plinger_threads(const cosmo::Background& bg,
   RunOutput out = run_master_over(
       *world, store_identity(bg, rec, cfg, schedule, setup), schedule, setup,
       [&](TraceRecorder* recorder) {
-        // One read-only thermo cache and projection table for all
-        // workers, built inside the run's wallclock as in the other
-        // drivers.
-        const auto cache = run_cache(bg, rec, setup);
-        const auto table = run_table(bg, schedule, setup);
+        // One runner for all worker ranks, built inside the run's
+        // wallclock as in the other drivers; every rank holds it until
+        // its thread ends.
+        const auto run = std::make_shared<const ModeRunner>(
+            bg, rec, cfg, schedule, setup);
         std::vector<std::jthread> threads;
         for (int rank = 1; rank <= n_workers; ++rank) {
-          threads.emplace_back([&, rank, recorder, cache, table] {
+          threads.emplace_back([&, rank, recorder, run] {
             try {
-              serve_worker(*world, rank, ModeEvolver(bg, rec, cfg, cache),
-                           table.get(), schedule, setup, recorder);
+              serve_worker(*world, rank, *run, schedule, recorder);
             } catch (const mp::RankKilled&) {
               // Simulated process death (fault injection): the master's
               // recovery path owns the fallout; the thread just ends.
@@ -508,11 +493,9 @@ void run_plinger_tcp_worker(const cosmo::Background& bg,
                             const RunSetup& setup, mp::TcpWorld& world) {
   PLINGER_REQUIRE(world.local_rank() >= 1,
                   "run_plinger_tcp_worker: rank 0 is the master");
-  const ModeEvolver evolver(bg, rec, cfg, run_cache(bg, rec, setup));
-  const auto table = run_table(bg, schedule, setup);
+  const ModeRunner run(bg, rec, cfg, schedule, setup);
   try {
-    serve_worker(world, world.local_rank(), evolver, table.get(), schedule,
-                 setup, nullptr);
+    serve_worker(world, world.local_rank(), run, schedule, nullptr);
   } catch (const mp::PeerLost&) {
     // The master is gone; whatever it still wanted is unknowable.  The
     // worker winds down cleanly — master-side recovery owns the rest.

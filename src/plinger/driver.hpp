@@ -13,13 +13,13 @@
 ///    ranks are plinger_worker processes (run_plinger_tcp_worker).
 ///
 /// Every driver computes a mode through one per-mode path (driver.cpp's
-/// run_mode: resolve tau_end = 0 to the conformal age, shape the request
-/// from RunSetup, evolve, and on the line-of-sight route project the
-/// sources onto F_l/G_l towers) and lands it in one sink (shape check,
-/// journal append, then counters, then RunOutput::results), so results
-/// are identical mode for mode whoever computes them (the
-/// driver-equivalence sweep asserts it bitwise) and every mode has the
-/// shape of a hierarchy mode.
+/// ModeRunner, built once per process per run and shared read-only by
+/// all its workers: shape the request from RunSetup, evolve, and on the
+/// line-of-sight route project the sources onto F_l/G_l towers) and
+/// lands it in one sink (shape check, journal append, then counters,
+/// then RunOutput::results), so results are identical mode for mode
+/// whoever computes them (the driver-equivalence sweep asserts it
+/// bitwise) and every mode has the shape of a hierarchy mode.
 ///
 /// Timing mirrors the paper's Figure 1: total CPU time summed over
 /// workers (their etime) and master wallclock.
@@ -131,8 +131,7 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
                               const RunSetup& setup, int n_threads);
 
 /// Threaded PLINGER run with n_workers worker ranks (world size
-/// n_workers + 1).  Each worker owns its ModeEvolver; background and
-/// thermodynamics are shared read-only.
+/// n_workers + 1).  The worker ranks share one mode runner read-only.
 RunOutput run_plinger_threads(const cosmo::Background& bg,
                               const cosmo::Recombination& rec,
                               const boltzmann::PerturbationConfig& cfg,
@@ -156,7 +155,7 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
 /// Worker side of a cross-process run: serve the remote master until
 /// stopped.  Shapes and projects every request from `setup` exactly as
 /// the in-process drivers do, so results are bitwise identical; the
-/// process builds its own projection table for an LOS run.  It joins
+/// process builds its own mode runner and projection table.  It joins
 /// only a run whose broadcast identity is store_identity() of its own
 /// inputs: otherwise it sends the master its own tag-7 death notice and
 /// throws plinger::Error.  Returns quietly when the master link goes

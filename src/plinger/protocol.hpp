@@ -24,7 +24,7 @@
 ///  * the master survives worker death.  A dead or wedged worker is
 ///    detected either by a tag-7 death notice (the PVM pvm_notify
 ///    analogue, injected by the transport) or by a per-worker deadline
-///    scaled to the mode's flop estimate; its outstanding mode re-enters
+///    scaled by the mode's k / k_max; its outstanding mode re-enters
 ///    the residual schedule largest-k-first, bounded by a reassignment
 ///    cap and a quarantine list for poison modes.  The run then
 ///    completes degraded on the surviving workers with bitwise-identical
@@ -68,9 +68,9 @@ inline constexpr double kFailureCodeWorkerLost = 1.0;  ///< died/refused
 /// Master-side fault handling knobs.  Host-side only — never broadcast.
 struct FaultConfig {
   /// Per-mode stall deadline: a worker that holds an assignment longer
-  /// than timeout_floor_seconds + timeout_seconds * (flop estimate /
-  /// largest flop estimate) is declared lost and its mode reassigned.
-  /// 0 disables stall detection (death notices still work).
+  /// than timeout_floor_seconds + timeout_seconds * (k / largest k of
+  /// the schedule) is declared lost and its mode reassigned.  0
+  /// disables stall detection (death notices still work).
   double timeout_seconds = 0.0;
   double timeout_floor_seconds = 0.05;
   /// Integration-failure retries per mode (tag-7 code 0) before the
@@ -123,10 +123,10 @@ struct RunSetup {
   /// instead of a plain InProcWorld.  Never broadcast.
   mp::FaultPlan inject;
 
-  /// Host-side prebuilt thermo cache, shared read-only by every worker;
-  /// null makes each driver build its own per run (the historical
-  /// behavior).  A run::RunContext passes its cache here so batched
-  /// runs over one cosmology pay the construction cost exactly once.
+  /// Host-side prebuilt thermo cache, shared read-only by every worker
+  /// through the process's one mode runner; null makes the runner build
+  /// one per run.  A run::RunContext passes its cache here so runs over
+  /// one cosmology pay the construction cost exactly once.
   /// Must have been built from the same Background/Recombination the
   /// driver is called with.  Never broadcast.
   std::shared_ptr<const cosmo::ThermoCache> thermo;

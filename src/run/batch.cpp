@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <exception>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -28,9 +27,6 @@ double cost_hint(const RunConfig& cfg) {
       2.0 * plinger::constants::hubble_distance_mpc / cfg.h;
   return estimated_cost(cfg, materialize_grid(cfg, tau0), tau0);
 }
-
-using ContextFuture =
-    std::shared_future<std::shared_ptr<const RunContext>>;
 
 }  // namespace
 
@@ -65,8 +61,7 @@ BatchOutput run_batch(const std::vector<BatchJob>& jobs,
                      return hint[a] > hint[b];
                    });
 
-  std::mutex cache_mu;
-  std::map<std::uint64_t, ContextFuture> cache;
+  ContextCache contexts;  // one build per cosmology, shared by its jobs
   std::atomic<std::size_t> cursor{0};
   std::vector<std::exception_ptr> errors(n);
 
@@ -78,37 +73,10 @@ BatchOutput run_batch(const std::vector<BatchJob>& jobs,
       BatchJobReport& report = out.report.jobs[j];
       report.name = jobs[j].name;
       try {
-        const std::uint64_t key =
-            RunContext::cosmology_key(jobs[j].config);
-        report.cosmology_key = key;
-
-        // One build per cosmology: the first job for a key owns the
-        // construction; concurrent jobs with the same key wait on its
-        // future instead of duplicating the work.
-        std::promise<std::shared_ptr<const RunContext>> build;
-        bool builder = false;
-        ContextFuture fut;
-        {
-          const std::lock_guard<std::mutex> lock(cache_mu);
-          const auto it = cache.find(key);
-          if (it == cache.end()) {
-            fut = build.get_future().share();
-            cache.emplace(key, fut);
-            builder = true;
-          } else {
-            fut = it->second;
-            report.context_cache_hit = true;
-          }
-        }
-        if (builder) {
-          try {
-            build.set_value(make_context(jobs[j].config));
-          } catch (...) {
-            build.set_exception(std::current_exception());
-          }
-        }
-
-        const RunPlan plan(jobs[j].config, fut.get());
+        report.cosmology_key = RunContext::cosmology_key(jobs[j].config);
+        ContextCache::Lookup ctx = contexts.get(jobs[j].config);
+        report.context_cache_hit = ctx.reused;
+        const RunPlan plan(jobs[j].config, std::move(ctx.context));
         report.estimated_cost = estimated_cost(
             jobs[j].config, plan.schedule().k_grid(),
             plan.context().conformal_age());
@@ -148,7 +116,7 @@ BatchOutput run_batch(const std::vector<BatchJob>& jobs,
     busy += r.wallclock_seconds;
   }
   out.report.context_cache_hits = hits;
-  out.report.n_contexts_built = cache.size();
+  out.report.n_contexts_built = n - hits;
   out.report.pool_utilization =
       out.report.wallclock_seconds > 0.0
           ? busy / (out.report.wallclock_seconds *

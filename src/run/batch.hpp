@@ -6,9 +6,9 @@
 /// A parameter sweep (model comparison, convergence study, sigma-8
 /// grid) runs many configs that differ only in grid or driver settings
 /// over a handful of cosmologies.  run_batch() executes them on a small
-/// pool of executor threads, caching RunContexts by
-/// RunContext::cosmology_key() so each distinct cosmology builds its
-/// Background/Recombination/ThermoCache exactly once, and issuing jobs
+/// pool of executor threads, sharing one unbounded ContextCache so each
+/// distinct cosmology builds its Background/Recombination/ThermoCache
+/// exactly once, and issuing jobs
 /// largest-estimated-cost-first (the batch-level analogue of the
 /// paper's largest-k-first).  Results are bitwise identical to running
 /// each config independently: context sharing changes construction

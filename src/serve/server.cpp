@@ -16,6 +16,8 @@
 
 namespace plinger::serve {
 
+using mp::send_all;
+
 namespace {
 
 /// What the daemon buffers per client: a request line longer than
@@ -29,22 +31,6 @@ void close_if_open(int& fd) {
     ::close(fd);
     fd = -1;
   }
-}
-
-/// Write the whole buffer; false once the peer is gone.  MSG_NOSIGNAL
-/// keeps a dead client from killing the daemon with SIGPIPE.
-bool send_all(int fd, const std::string& text) {
-  std::size_t off = 0;
-  while (off < text.size()) {
-    const ssize_t n = ::send(fd, text.data() + off, text.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Line-buffered reads over a polled socket.  next_line() returns false
@@ -173,18 +159,20 @@ void SpectrumServer::serve() {
     const int cfd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (cfd < 0) continue;
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads_.emplace_back(
-        [this, cfd] { handle_connection(cfd); });
+    // Join the connections that have finished (erasing joins), so a
+    // long-lived daemon does not keep one thread stack per connection
+    // it ever served.
+    std::erase_if(connections_,
+                  [](const Connection& c) { return c.done.load(); });
+    Connection& conn = connections_.emplace_back();
+    conn.thread = std::jthread([this, cfd, &conn] {
+      handle_connection(cfd);
+      conn.done.store(true);
+    });
   }
   // Drain: connections notice stopping_ between requests, finish the
   // request in flight, and exit; joining them completes the shutdown.
-  std::vector<std::jthread> drained;
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(threads_);
-  }
-  drained.clear();  // joins
+  connections_.clear();
 }
 
 void SpectrumServer::handle_connection(int fd) {

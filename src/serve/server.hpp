@@ -7,7 +7,9 @@
 /// docs/protocol.md: a command line (RUN / PING / STATS / QUIT), for
 /// RUN a key=value body terminated by "END", and a streamed reply
 /// (PROGRESS lines while a computation runs, then OK + payload, or one
-/// ERR line).
+/// ERR line).  The accept loop joins finished connection threads as it
+/// accepts new ones, so the daemon holds about as many threads as it
+/// has open connections, however many it has served.
 ///
 /// Shutdown is graceful by construction: request_stop() is
 /// async-signal-safe (an atomic flag plus one write to a wake pipe), so
@@ -19,10 +21,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/service.hpp"
 
@@ -59,6 +60,12 @@ class SpectrumServer {
   bool stopping() const { return stopping_.load(); }
 
  private:
+  /// One accepted connection's thread; `done` is its last act.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::jthread thread;  ///< declared last: joined before `done` goes
+  };
+
   void handle_connection(int fd);
 
   SpectrumService& service_;
@@ -68,8 +75,7 @@ class SpectrumServer {
   int wake_write_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::mutex threads_mutex_;
-  std::vector<std::jthread> threads_;
+  std::list<Connection> connections_;  ///< touched by serve() only
 };
 
 }  // namespace plinger::serve

@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -30,27 +31,15 @@ std::string fmt17(double v) {
   return buf;
 }
 
-/// RAII compute slot over the service's counting gate.
-class SlotGuard {
- public:
-  SlotGuard(std::mutex& mu, std::condition_variable& cv, int& free)
-      : mu_(mu), cv_(cv), free_(free) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return free_ > 0; });
-    --free_;
+/// Holds one compute slot until scope exit, so a computation that
+/// throws gives its slot back too.
+struct SlotGuard {
+  explicit SlotGuard(std::counting_semaphore<>& s) : slots(s) {
+    slots.acquire();
   }
-  ~SlotGuard() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++free_;
-    }
-    cv_.notify_one();
-  }
-
- private:
-  std::mutex& mu_;
-  std::condition_variable& cv_;
-  int& free_;
+  ~SlotGuard() { slots.release(); }
+  SlotGuard(const SlotGuard&) = delete;
+  std::counting_semaphore<>& slots;
 };
 
 }  // namespace
@@ -80,8 +69,9 @@ void ProgressHub::notify(std::size_t done, std::size_t total) {
 
 SpectrumService::SpectrumService(ServeOptions opts)
     : opts_(std::move(opts)),
-      lru_(opts_.lru_capacity, opts_.lru_max_bytes),
-      slots_free_(opts_.compute_slots) {
+      contexts_(opts_.context_capacity),
+      slots_(std::max(opts_.compute_slots, 1)),  // checked below
+      lru_(opts_.lru_capacity, opts_.lru_max_bytes) {
   PLINGER_REQUIRE(opts_.compute_slots >= 1,
                   "SpectrumService: compute_slots must be >= 1");
   if (!opts_.journal_dir.empty()) {
@@ -93,46 +83,6 @@ std::string SpectrumService::journal_path(std::uint64_t identity) const {
   if (opts_.journal_dir.empty()) return "";
   return (fs::path(opts_.journal_dir) / (hex16(identity) + ".pj"))
       .string();
-}
-
-std::shared_ptr<const run::RunContext> SpectrumService::context_for(
-    const run::RunConfig& cfg) {
-  const std::uint64_t key = run::RunContext::cosmology_key(cfg);
-  std::promise<std::shared_ptr<const run::RunContext>> build;
-  bool builder = false;
-  ContextFuture fut;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = contexts_.find(key);
-    if (it != contexts_.end()) {
-      fut = it->second;
-    } else {
-      fut = build.get_future().share();
-      contexts_.emplace(key, fut);
-      context_order_.push_back(key);
-      builder = true;
-      while (context_order_.size() > opts_.context_capacity) {
-        // Oldest-built eviction; in-use contexts stay alive through
-        // their shared_ptr, only the cache entry goes.
-        contexts_.erase(context_order_.front());
-        context_order_.erase(context_order_.begin());
-      }
-    }
-  }
-  if (builder) {
-    try {
-      build.set_value(run::make_context(cfg));
-    } catch (...) {
-      // Do not poison the cache with a failed build.
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        contexts_.erase(key);
-        std::erase(context_order_, key);
-      }
-      build.set_exception(std::current_exception());
-    }
-  }
-  return fut.get();
 }
 
 std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
@@ -161,7 +111,7 @@ std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
   }
 
   if (!answered) {
-    SlotGuard slot(slot_mutex_, slot_cv_, slots_free_);
+    const SlotGuard slot(slots_);
     if (!jpath.empty()) {
       plan.setup().store.path = jpath;
       plan.setup().store.resume = true;
@@ -232,8 +182,7 @@ Answer SpectrumService::answer(const run::RunConfig& cfg_in,
     ++stats_.requests;
   }
 
-  const auto ctx = context_for(cfg);
-  run::RunPlan plan(cfg, ctx);
+  run::RunPlan plan(cfg, contexts_.get(cfg).context);
   const std::uint64_t id = plan.identity().value;
 
   std::promise<std::shared_ptr<const AnswerBody>> mine;

@@ -18,26 +18,26 @@
 ///           concurrent executions, checkpointing into the journal so
 ///           the computation itself is crash-safe and resumable.
 ///
-/// Identical concurrent requests coalesce: the first becomes the
-/// builder, the rest wait on its shared_future (the run_batch context-
-/// cache pattern) and receive the *same* immutable answer body — N
-/// concurrent identical requests cost exactly one computation, and the
-/// coalescing test pins the responses bitwise identical.  Progress for
-/// everyone waiting streams through a per-computation ProgressHub fed
-/// by the trace layer's span observer.
+/// Identical concurrent requests coalesce: the first computes, the
+/// rest wait on its shared_future (the ContextCache pattern) and
+/// receive the *same* immutable answer body — N concurrent
+/// identical requests cost exactly one computation, and the coalescing
+/// test pins the responses bitwise identical.  Progress for everyone
+/// waiting streams through a per-computation ProgressHub fed by the
+/// trace layer's span observer.
 ///
-/// Contexts (Background/Recombination/ThermoCache) are cached by
-/// RunContext::cosmology_key with the same build-once coalescing, so a
-/// miss on a known cosmology pays only the integration, not the
-/// thermodynamics rebuild.
+/// Contexts (Background/Recombination/ThermoCache) come from a
+/// run::ContextCache of context_capacity cosmologies, so a miss on a
+/// known cosmology pays only the integration, not the thermodynamics
+/// rebuild.
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <vector>
 
@@ -149,8 +149,6 @@ class SpectrumService {
   /// Where this identity's journal lives ("" without a journal_dir).
   std::string journal_path(std::uint64_t identity) const;
 
-  const ServeOptions& options() const { return opts_; }
-
  private:
   using BodyFuture =
       std::shared_future<std::shared_ptr<const AnswerBody>>;
@@ -158,27 +156,20 @@ class SpectrumService {
     BodyFuture future;
     std::shared_ptr<ProgressHub> hub;
   };
-  using ContextFuture =
-      std::shared_future<std::shared_ptr<const run::RunContext>>;
 
-  std::shared_ptr<const run::RunContext> context_for(
-      const run::RunConfig& cfg);
   std::shared_ptr<const AnswerBody> build_answer(
       run::RunPlan& plan, std::uint64_t identity,
       const std::shared_ptr<ProgressHub>& hub);
 
   ServeOptions opts_;
+  run::ContextCache contexts_;
+  /// The compute gate: compute_slots concurrent RunPlan::execute() calls.
+  std::counting_semaphore<> slots_;
 
   mutable std::mutex mutex_;
   LruCache<AnswerBody> lru_;
   std::map<std::uint64_t, InFlight> inflight_;
-  std::map<std::uint64_t, ContextFuture> contexts_;
-  std::vector<std::uint64_t> context_order_;  ///< insertion order
   ServeStats stats_;
-
-  std::mutex slot_mutex_;
-  std::condition_variable slot_cv_;
-  int slots_free_ = 0;
 };
 
 /// The full response text for an answer: the OK status line (which

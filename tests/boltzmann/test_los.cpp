@@ -4,6 +4,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,8 +231,8 @@ TEST(BesselTableTest, ProjectionRejectsLmaxAboveTable) {
 }
 
 TEST(BesselTableTest, RefusesASizeItCannotHold) {
-  // A non-finite x_max, a node count past size_t, or nodes x (l_max + 1)
-  // past size_t is refused by name before anything is allocated.
+  // A non-finite x_max, or any table past kBesselTableMaxBytes, is
+  // refused by name before anything that grows with x_max is allocated.
   const double inf = std::numeric_limits<double>::infinity();
   for (double x_max : {inf, 1e300}) {
     const std::string msg =
@@ -242,6 +243,18 @@ TEST(BesselTableTest, RefusesASizeItCannotHold) {
   EXPECT_NE(thrown_message([] { const pb::BesselTable t(99999, 1e15); })
                 .find("x_max"),
             std::string::npos);
+  // Finite tables whose node index fits but whose rows do not, found by
+  // the sizing pass at the first full row: an lcdm l_max = 20 run at
+  // k_max = 1e3 (1.1e8 nodes of 22 entries, about 40 GB), and 2.4e7
+  // nodes of 402.
+  for (const auto& [l_max, x_max] :
+       {std::pair{std::size_t{21}, 1.4e7}, std::pair{std::size_t{401}, 3e6}}) {
+    const std::string msg =
+        thrown_message([&] { const pb::BesselTable t(l_max, x_max); });
+    for (const char* word : {"x_max", "l_max", "bytes"}) {
+      EXPECT_NE(msg.find(word), std::string::npos) << x_max << ": " << msg;
+    }
+  }
   EXPECT_THROW(pb::BesselTable(20, std::nan("")), plinger::InvalidArgument);
   EXPECT_THROW(pb::BesselTable(20, 10.0, 0.0), plinger::InvalidArgument);
 }

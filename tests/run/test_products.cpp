@@ -8,6 +8,7 @@
 // contribution is refused with a diagnostic instead of handing the
 // caller silently-zero EE/TE columns.
 
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <map>
@@ -128,33 +129,43 @@ TEST(MakeSpectraPolarization, RefusesSilentZeroPolarizationColumns) {
 }
 
 TEST(LosProjectionTable, RefusesAGridItCannotTableBeforeAnyMode) {
-  // Every key passes validate(), but k_max = 1e300 asks for a Bessel
-  // table out to x ~ 1e304.  The run must refuse it by name before a
-  // mode is evolved: a table size wrapped past size_t reads far outside
-  // the table and finishes degraded, with garbage in the k = 0.001 mode
-  // (F_2 = -38.78 where a k_max = 0.05 run gives -0.347).
-  pr::RunConfig cfg;
-  cfg.set_preset("lcdm");
-  cfg.solver = "los";
-  cfg.grid = "log";
-  cfg.k_min = 1e-3;
-  cfg.k_max = 1e300;
-  cfg.n_k = 3;
-  cfg.l_max = 20;
-  cfg.driver = "threads";
-  cfg.workers = 2;
-  cfg.store = ::testing::TempDir() + "plinger_los_table_bounds.pj";
-  std::filesystem::remove(cfg.store);
-  cfg.validate();
-  const pr::RunPlan plan(cfg, pr::make_context(cfg));
-  try {
-    (void)plan.execute();
-    ADD_FAILURE() << "a k_max of 1e300 cannot be projected";
-  } catch (const plinger::InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("x_max"), std::string::npos)
-        << e.what();
+  // Every key passes validate(), but the Bessel table grows with k_max
+  // tau_end.  k_max = 1e300 asks for one out to x ~ 1e304; a table size
+  // wrapped past size_t reads far outside the table and finishes
+  // degraded, with garbage in the k = 0.001 mode (F_2 = -38.78 where a
+  // k_max = 0.05 run gives -0.347).  k_max = 1e3 asks for about 40 GB.
+  // The run must refuse either by name, quickly, before a mode is
+  // evolved.
+  for (const double k_max : {1e300, 1e3}) {
+    SCOPED_TRACE(k_max);
+    pr::RunConfig cfg;
+    cfg.set_preset("lcdm");
+    cfg.solver = "los";
+    cfg.grid = "log";
+    cfg.k_min = 1e-3;
+    cfg.k_max = k_max;
+    cfg.n_k = 3;
+    cfg.l_max = 20;
+    cfg.driver = "threads";
+    cfg.workers = 2;
+    cfg.store = ::testing::TempDir() + "plinger_los_table_bounds.pj";
+    std::filesystem::remove(cfg.store);
+    cfg.validate();
+    const pr::RunPlan plan(cfg, pr::make_context(cfg));
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)plan.execute();
+      ADD_FAILURE() << "a k_max of " << k_max << " cannot be projected";
+    } catch (const plinger::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("x_max"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              1.0);
+    // Nothing was journaled: the refusal came before any mode.
+    EXPECT_TRUE(plinger::store::read_journal(cfg.store).results.empty());
+    std::filesystem::remove(cfg.store);
   }
-  // Nothing was journaled: the refusal came before any mode.
-  EXPECT_TRUE(plinger::store::read_journal(cfg.store).results.empty());
-  std::filesystem::remove(cfg.store);
 }

@@ -13,6 +13,10 @@ namespace k = plinger::constants;
 
 namespace {
 
+/// T_b is held on its quasi-static value while the Compton rate is at
+/// least this many times H (see the Recombination constructor).
+constexpr double kTightCompton = 1e5;
+
 /// Saha factor S(T, E) = (2 pi m_e k T / h^2)^{3/2} e^{-E/kT} in m^-3.
 /// Returns 0 on deep underflow.
 double saha_factor(double t_kelvin, double e_ion_joule) {
@@ -97,52 +101,78 @@ Recombination::Recombination(const Background& bg, const Options& opts)
   }
   PLINGER_REQUIRE(i_switch < n, "recombination: Saha exit never reached");
 
-  // Peebles + matter-temperature ODE from the switch point to a = 1.
-  // State: y = [x_H, T_b]; independent variable ln a.
-  auto rhs = [&](double lna_t, std::span<const double> yy,
-                 std::span<double> dy) {
+  // Rates of the Peebles + matter-temperature system at ln a for a
+  // given x_H, shared by its one- and two-component forms.
+  struct Rates {
+    double h;        // Hubble rate (s^-1)
+    double t_r;      // radiation temperature (K)
+    double nh;       // hydrogen nucleus density (m^-3)
+    double x_e;      // free electrons per hydrogen nucleus
+    double compton;  // Compton coupling rate of T_b to T_r (s^-1)
+  };
+  auto rates = [&](double lna_t, double x_h) {
     const double a = std::exp(lna_t);
-    const double x_h = std::clamp(yy[0], 0.0, 1.0);
-    const double t_b = std::max(1e-10, yy[1]);
     const double t_r = t_gamma(a);
     const double nh = n_h(a);
-    const double h_cosmic =
-        bg_.adotoa(a) / a * k::c_light / k::mpc_in_m;  // s^-1
-
-    // Residual He+ from Saha (tiny in the ODE regime, vanishes quickly).
+    // Residual He+ from Saha (tiny in the ODE regime, vanishes quickly):
+    // y2 with x_e ~ x_h + f y2 (a single iteration is ample here).
     const double r_he1 = 4.0 * saha_factor(t_r, k::E_ion_HeI) / nh;
     double x_he = 0.0;
     if (r_he1 > 0.0) {
-      // Solve y2 with x_e ~ x_h + f y2 (single iteration is ample here).
       const double y2 = 1.0 / (1.0 + std::max(x_h, 1e-6) / r_he1);
       x_he = f_he_ * y2;
     }
-    const double x_e = x_h + x_he;
+    const double x_e = std::clamp(x_h, 0.0, 1.0) + x_he;
+    return Rates{
+        .h = bg_.adotoa(a) / a * k::c_light / k::mpc_in_m,
+        .t_r = t_r,
+        .nh = nh,
+        .x_e = x_e,
+        .compton = (8.0 / 3.0) * k::sigma_thomson * k::a_radiation *
+                   std::pow(t_r, 4) / (k::m_electron * k::c_light) * x_e /
+                   (1.0 + f_he_ + x_e)};
+  };
 
-    // Peebles C-factor.
+  // Peebles: net photoionization from n=2 minus case-B recombination,
+  // d x_H / d ln a = (1/H) d x_H / dt, at baryon temperature t_b.
+  auto dxh_dlna = [&](const Rates& r, double x_h, double t_b) {
     const double lam_alpha3 = std::pow(k::lambda_lyman_alpha, 3);
-    const double kk = lam_alpha3 / (8.0 * std::numbers::pi * h_cosmic);
-    const double n_1s = (1.0 - x_h) * nh;
+    const double kk = lam_alpha3 / (8.0 * std::numbers::pi * r.h);
+    const double n_1s = (1.0 - x_h) * r.nh;
     const double beta = beta_b(t_b, opts.fudge);
     const double c_p = (1.0 + kk * k::lambda_2s1s * n_1s) /
                        (1.0 + kk * (k::lambda_2s1s + beta) * n_1s);
-
-    // Net rate (s^-1): photoionization from n=2 minus case-B recomb.
     const double boltz = std::exp(
         -std::min(680.0, k::E_lyman_alpha / (k::k_boltzmann * t_b)));
-    const double dxh_dt =
-        c_p * (beta * (1.0 - x_h) * boltz -
-               alpha_b(t_b, opts.fudge) * nh * x_e * x_h);
+    return c_p *
+           (beta * (1.0 - x_h) * boltz -
+            alpha_b(t_b, opts.fudge) * r.nh * r.x_e * x_h) /
+           r.h;
+  };
 
-    // Compton coupling of T_b to T_r.
-    const double t_r4 = std::pow(t_r, 4);
-    const double compton =
-        (8.0 / 3.0) * k::sigma_thomson * k::a_radiation * t_r4 /
-        (k::m_electron * k::c_light) * x_e / (1.0 + f_he_ + x_e);
-    const double dtb_dt = -2.0 * h_cosmic * t_b + compton * (t_r - t_b);
+  // While R = compton / H is large, T_b follows T_r to O(1/R):
+  // dT_b/dln a = -2 T_b + R (T_r - T_b) with T_b ~ 1/a gives
+  // T_b = T_r R / (R + 1), off the exact solution by O(1/R^2).
+  auto t_quasi_static = [](const Rates& r) {
+    const double big_r = r.compton / r.h;
+    return r.t_r * big_r / (big_r + 1.0);
+  };
 
-    dy[0] = dxh_dt / h_cosmic;  // d/dln a = (1/H) d/dt
-    dy[1] = dtb_dt / h_cosmic;
+  // Tight epoch, y = [x_H] with T_b quasi-static; after it y = [x_H, T_b].
+  // Independent variable ln a.
+  auto rhs_tight = [&](double lna_t, std::span<const double> yy,
+                       std::span<double> dy) {
+    const double x_h = std::clamp(yy[0], 0.0, 1.0);
+    const Rates r = rates(lna_t, x_h);
+    dy[0] = dxh_dlna(r, x_h, t_quasi_static(r));
+  };
+  auto rhs = [&](double lna_t, std::span<const double> yy,
+                 std::span<double> dy) {
+    const double x_h = std::clamp(yy[0], 0.0, 1.0);
+    const double t_b = std::max(1e-10, yy[1]);
+    const Rates r = rates(lna_t, x_h);
+    dy[0] = dxh_dlna(r, x_h, t_b);
+    dy[1] = (-2.0 * r.h * t_b + r.compton * (r.t_r - t_b)) / r.h;
   };
 
   plinger::math::Dverk integrator;
@@ -150,28 +180,30 @@ Recombination::Recombination(const Background& bg, const Options& opts)
   ode_opts.rtol = 1e-8;
   ode_opts.atol = 1e-12;
 
-  std::vector<double> state = {xe[i_switch] - 0.0, tb[i_switch]};
   // Start the ODE from pure-hydrogen Saha at the switch point (He is
-  // essentially neutral there); subtract the He contribution.
-  {
-    double xh = 1.0;
-    const double a_sw = std::exp(lna[i_switch]);
-    (void)saha_xe(a_sw, xh);
-    state[0] = xh;
-  }
+  // essentially neutral there).
+  std::vector<double> state(1);
+  (void)saha_xe(std::exp(lna[i_switch]), state[0]);
+  bool tight = true;
   for (std::size_t i = i_switch; i + 1 < n; ++i) {
-    integrator.integrate(rhs, lna[i], lna[i + 1], state, ode_opts);
-    const double a = std::exp(lna[i + 1]);
-    const double t_r = t_gamma(a);
-    const double nh = n_h(a);
-    const double r_he1 = 4.0 * saha_factor(t_r, k::E_ion_HeI) / nh;
-    double x_he = 0.0;
-    if (r_he1 > 0.0) {
-      const double y2 = 1.0 / (1.0 + std::max(state[0], 1e-6) / r_he1);
-      x_he = f_he_ * y2;
+    if (tight) {
+      const Rates r = rates(lna[i], state[0]);
+      if (r.compton < kTightCompton * r.h) {
+        tight = false;
+        state.push_back(tb[i]);
+      }
     }
-    xe[i + 1] = std::clamp(state[0], 0.0, 1.0) + x_he;
-    tb[i + 1] = state[1];
+    // The first trial step spans the whole leg, computed as the guard
+    // computes what is left of it, so an accepted step lands on lna[i + 1]
+    // exactly.
+    ode_opts.h_init = lna[i + 1] - lna[i];
+    ode_stats_ += tight ? integrator.integrate(rhs_tight, lna[i], lna[i + 1],
+                                               state, ode_opts)
+                        : integrator.integrate(rhs, lna[i], lna[i + 1], state,
+                                               ode_opts);
+    const Rates r = rates(lna[i + 1], state[0]);
+    xe[i + 1] = r.x_e;
+    tb[i + 1] = tight ? t_quasi_static(r) : state[1];
   }
 
   // Optional reionization: raise x_e back to fully-ionized hydrogen plus

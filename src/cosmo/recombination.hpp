@@ -11,18 +11,27 @@
 ///  * hydrogen via Saha while x_H > 0.985, then the Peebles (1968)
 ///    effective three-level ODE with the RECFAST case-B recombination
 ///    coefficient and the 1.14 multilevel fudge factor,
-///  * the baryon (matter) temperature ODE with Compton coupling,
+///  * the baryon (matter) temperature T_b with Compton coupling.  While
+///    the Compton rate is at least kTightCompton = 1e5 times H (from the
+///    Saha exit to z ~ 1000) the T_b equation is stiff, and T_b is held
+///    on its quasi-static value T_r R / (R + 1), R = rate / H, which is
+///    off the exact solution by O(1/R^2); only x_H is integrated there.
+///    Below that the two-component Peebles + T_b ODE takes over from
+///    that T_b (the switch RECFAST makes, Seager, Sasselov & Scott 1999),
 ///  * Thomson opacity dkappa/dtau, the optical depth kappa(tau), and the
 ///    visibility function g(tau) = kappa' e^{-kappa}.
 ///
 /// Everything is tabulated once at construction on a log-a grid and then
 /// served through splines; the class is immutable and thread-safe
-/// afterwards, shared by all k-mode workers.
+/// afterwards, shared by all k-mode workers.  The ODE runs with DVERK,
+/// one leg per log-a node, each leg starting with a full-interval trial
+/// step.
 
 #include <cmath>
 #include <cstddef>
 
 #include "cosmo/background.hpp"
+#include "math/ode.hpp"
 #include "math/spline.hpp"
 
 namespace plinger::cosmo {
@@ -110,6 +119,9 @@ class Recombination {
   /// Hydrogen nucleus number density today (m^-3).
   double n_h0() const { return n_h0_; }
 
+  /// Work of the construction's ODE integration, summed over its legs.
+  const plinger::math::OdeStats& ode_stats() const { return ode_stats_; }
+
  private:
   const Background& bg_;
   Options opts_;
@@ -117,6 +129,7 @@ class Recombination {
   double n_h0_ = 0.0;
   double tau_star_ = 0.0;
   double z_star_ = 0.0;
+  plinger::math::OdeStats ode_stats_;
 
   plinger::math::CubicSpline xe_of_lna_;
   plinger::math::CubicSpline tb_of_lna_;

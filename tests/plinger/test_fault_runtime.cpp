@@ -479,7 +479,11 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   // Modes here cost ~1 ms of CPU, but the healthy worker's deadline is
   // wall-clock: the 1 s floor keeps a descheduled healthy thread on a
   // loaded host from being declared stalled too, and the delay stays
-  // well past the stalled worker's 1.3 s allowance.
+  // well past the stalled worker's 1.3 s allowance.  The healthy worker
+  // holds its first result until the delay has fired: six such modes
+  // are gone in a few ms, so a stalled thread that starts 2 ms late
+  // would otherwise find the schedule drained and never send the result
+  // the delay triggers on.
   const auto& w = phys();
   const auto s = phys_schedule();
   auto setup = phys_setup();
@@ -489,6 +493,7 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   a.tag = 4;
   a.delay_seconds = 3.0;
   setup.inject.actions.push_back(a);
+  setup.inject.hold_healthy_results = true;
   setup.fault.timeout_seconds = 0.3;
   setup.fault.timeout_floor_seconds = 1.0;
   setup.trace.enabled = true;

@@ -7,14 +7,15 @@
 # asan: ASan + UBSan, float-cast-overflow included (GCC's `undefined`
 #       group leaves it out; -fno-sanitize-recover for both,
 #       -D_GLIBCXX_ASSERTIONS) in build-asan/, running test_math,
-#       test_boltzmann, test_integrator and test_golden — the Runge-Kutta
-#       stage kernel and the hierarchy streams, whose pointers are
-#       __restrict__, run there — and every decoder of bytes from
-#       outside the process: test_plinger (mode records), test_store
-#       (the journal walk and its mutation fuzzer), test_io (Fortran
-#       framing, params), test_transport (the TCP frame decoder and its
-#       fuzzer; its E2E tests fork the instrumented plinger_worker) and
-#       test_serve (the request parser).
+#       test_cosmo, test_boltzmann, test_integrator and test_golden — the
+#       Runge-Kutta stage kernel (in test_cosmo over the thermal
+#       history's one- and two-component systems) and the hierarchy
+#       streams, whose pointers are __restrict__, run there — and every
+#       decoder of bytes from outside the process: test_plinger (mode
+#       records), test_store (the journal walk and its mutation fuzzer),
+#       test_io (Fortran framing, params), test_transport (the TCP frame
+#       decoder and its fuzzer; its E2E tests fork the instrumented
+#       plinger_worker) and test_serve (the request parser).
 # tsan: ThreadSanitizer in build-tsan/, running the parallel, transport,
 #       serve, store and run ctest slices (their bench --smoke runs
 #       included): worker pools, socket threads, the daemon and the
@@ -57,7 +58,7 @@ check_reports() {
 
 run_asan() {
   local dir=$ROOT/build-asan reports=$ROOT/build-asan/sanitizer-reports
-  local tests=(test_math test_boltzmann test_integrator test_golden
+  local tests=(test_math test_cosmo test_boltzmann test_integrator test_golden
                test_plinger test_store test_io test_transport test_serve)
   configure_and_build "$dir" \
     "-g -fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -D_GLIBCXX_ASSERTIONS" \

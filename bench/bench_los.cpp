@@ -49,7 +49,6 @@ namespace {
 struct DecadeCost {
   double cpu_hier = 0.0;
   double cpu_los = 0.0;
-  double cpu_auto = 0.0;
   std::size_t n_modes = 0;
 };
 
@@ -107,52 +106,37 @@ int main(int argc, char** argv) {
   hier.driver = "autotask";
   hier.workers = 4;
 
+  // The LOS arm runs on the integrator its solver selects by default
+  // (dop853; the hierarchy keeps dverk).  solver = auto is the same run
+  // as los, so it has no arm of its own.
   run::RunConfig los = hier;
   los.solver = "los";
   los.los_accuracy = "standard";
 
-  // The k-crossover router: LOS where it wins, hierarchy below the
-  // crossover where the short-tower overhead made solver=los a
-  // regression (the 0.14-0.8x decades in the committed record).
-  run::RunConfig aut = hier;
-  aut.solver = "auto";
-  aut.los_accuracy = "standard";
-
   const auto ctx = run::make_context(hier);
   const run::RunPlan hier_plan(hier, ctx);
   const run::RunPlan los_plan(los, ctx);
-  const run::RunPlan auto_plan(aut, ctx);
-  std::printf("== solver=hierarchy vs solver=los vs solver=auto: "
-              "l_max = %zu, %zu modes ==\n",
+  std::printf("== solver=hierarchy vs solver=los: l_max = %zu, %zu modes "
+              "==\n",
               l_max, hier_plan.schedule().size());
 
   // Each arm end to end: execute() (evolution, and on the LOS route the
   // workers' projection), then make_spectra() (accumulation).
   const Arm hier_arm = run_arm(hier_plan);
   const Arm los_arm = run_arm(los_plan);
-  const Arm auto_arm = run_arm(auto_plan);
   const auto& [hier_out, spec_hier, wall_hier, e2e_hier, e2e_hier_min,
                e2e_hier_max] = hier_arm;
   const auto& [los_out, spec_los, wall_los, e2e_los, e2e_los_min,
                e2e_los_max] = los_arm;
-  const auto& [auto_out, spec_auto, wall_auto, e2e_auto, e2e_auto_min,
-               e2e_auto_max] = auto_arm;
 
   // Per-mode CPU, grouped by decade of k.  Both plans share the grid,
   // so the result maps are keyed identically.
   std::map<int, DecadeCost> decades;
-  double cpu_hier = 0.0, cpu_los = 0.0, cpu_auto = 0.0;
-  // The routing's own ledger: CPU spent on the modes solver=auto
-  // reroutes (k below the crossover).  Above the crossover auto and
-  // los do identical work, so any difference there is run-ordering
-  // noise — the gate below compares only the rerouted set.
-  double cpu_los_rerouted = 0.0, cpu_auto_rerouted = 0.0;
-  bool complete = hier_out.results.size() == los_out.results.size() &&
-                  hier_out.results.size() == auto_out.results.size();
+  double cpu_hier = 0.0, cpu_los = 0.0;
+  bool complete = hier_out.results.size() == los_out.results.size();
   for (const auto& [ik, rh] : hier_out.results) {
     const auto it = los_out.results.find(ik);
-    const auto ia = auto_out.results.find(ik);
-    if (it == los_out.results.end() || ia == auto_out.results.end()) {
+    if (it == los_out.results.end()) {
       complete = false;
       continue;
     }
@@ -161,27 +145,18 @@ int main(int argc, char** argv) {
     auto& d = decades[dec];
     d.cpu_hier += rh.cpu_seconds;
     d.cpu_los += it->second.cpu_seconds;
-    d.cpu_auto += ia->second.cpu_seconds;
     d.n_modes += 1;
     cpu_hier += rh.cpu_seconds;
     cpu_los += it->second.cpu_seconds;
-    cpu_auto += ia->second.cpu_seconds;
-    if (rh.k < run::kAutoSolverCrossoverK) {
-      cpu_los_rerouted += it->second.cpu_seconds;
-      cpu_auto_rerouted += ia->second.cpu_seconds;
-    }
   }
 
   // The accuracy companion: worst relative C_l^TT deviation, raw
   // (normalization divided back out).
-  double worst_rel = 0.0, worst_rel_auto = 0.0;
+  double worst_rel = 0.0;
   for (std::size_t l = 2; l <= l_max; ++l) {
     const double a = spec_hier.temperature.cl[l] / spec_hier.cobe_factor;
     const double b = spec_los.temperature.cl[l] / spec_los.cobe_factor;
-    const double c = spec_auto.temperature.cl[l] / spec_auto.cobe_factor;
     worst_rel = std::max(worst_rel, std::abs(b - a) / std::abs(a));
-    worst_rel_auto =
-        std::max(worst_rel_auto, std::abs(c - a) / std::abs(a));
   }
 
   // EE/TE arms.  The speed arms above keep their lean polarization
@@ -207,7 +182,6 @@ int main(int argc, char** argv) {
       std::min({spec_ref.polarization_l_max,
                 spec_los.polarization_l_max, l_max, std::size_t{160}});
   double worst_ee = 0.0, worst_te = 0.0;
-  double worst_ee_auto = 0.0, worst_te_auto = 0.0;
   if (l_pol >= 2) {
     double peak_ee = 0.0, peak_te = 0.0;
     for (std::size_t l = 2; l <= l_pol; ++l) {
@@ -232,40 +206,23 @@ int main(int argc, char** argv) {
       worst_te = std::max(
           worst_te, rel(spec_los.cross.cl[l] / spec_los.cobe_factor,
                         te_h, 0.01 * peak_te));
-      worst_ee_auto = std::max(
-          worst_ee_auto,
-          rel(spec_auto.polarization.cl[l] / spec_auto.cobe_factor, ee_h,
-              0.01 * peak_ee));
-      worst_te_auto = std::max(
-          worst_te_auto,
-          rel(spec_auto.cross.cl[l] / spec_auto.cobe_factor, te_h,
-              0.01 * peak_te));
     }
   }
 
   const double speedup_e2e = e2e_los > 0.0 ? e2e_hier / e2e_los : 0.0;
-  const double speedup_e2e_auto =
-      e2e_auto > 0.0 ? e2e_hier / e2e_auto : 0.0;
   std::printf("end to end (execute + make_spectra), median of %d: "
-              "hierarchy %.2f s, LOS %.2f s (%.1fx), auto %.2f s (%.1fx)\n",
-              kEndToEndRuns, e2e_hier, e2e_los, speedup_e2e, e2e_auto,
-              speedup_e2e_auto);
-  std::printf("  fastest-slowest: hierarchy %.2f-%.2f s, LOS %.2f-%.2f s, "
-              "auto %.2f-%.2f s\n",
-              e2e_hier_min, e2e_hier_max, e2e_los_min, e2e_los_max,
-              e2e_auto_min, e2e_auto_max);
-  std::printf("evolution CPU: hierarchy %.2f s, LOS %.2f s (%.1fx), "
-              "auto %.2f s (%.1fx); execute wallclock %.2f / %.2f / "
-              "%.2f s\n",
+              "hierarchy %.2f s, LOS %.2f s (%.1fx)\n",
+              kEndToEndRuns, e2e_hier, e2e_los, speedup_e2e);
+  std::printf("  fastest-slowest: hierarchy %.2f-%.2f s, LOS %.2f-%.2f s\n",
+              e2e_hier_min, e2e_hier_max, e2e_los_min, e2e_los_max);
+  std::printf("evolution CPU: hierarchy %.2f s, LOS %.2f s (%.1fx); "
+              "execute wallclock %.2f / %.2f s\n",
               cpu_hier, cpu_los, cpu_los > 0.0 ? cpu_hier / cpu_los : 0.0,
-              cpu_auto, cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0,
-              wall_hier, wall_los, wall_auto);
-  std::printf("worst C_l^TT relative deviation (l <= %zu): los %.4f, "
-              "auto %.4f\n",
-              l_max, worst_rel, worst_rel_auto);
-  std::printf("worst C_l^EE / C_l^TE deviation (l <= %zu): los %.4f / "
-              "%.4f, auto %.4f / %.4f\n\n",
-              l_pol, worst_ee, worst_te, worst_ee_auto, worst_te_auto);
+              wall_hier, wall_los);
+  std::printf("worst C_l^TT relative deviation (l <= %zu): %.4f\n", l_max,
+              worst_rel);
+  std::printf("worst C_l^EE / C_l^TE deviation (l <= %zu): %.4f / %.4f\n\n",
+              l_pol, worst_ee, worst_te);
 
   io::BenchReport report("los");
   report.add("totals")
@@ -277,51 +234,30 @@ int main(int argc, char** argv) {
       .metric("wallclock_seconds_end_to_end_los", e2e_los)
       .metric("wallclock_seconds_end_to_end_los_min", e2e_los_min)
       .metric("wallclock_seconds_end_to_end_los_max", e2e_los_max)
-      .metric("wallclock_seconds_end_to_end_auto", e2e_auto)
-      .metric("wallclock_seconds_end_to_end_auto_min", e2e_auto_min)
-      .metric("wallclock_seconds_end_to_end_auto_max", e2e_auto_max)
       .metric("speedup_end_to_end", speedup_e2e)
-      .metric("speedup_end_to_end_auto", speedup_e2e_auto)
       .metric("cpu_seconds_hierarchy", cpu_hier)
       .metric("cpu_seconds_los", cpu_los)
-      .metric("cpu_seconds_auto", cpu_auto)
       .metric("wallclock_seconds_hierarchy", wall_hier)
       .metric("wallclock_seconds_los", wall_los)
-      .metric("wallclock_seconds_auto", wall_auto)
       .metric("speedup_total",
               cpu_los > 0.0 ? cpu_hier / cpu_los : 0.0)
-      .metric("speedup_total_auto",
-              cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0)
-      .metric("cpu_seconds_los_rerouted_modes", cpu_los_rerouted)
-      .metric("cpu_seconds_auto_rerouted_modes", cpu_auto_rerouted)
-      .metric("rerouted_speedup",
-              cpu_auto_rerouted > 0.0
-                  ? cpu_los_rerouted / cpu_auto_rerouted
-                  : 0.0)
       .metric("worst_cl_rel_error", worst_rel)
-      .metric("worst_cl_rel_error_auto", worst_rel_auto)
       .metric("polarization_l_max", static_cast<double>(l_pol))
       .metric("wallclock_seconds_polarization_reference", wall_polref)
       .metric("worst_cl_ee_rel_error", worst_ee)
       .metric("worst_cl_te_rel_error", worst_te)
-      .metric("worst_cl_ee_rel_error_auto", worst_ee_auto)
-      .metric("worst_cl_te_rel_error_auto", worst_te_auto)
       .metric("complete", complete ? 1.0 : 0.0);
 
   std::printf("per-mode speedup by k-decade:\n");
   std::printf("   decade          modes   hier CPU    LOS CPU   "
-              "speedup   auto CPU   speedup\n");
+              "speedup\n");
   double speedup_highest = 0.0;
   for (const auto& [dec, d] : decades) {
     const double speedup =
         d.cpu_los > 0.0 ? d.cpu_hier / d.cpu_los : 0.0;
-    const double speedup_auto =
-        d.cpu_auto > 0.0 ? d.cpu_hier / d.cpu_auto : 0.0;
     speedup_highest = speedup;  // map iterates ascending: last wins
-    std::printf("   1e%+d..1e%+d     %5zu   %8.2f   %8.2f   %6.1fx   "
-                "%8.2f   %6.1fx\n",
-                dec, dec + 1, d.n_modes, d.cpu_hier, d.cpu_los, speedup,
-                d.cpu_auto, speedup_auto);
+    std::printf("   1e%+d..1e%+d     %5zu   %8.2f   %8.2f   %6.1fx\n", dec,
+                dec + 1, d.n_modes, d.cpu_hier, d.cpu_los, speedup);
     char name[32];
     std::snprintf(name, sizeof name, "decade_1e%+d", dec);
     report.add(name)
@@ -329,9 +265,7 @@ int main(int argc, char** argv) {
         .metric("n_modes", static_cast<double>(d.n_modes))
         .metric("cpu_seconds_hierarchy", d.cpu_hier)
         .metric("cpu_seconds_los", d.cpu_los)
-        .metric("speedup", speedup)
-        .metric("cpu_seconds_auto", d.cpu_auto)
-        .metric("speedup_auto", speedup_auto);
+        .metric("speedup", speedup);
   }
   report.entries[0].metric("speedup_highest_k_decade", speedup_highest);
   std::printf("\nhighest-k decade speedup: %.1fx%s\n", speedup_highest,
@@ -351,41 +285,16 @@ int main(int argc, char** argv) {
                  worst_rel);
     return 1;
   }
-  // solver=auto only reroutes modes, so it can never be less accurate
-  // than pure LOS, and the rerouted low-k modes must not cost more in
-  // total than the LOS path they replaced (5% scheduler-noise margin).
-  if (!(worst_rel_auto < 0.20)) {
-    std::fprintf(stderr, "FAIL: auto C_l deviation %.3f exceeds 0.20\n",
-                 worst_rel_auto);
-    return 1;
-  }
   // The polarization arms ride the same ceiling: the fast path must
   // not ship EE/TE columns it cannot defend.
   if (l_pol < 2) {
     std::fprintf(stderr, "FAIL: no common polarization reach\n");
     return 1;
   }
-  if (!(worst_ee < 0.20 && worst_te < 0.20 && worst_ee_auto < 0.20 &&
-        worst_te_auto < 0.20)) {
-    std::fprintf(stderr,
-                 "FAIL: EE/TE deviation (los %.3f/%.3f, auto %.3f/%.3f) "
-                 "exceeds 0.20\n",
-                 worst_ee, worst_te, worst_ee_auto, worst_te_auto);
+  if (!(worst_ee < 0.20 && worst_te < 0.20)) {
+    std::fprintf(stderr, "FAIL: EE/TE deviation %.3f/%.3f exceeds 0.20\n",
+                 worst_ee, worst_te);
     return 1;
   }
-  if (!(cpu_auto_rerouted <= cpu_los_rerouted)) {
-    std::fprintf(stderr,
-                 "FAIL: solver=auto spends %.3f s on the rerouted "
-                 "(k < crossover) modes vs %.3f s under solver=los\n",
-                 cpu_auto_rerouted, cpu_los_rerouted);
-    return 1;
-  }
-  std::printf("rerouted (k < %.3g) modes: los %.3f s, auto %.3f s "
-              "(%.1fx)\n",
-              run::kAutoSolverCrossoverK, cpu_los_rerouted,
-              cpu_auto_rerouted,
-              cpu_auto_rerouted > 0.0
-                  ? cpu_los_rerouted / cpu_auto_rerouted
-                  : 0.0);
   return 0;
 }

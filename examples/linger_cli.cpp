@@ -43,38 +43,14 @@
 #include "run/plan.hpp"
 #include "run/products.hpp"
 
-int main(int argc, char** argv) {
-  using namespace plinger;
+namespace {
 
-  io::KeyValueMap kv;
-  if (argc > 1) {
-    try {
-      kv = io::read_params_file(argv[1]);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  }
-  run::ConfigParse parsed;
-  try {
-    parsed = run::parse_config(kv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "linger_cli: %s\n", e.what());
-    return 1;
-  }
-  for (const std::string& key : parsed.unknown_keys) {
-    const std::string hint = run::config_key_suggestion(key);
-    if (hint.empty()) {
-      std::fprintf(stderr, "linger_cli: warning: unrecognized key '%s'\n",
-                   key.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "linger_cli: warning: unrecognized key '%s' (did you "
-                   "mean '%s'?)\n",
-                   key.c_str(), hint.c_str());
-    }
-  }
-  const run::RunConfig& cfg = parsed.config;
+/// Build, run and report one parsed config; returns the exit status.
+/// Anything the run refuses (a journal of another run, a busy or
+/// corrupt journal, a projection table it cannot hold) throws out of
+/// here to main, which reports it and exits 1.
+int run_and_report(const plinger::run::RunConfig& cfg) {
+  using namespace plinger;
 
   const auto ctx = run::make_context(cfg);
   std::printf("linger_cli: %s\n", ctx->params().summary().c_str());
@@ -130,4 +106,45 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace plinger;
+
+  io::KeyValueMap kv;
+  if (argc > 1) {
+    try {
+      kv = io::read_params_file(argv[1]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "linger_cli: %s\n", e.what());
+      return 1;
+    }
+  }
+  run::ConfigParse parsed;
+  try {
+    parsed = run::parse_config(kv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "linger_cli: %s\n", e.what());
+    return 1;
+  }
+  for (const std::string& key : parsed.unknown_keys) {
+    const std::string hint = run::config_key_suggestion(key);
+    if (hint.empty()) {
+      std::fprintf(stderr, "linger_cli: warning: unrecognized key '%s'\n",
+                   key.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "linger_cli: warning: unrecognized key '%s' (did you "
+                   "mean '%s'?)\n",
+                   key.c_str(), hint.c_str());
+    }
+  }
+  try {
+    return run_and_report(parsed.config);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "linger_cli: %s\n", e.what());
+    return 1;
+  }
 }

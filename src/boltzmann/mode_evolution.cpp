@@ -66,9 +66,6 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
   cfg.lmax_photon = (req.lmax_photon != 0)
                         ? req.lmax_photon
                         : lmax_photon_for_k(req.k, tau_end);
-  if (req.lmax_polarization != 0) {
-    cfg.lmax_polarization = req.lmax_polarization;
-  }
   // StateLayout requires lmax_polarization <= lmax_photon; a tall
   // polarization tower (used for E-mode references) is clamped per mode
   // so low-k modes with a shorter per-k photon tower stay valid.  No-op

@@ -52,11 +52,6 @@ struct EvolveRequest {
   double k = 0.0;
   /// Photon hierarchy size; 0 selects lmax_photon_for_k(k, tau0).
   std::size_t lmax_photon = 0;
-  /// Polarization hierarchy size; 0 keeps the run config's value.  The
-  /// solver=auto router lifts its rerouted hierarchy modes to their
-  /// full photon tower so the EE/TE columns they feed reach as far as
-  /// the LOS branch projects.  Clamped to lmax_photon either way.
-  std::size_t lmax_polarization = 0;
   /// Conformal times at which to record TransferSamples, in any order;
   /// ModeResult::samples come back ascending.  A time within 1e-12 of
   /// tau_switch (for a mode that starts tightly coupled) or of tau_end,

@@ -69,16 +69,19 @@ inline double first_step(double t0, double t1, const OdeOptions& opts) {
   return h;
 }
 
-/// Per-step guard: clamp |h| to what is left of [t, t1], then throw
-/// NumericalFailure if it underflowed the floor or the step budget is
-/// spent.
+/// Per-step guard: clamp |h| to what is left of [t, t1], stretch a step
+/// that would stop short of t1 by less than the floor so that it ends
+/// at t1 (as Hairer's dop853 does near xend; the sub-floor remainder it
+/// would leave could not be stepped), then throw NumericalFailure if
+/// |h| underflowed the floor or the step budget is spent.
 inline void guard_step(double t, double t1, double& h,
                        const OdeOptions& opts, const OdeStats& stats) {
   const double h_floor =
       opts.h_min > 0.0 ? opts.h_min
                        : 16.0 * std::numeric_limits<double>::epsilon() *
                              std::max(std::abs(t), std::abs(t1));
-  h = std::min(h, std::abs(t1 - t));
+  const double rest = std::abs(t1 - t);
+  h = rest - h < h_floor ? rest : h;
   if (h < h_floor) {
     throw NumericalFailure("ODE step size underflow at t=" +
                            std::to_string(t));

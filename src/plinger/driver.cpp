@@ -31,7 +31,7 @@ store::RunIdentity store_identity(const cosmo::Background& bg,
   // a hierarchy journal can never cross-resume with an LOS run (and vice
   // versa).
   const store::LosIdentity los{setup.los.lmax_evolve, setup.los.sample_taus,
-                               setup.los.l_max, setup.los.k_crossover};
+                               setup.los.l_max};
   return store::run_identity(bg.params(), rec.options(), cfg,
                              schedule.k_grid(), setup.tau_end,
                              setup.lmax_cap,
@@ -40,34 +40,17 @@ store::RunIdentity store_identity(const cosmo::Background& bg,
 
 namespace {
 
-/// True when the mode at k takes the line-of-sight route: every mode
-/// under solver=los, and under solver=auto the modes at or above
-/// los.k_crossover — at low k lmax_photon_for_k is already small, so LOS
-/// source sampling costs more than the short hierarchy saves.
-bool on_los_route(const RunSetup& setup, double k) {
-  return setup.los.enabled &&
-         !(setup.los.k_crossover > 0.0 && k < setup.los.k_crossover);
-}
-
-/// The one request shaper: the LOS route pins the mode to the short
-/// hierarchy and attaches the shared source sample times; otherwise the
-/// photon tower follows k tau_end, bounded by lmax_cap.
+/// The one request shaper: a line-of-sight run pins every mode to the
+/// short hierarchy and attaches the shared source sample times;
+/// otherwise the photon tower follows k tau_end, bounded by lmax_cap.
 void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
                    double tau_end) {
-  if (on_los_route(setup, req.k)) {
+  if (setup.los.enabled) {
     req.lmax_photon = setup.los.lmax_evolve;
     req.sample_taus = setup.los.sample_taus;
   } else if (setup.lmax_cap > 0.0) {
     req.lmax_photon = boltzmann::lmax_photon_for_k(
         req.k, tau_end, static_cast<std::size_t>(setup.lmax_cap));
-    if (setup.los.enabled) {
-      // solver=auto reroute: this mode's EE/TE contribution must reach
-      // as far as the LOS branch projects, so the G tower rides the
-      // full per-k photon tower instead of the run-level polarization
-      // setting (G_l is negligible beyond k tau0 — this is
-      // completeness, not extra physics).
-      req.lmax_polarization = req.lmax_photon;
-    }
   }
 }
 
@@ -138,7 +121,7 @@ struct ModeRunner {
 /// outside the process, before the journal append.
 void require_projected(std::size_t ik, double k, const ModeResult& r,
                        const RunSetup& setup) {
-  if (!on_los_route(setup, k)) return;
+  if (!setup.los.enabled) return;
   const std::size_t want = setup.los.l_max + 1;
   if (r.samples.empty() && r.f_gamma.size() == want &&
       r.g_gamma.size() == want) {

@@ -92,11 +92,6 @@ struct LosRunSpec {
   std::size_t lmax_evolve = 0;       ///< short hierarchy for every mode
   std::vector<double> sample_taus;   ///< shared source sample times
   std::size_t l_max = 0;             ///< projected tower: l = 0..l_max
-  /// solver=auto: modes with k below this threshold skip the LOS
-  /// shaping and evolve the full hierarchy instead (LOS source
-  /// sampling costs more than the short hierarchy saves at low k).
-  /// 0 routes every mode through LOS (solver=los).
-  double k_crossover = 0.0;
 };
 
 /// Run setup.  run_master derives the tag-1 broadcast ("a few quantities

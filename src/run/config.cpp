@@ -183,12 +183,13 @@ const KeyImpl kKeys[] = {
     PLINGER_KEY_CHOICE("ic", ic, "adiabatic",
                        "initial conditions: adiabatic / isocurvature",
                        "adiabatic", "isocurvature"),
-    PLINGER_KEY_CHOICE("integrator", integrator, "dverk",
-                       "ODE core: dverk (the paper's Verner 6(5), "
-                       "bitwise-stable default) / dop853 (Dormand-"
-                       "Prince 8(5,3) with dense-output sampling; fewer "
-                       "RHS evals at tight rtol)",
-                       "dverk", "dop853"),
+    PLINGER_KEY_CHOICE("integrator", integrator, "auto",
+                       "ODE core: auto (dverk under solver = hierarchy, "
+                       "dop853 under los and auto) / dverk (the paper's "
+                       "Verner 6(5)) / dop853 (Dormand-Prince 8(5,3); "
+                       "its dense output answers the LOS source times "
+                       "inside accepted steps)",
+                       "auto", "dverk", "dop853"),
     PLINGER_KEY_DOUBLE("rtol", rtol, "1e-5",
                        "integrator relative tolerance"),
     PLINGER_KEY_SIZE("lmax_photon", lmax_photon, "128",
@@ -209,8 +210,8 @@ const KeyImpl kKeys[] = {
                        "hierarchy (full Boltzmann tower, the golden "
                        "reference) / los (short hierarchy + line-of-"
                        "sight projection; held to the hierarchy by the "
-                       "ctest accuracy gate) / auto (los above the "
-                       "k-crossover where it wins, hierarchy below)",
+                       "ctest accuracy gate) / auto (the same run as "
+                       "los)",
                        "hierarchy", "los", "auto"),
     PLINGER_KEY_CHOICE("los_accuracy", los_accuracy, "standard",
                        "LOS sampling tier: draft / standard / high "
@@ -340,7 +341,7 @@ void RunConfig::validate() const {
   require_choice("solver", solver, {"hierarchy", "los", "auto"});
   require_choice("los_accuracy", los_accuracy,
                  {"draft", "standard", "high"});
-  require_choice("integrator", integrator, {"dverk", "dop853"});
+  require_choice("integrator", integrator, {"auto", "dverk", "dop853"});
   PLINGER_REQUIRE(tca_eps > 0.0 && tca_eps <= 0.1,
                   "tca_eps out of range (0, 0.1]");
   if (solver == "los" || solver == "auto") {
@@ -405,9 +406,14 @@ boltzmann::PerturbationConfig RunConfig::perturbation() const {
   cfg.ic_type = ic == "isocurvature"
                     ? boltzmann::InitialConditionType::cdm_isocurvature
                     : boltzmann::InitialConditionType::adiabatic;
-  cfg.integrator = integrator == "dop853"
-                       ? boltzmann::IntegratorKind::dop853
-                       : boltzmann::IntegratorKind::dverk;
+  // auto: the hierarchy keeps the paper's DVERK (the goldens and every
+  // hierarchy identity depend on it); the LOS route samples each mode
+  // at its source times, which DOP853's dense output answers without
+  // clamping a step to each of them.
+  const bool dop853 = integrator == "auto" ? solver != "hierarchy"
+                                           : integrator == "dop853";
+  cfg.integrator = dop853 ? boltzmann::IntegratorKind::dop853
+                          : boltzmann::IntegratorKind::dverk;
   cfg.rtol = rtol;
   cfg.lmax_photon = lmax_photon;
   cfg.lmax_polarization = lmax_polarization;

@@ -74,11 +74,13 @@ struct RunConfig {
 
   // --- integration ---
   std::string ic = "adiabatic";  ///< adiabatic | isocurvature
-  /// ODE core: dverk (the paper's Verner 6(5), bitwise-stable default)
-  /// | dop853 (Dormand-Prince 8(5,3) with dense-output sampling).
-  /// Folds into the store identity — journals written by different
+  /// ODE core: auto (resolved by perturbation(): dverk under solver =
+  /// hierarchy, dop853 under los and auto) | dverk (the paper's Verner
+  /// 6(5)) | dop853 (Dormand-Prince 8(5,3), whose dense output answers
+  /// the LOS source times inside accepted steps).  The resolved core
+  /// folds into the store identity — journals written by different
   /// integrators never cross-resume.
-  std::string integrator = "dverk";
+  std::string integrator = "auto";
   double rtol = 1e-5;
   std::size_t lmax_photon = 128;  ///< identity + lmax_polarization bound
   std::size_t lmax_polarization = 32;
@@ -89,10 +91,9 @@ struct RunConfig {
   // --- solver ---
   /// hierarchy (full Boltzmann tower, the golden reference) | los
   /// (short hierarchy + line-of-sight projection; the fast path, held
-  /// to the hierarchy by the ctest `accuracy` gate) | auto (los above
-  /// the kAutoSolverCrossoverK wavenumber, hierarchy — with the full
-  /// per-k polarization tower — below, fixing the low-k decades where
-  /// LOS source sampling costs more than the short hierarchy saves).
+  /// to the hierarchy by the ctest `accuracy` gate) | auto (the same
+  /// run as los, under the same identity; kept for the clients that
+  /// send it).
   std::string solver = "hierarchy";
   std::string los_accuracy = "standard";  ///< draft | standard | high
   /// Tight-coupling exit threshold; the PerturbationConfig default.
@@ -149,7 +150,8 @@ struct RunConfig {
   /// to the legacy hand-rolled wiring for the same inputs.
   cosmo::CosmoParams cosmology() const;
 
-  /// Materialize the per-mode integration configuration.
+  /// Materialize the per-mode integration configuration, with
+  /// `integrator = auto` resolved against `solver`.
   boltzmann::PerturbationConfig perturbation() const;
 
   /// Materialize the recombination options (z_reion).

@@ -60,7 +60,6 @@ RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
     setup_.los.sample_taus = boltzmann::los_sample_taus(
         ctx_->background(), ctx_->recombination(), lopts);
     setup_.los.l_max = cfg_.l_max;
-    if (cfg_.solver == "auto") setup_.los.k_crossover = kAutoSolverCrossoverK;
   }
 }
 

@@ -24,19 +24,6 @@
 
 namespace plinger::run {
 
-/// solver=auto routing threshold [1/Mpc]: modes with k below this
-/// evolve the full hierarchy, modes at or above it take the LOS fast
-/// path.  Rerouted modes carry their full per-k polarization tower
-/// (the EE/TE columns must reach as far as the LOS branch projects),
-/// which roughly doubles their state — BENCH_los.json (l_max = 1000)
-/// shows the lifted hierarchy still beating LOS by ~3-5x in the
-/// 1e-5/1e-4 decades (the ~240 source sample times dominate when
-/// lmax_photon_for_k is small) but losing the 1e-3 decade it used to
-/// edge out at 0.81x.  The decade boundary 0.001 is the documented
-/// crossover; it folds into the store identity via
-/// LosIdentity::k_crossover.
-inline constexpr double kAutoSolverCrossoverK = 0.001;
-
 /// The ascending k-grid a config names at conformal age tau0 (only the
 /// `cl` grid reads tau0).
 std::vector<double> materialize_grid(const RunConfig& cfg, double tau0);

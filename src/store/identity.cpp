@@ -144,19 +144,8 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   h.add(static_cast<std::uint64_t>(los->l_max));
   h.add(static_cast<std::uint64_t>(los->sample_taus.size()));
   for (const double t : los->sample_taus) h.add(t);
-  // solver=auto: modes below the crossover carry hierarchy-shaped
-  // records inside an otherwise-LOS journal, so the routing threshold
-  // is part of the identity.  Hashed only when set: a solver=los run
-  // (k_crossover = 0) hashes no routing fields.
-  if (los->k_crossover > 0.0) {
-    h.add(std::uint64_t{4});  // auto-routing salt
-    h.add(los->k_crossover);
-    // Rerouted-mode polarization lift: the router now evolves each
-    // below-crossover mode's G tower to its full photon tower, so
-    // journals recorded before the lift carry shorter towers and must
-    // refuse resume rather than mix polarization reaches.
-    h.add(std::uint64_t{5});
-  }
+  // Salts 4 and 5 stamped the retired solver=auto low-k reroute; auto
+  // is now the same run as los.  Do not reuse them.
   return RunIdentity{h.digest()};
 }
 

@@ -71,9 +71,6 @@ struct LosIdentity {
   std::size_t lmax_evolve = 0;
   std::span<const double> sample_taus;
   std::size_t l_max = 0;  ///< projected towers: l = 0..l_max
-  /// solver=auto routing threshold: modes with k below this evolve the
-  /// full hierarchy inside an LOS journal.  0 = pure LOS.
-  double k_crossover = 0.0;
 };
 
 /// Hash the physics inputs of a run.  k_grid is the ascending

@@ -1,18 +1,19 @@
-// Cross-integrator coverage for the DOP853 core and the solver=auto
-// routing:
+// Cross-integrator coverage for the DOP853 core, the line-of-sight
+// default and solver=auto:
 //
 //  * dense-output samples from dop853 agree with the clamped-step DVERK
 //    samples to integration tolerance on the Appendix-A mode system
 //    (3 cosmologies x low/high k);
 //  * C_l^TT computed under integrator=dop853 agrees with the dverk
 //    reference well inside the solver accuracy-gate envelope;
+//  * an LOS run on its default core (dop853) takes at most half the RHS
+//    evaluations of the same run on dverk, with C_l within 1e-4 of it;
 //  * the store identity separates the integrator families: a journal
 //    written under integrator=dop853 is rejected by an
-//    integrator=dverk resume (and vice versa), and solver=auto
-//    journals are rejected by solver=los resumes;
-//  * solver=auto routes modes below kAutoSolverCrossoverK through the
-//    full hierarchy (the per-k photon tower) and the rest through LOS
-//    (towers projected to l_max), identically across drivers;
+//    integrator=dverk resume (and vice versa);
+//  * solver=auto is the same run as solver=los: same identity, every
+//    mode projected to l_max, bitwise the same C_l, a los journal
+//    resumes under auto, and the drivers agree on it;
 //  * every BENCH_*.json committed at the repo root parses as JSON and
 //    carries a schema_version (the bench-schema tier-1 check).
 
@@ -61,9 +62,8 @@ pr::RunConfig small_config(const std::string& integrator) {
   return cfg;
 }
 
-/// solver=auto config whose k-grid straddles kAutoSolverCrossoverK:
-/// 0.0002, 0.0005, 0.0008 route to the hierarchy; 0.0011 ... 0.002 to
-/// LOS.
+/// solver=auto config on a low-k grid, 0.0002 ... 0.002, three of its
+/// seven modes below k = 0.001.
 pr::RunConfig auto_config(const std::string& driver = "serial") {
   pr::RunConfig cfg;
   cfg.grid = "linear";
@@ -317,7 +317,73 @@ TEST(CrossIntegrator, ClAgreesWellInsideAccuracyEnvelope) {
 }
 
 // ---------------------------------------------------------------------
-// Store identity: integrator and solver=auto families never cross-resume.
+// The line-of-sight default: dop853 does the work of a dverk LOS run in
+// at most half the RHS evaluations, and lands on its C_l.
+
+TEST(LosDefaultIntegrator, HalvesTheRhsWorkOfDverkAndKeepsItsCl) {
+  // One lcdm cl-grid LOS run at bench_los's smoke shape; the default
+  // core resolves to dop853, the reference pins dverk.
+  pr::RunConfig fast;
+  fast.set_preset("lcdm");
+  fast.grid = "cl";
+  fast.l_max = 120;
+  fast.points_per_osc = 2.0;
+  fast.lmax_polarization = 12;
+  fast.lmax_neutrino = 16;
+  fast.rtol = 1e-5;
+  fast.solver = "los";
+  fast.driver = "serial";
+  pr::RunConfig slow = fast;
+  slow.integrator = "dverk";
+
+  const auto ctx = pr::make_context(fast);
+  const pr::RunPlan fast_plan(fast, ctx);
+  const pr::RunPlan slow_plan(slow, ctx);
+  EXPECT_EQ(fast_plan.perturbation().integrator, pb::IntegratorKind::dop853);
+  const auto fast_out = fast_plan.execute();
+  const auto slow_out = slow_plan.execute();
+  ASSERT_EQ(fast_out.results.size(), slow_out.results.size());
+
+  // Work: the dense output answers the 240 source times per mode inside
+  // accepted steps instead of clamping a DVERK leg to each of them.
+  long rhs_fast = 0, rhs_slow = 0;
+  for (const auto& [ik, r] : fast_out.results) rhs_fast += r.stats.n_rhs;
+  for (const auto& [ik, r] : slow_out.results) rhs_slow += r.stats.n_rhs;
+  EXPECT_LE(2 * rhs_fast, rhs_slow)
+      << "dop853 " << rhs_fast << " vs dverk " << rhs_slow;
+
+  // Accuracy, COBE factor divided out: TT and EE relative, TE guarded
+  // at 1% of its peak, where it crosses zero.
+  const auto fast_spec = pr::make_spectra(fast_plan, fast_out);
+  const auto slow_spec = pr::make_spectra(slow_plan, slow_out);
+  const std::size_t l_pol = slow_spec.polarization_l_max;
+  ASSERT_EQ(fast_spec.polarization_l_max, l_pol);
+  ASSERT_GE(l_pol, 2u);
+  // Worst |fast - slow| / max(|slow|, guard * peak |slow|) over l.
+  using Column = plinger::spectra::AngularSpectrum pr::SpectrumSet::*;
+  const auto worst = [&](Column column, std::size_t l_top, double guard) {
+    const auto raw = [&](const pr::SpectrumSet& set, std::size_t l) {
+      return (set.*column).cl[l] / set.cobe_factor;
+    };
+    double peak = 0.0, w = 0.0;
+    for (std::size_t l = 2; l <= l_top; ++l) {
+      peak = std::max(peak, std::abs(raw(slow_spec, l)));
+    }
+    for (std::size_t l = 2; l <= l_top; ++l) {
+      const double ref = raw(slow_spec, l);
+      w = std::max(w, std::abs(raw(fast_spec, l) - ref) /
+                          std::max(std::abs(ref), guard * peak));
+    }
+    return w;
+  };
+  EXPECT_LT(worst(&pr::SpectrumSet::temperature, fast.l_max, 0.0), 1e-4);
+  EXPECT_LT(worst(&pr::SpectrumSet::polarization, l_pol, 0.0), 1e-4);
+  EXPECT_LT(worst(&pr::SpectrumSet::cross, l_pol, 0.01), 1e-4);
+}
+
+// ---------------------------------------------------------------------
+// Store identity: integrator families never cross-resume; solver=auto
+// and solver=los journals are one family.
 
 TEST(IntegratorIdentity, Dop853JournalRejectedByDverkResume) {
   const auto ctx = pr::make_context(small_config("dverk"));
@@ -350,60 +416,66 @@ TEST(IntegratorIdentity, Dop853JournalRejectedByDverkResume) {
 }
 
 TEST(IntegratorIdentity, AutoJournalRejectedByLosResume) {
+  // Named for the refusal it used to pin.  solver=auto is now the same
+  // run as solver=los, so a los journal cut short resumes under auto and
+  // finishes on the uninterrupted C_l, bit for bit.
   const auto ctx = pr::make_context(auto_config());
-  const std::string path = temp_store("auto");
+  const pr::RunPlan ref_plan(auto_config(), ctx);
+  const auto ref_cl =
+      pr::make_spectra(ref_plan, ref_plan.execute()).temperature.cl;
 
+  const std::string path = temp_store("auto");
   pr::RunConfig writer = auto_config();
+  writer.solver = "los";
   writer.store = path;
+  writer.stop_after = 3;
   const pr::RunPlan wplan(writer, ctx);
-  ASSERT_EQ(wplan.execute().results.size(), 7u);
+  EXPECT_LT(wplan.execute().results.size(), 7u);
 
   pr::RunConfig reader = auto_config();
-  reader.solver = "los";
   reader.store = path;
   const pr::RunPlan rplan(reader, ctx);
-  EXPECT_NE(wplan.identity().value, rplan.identity().value);
-  EXPECT_THROW(rplan.execute(), ps::StoreIdentityMismatch);
+  EXPECT_EQ(wplan.identity(), rplan.identity());
+  const auto out = rplan.execute();
+  ASSERT_EQ(out.results.size(), 7u);
+  EXPECT_GE(out.n_modes_loaded, 3u);
+  EXPECT_EQ(out.n_modes_loaded + out.n_modes_computed, 7u);
+  EXPECT_EQ(pr::make_spectra(rplan, out).temperature.cl, ref_cl);
 
   std::error_code ec;
   fs::remove(path, ec);
 }
 
 // ---------------------------------------------------------------------
-// solver=auto routing.
+// solver=auto: the line of sight for every mode.
 
 TEST(AutoSolver, RoutesModesAroundTheCrossover) {
+  // Named for the low-k reroute it used to pin.  Every auto mode now
+  // takes the line of sight, low k included, and the run is los's: same
+  // identity, same towers, the same C_l bit for bit.
   const auto ctx = pr::make_context(auto_config());
   const pr::RunPlan plan(auto_config(), ctx);
-  EXPECT_GT(plan.setup().los.k_crossover, 0.0);
+  pr::RunConfig los = auto_config();
+  los.solver = "los";
+  const pr::RunPlan los_plan(los, ctx);
+  EXPECT_EQ(plan.identity(), los_plan.identity());
+
   const auto out = plan.execute();
   ASSERT_EQ(out.results.size(), 7u);
-
-  // Every mode arrives as towers; the route shows in their length.
-  std::size_t hierarchy_routed = 0, los_routed = 0;
   for (const auto& [ik, r] : out.results) {
     (void)ik;
     EXPECT_TRUE(r.samples.empty()) << "k=" << r.k;
-    if (r.k < pr::kAutoSolverCrossoverK) {
-      // Hierarchy branch: the exact moments of the per-k photon tower.
-      EXPECT_EQ(r.lmax,
-                pb::lmax_photon_for_k(
-                    r.k, ctx->conformal_age(),
-                    static_cast<std::size_t>(plan.setup().lmax_cap)))
-          << "k=" << r.k;
-      ++hierarchy_routed;
-    } else {
-      // LOS branch: projected by its worker to the run's l_max.
-      EXPECT_EQ(r.lmax, plan.config().l_max) << "k=" << r.k;
-      ++los_routed;
-    }
+    EXPECT_EQ(r.lmax, plan.config().l_max) << "k=" << r.k;
+    EXPECT_EQ(r.f_gamma.size(), plan.config().l_max + 1) << "k=" << r.k;
+    EXPECT_EQ(r.g_gamma.size(), plan.config().l_max + 1) << "k=" << r.k;
   }
-  EXPECT_EQ(hierarchy_routed, 3u);  // 0.002, 0.005, 0.008
-  EXPECT_EQ(los_routed, 4u);
 
-  // The mixed result set still produces a usable temperature spectrum.
   const auto spectra = pr::make_spectra(plan, out);
+  const auto los_spectra = pr::make_spectra(los_plan, los_plan.execute());
   EXPECT_EQ(spectra.modes_used, 7u);
+  EXPECT_EQ(spectra.temperature.cl, los_spectra.temperature.cl);
+  EXPECT_EQ(spectra.polarization.cl, los_spectra.polarization.cl);
+  EXPECT_EQ(spectra.cross.cl, los_spectra.cross.cl);
   for (std::size_t l = 2; l < spectra.temperature.cl.size(); ++l) {
     EXPECT_TRUE(std::isfinite(spectra.temperature.cl[l])) << "l=" << l;
     EXPECT_GT(spectra.temperature.cl[l], 0.0) << "l=" << l;

@@ -450,6 +450,43 @@ TEST(Dop853, StiffProblemStaysStable) {
   EXPECT_NEAR(y[0], std::exp(-200.0), 1e-10);
 }
 
+namespace {
+
+/// A first trial step 4 ulp(t1) short of [ln 1e-3, ln 2e-3] under a
+/// constant RHS lands inside the guard's floor (16 eps |t1|) of t1.  The
+/// step must close the interval exactly rather than leave a remainder
+/// below the floor, which no step can take ("ODE step size underflow at
+/// t=-6.214608").
+template <class Core>
+void expect_sub_floor_landing_closes_the_interval() {
+  const double t0 = std::log(1e-3), t1 = std::log(2e-3);
+  const double ulp = std::abs(std::nextafter(t1, 0.0) - t1);
+  pm::OdeOptions opts;
+  opts.h_init = (t1 - t0) - 4.0 * ulp;
+  std::vector<double> y = {1.0};
+  double t_last = t0;
+  Core ode;
+  const pm::OdeStats stats = ode.integrate(
+      [](double, std::span<const double>, std::span<double> dy) {
+        dy[0] = 2.0;
+      },
+      t0, t1, y, opts, [&](double t, std::span<const double>) { t_last = t; });
+  EXPECT_EQ(t_last, t1);
+  EXPECT_EQ(stats.n_accepted, 1);
+  EXPECT_EQ(stats.n_rejected, 0);
+  EXPECT_NEAR(y[0], 1.0 + 2.0 * (t1 - t0), 1e-14);
+}
+
+}  // namespace
+
+TEST(Dverk, StepWithinTheFloorOfT1ClosesTheInterval) {
+  expect_sub_floor_landing_closes_the_interval<pm::Dverk>();
+}
+
+TEST(Dop853, StepWithinTheFloorOfT1ClosesTheInterval) {
+  expect_sub_floor_landing_closes_the_interval<pm::Dop853>();
+}
+
 /// Parameterized sweep: integrate y' = cos(t) for several intervals and
 /// tolerances; the result must track sin(t) within tolerance * margin.
 class DverkSweep : public ::testing::TestWithParam<std::pair<double, double>> {

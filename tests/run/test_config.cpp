@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -116,6 +117,49 @@ TEST(RunConfig, SolverKeysDefaultToHierarchy) {
   EXPECT_EQ(cfg.los_accuracy, "standard");
   EXPECT_EQ(cfg.tca_eps, 8e-3);  // the PerturbationConfig default, exactly
   EXPECT_EQ(cfg.los_options(), boltzmann::LosOptions{});
+}
+
+TEST(RunConfig, IntegratorDefaultsToAutoAndRoundTrips) {
+  const run::RunConfig cfg;
+  EXPECT_EQ(cfg.integrator, "auto");
+  const auto keys = run::config_keys();
+  const auto row = std::find_if(keys.begin(), keys.end(), [](const auto& k) {
+    return std::string(k.key) == "integrator";
+  });
+  ASSERT_NE(row, keys.end());
+  EXPECT_EQ(std::string(row->dflt), "auto");
+  EXPECT_NE(cfg.to_params_text().find("integrator = auto\n"),
+            std::string::npos);
+  for (const char* value : {"auto", "dverk", "dop853"}) {
+    run::RunConfig c;
+    c.integrator = value;
+    std::vector<std::string> unknown;
+    EXPECT_EQ(parse_text(c.to_params_text(), &unknown), c) << value;
+    EXPECT_TRUE(unknown.empty());
+  }
+}
+
+TEST(RunConfig, AutoIntegratorResolvesAgainstTheSolver) {
+  // Unset, the hierarchy keeps the paper's DVERK and the line-of-sight
+  // solvers take DOP853; an explicit core wins under every solver.
+  const auto resolved = [](const char* solver, const char* integrator) {
+    run::RunConfig cfg;
+    cfg.solver = solver;
+    cfg.los_accuracy = "draft";
+    cfg.lmax_polarization = 12;  // fits draft's short hierarchy
+    if (integrator != nullptr) cfg.integrator = integrator;
+    cfg.validate();
+    return cfg.perturbation().integrator;
+  };
+  using boltzmann::IntegratorKind;
+  EXPECT_EQ(resolved("hierarchy", nullptr), IntegratorKind::dverk);
+  EXPECT_EQ(resolved("los", nullptr), IntegratorKind::dop853);
+  EXPECT_EQ(resolved("auto", nullptr), IntegratorKind::dop853);
+  for (const char* solver : {"hierarchy", "los", "auto"}) {
+    SCOPED_TRACE(solver);
+    EXPECT_EQ(resolved(solver, "dverk"), IntegratorKind::dverk);
+    EXPECT_EQ(resolved(solver, "dop853"), IntegratorKind::dop853);
+  }
 }
 
 TEST(RunConfig, SolverKeysRoundTripExactly) {

@@ -47,7 +47,9 @@ class BaselineRhs {
         k_(k),
         layout_(cfg.lmax_photon,
                 std::min(cfg.lmax_polarization, cfg.lmax_photon),
-                cfg.lmax_neutrino, cfg.n_q, cfg.lmax_massive_nu) {
+                cfg.lmax_neutrino,
+                bg.nu() != nullptr ? bg.nu()->q_grid().size() : 0,
+                cfg.lmax_massive_nu) {
     // The library spline now takes an O(1) fast path on uniform grids;
     // the pre-overhaul kernel paid a binary search on every thermo
     // lookup.  Rebuild the opacity/cs2 tables on a deliberately
@@ -219,7 +221,8 @@ int main(int argc, char** argv) {
     BaselineRhs base(bg, rec, cfg, k);
 
     const double tau_init = std::min(
-        cfg.ic_eps / k, bg.tau_of_a(bg.a_equality() / 100.0));
+        boltzmann::kIcEps / k,
+        bg.tau_of_a(bg.a_equality() / boltzmann::kEarlyAFactor));
     std::vector<double> y = eq.initial_conditions(tau_init);
     std::vector<double> dy(y.size(), 0.0);
     const double tau = bg.tau_of_a(1e-4);

@@ -94,7 +94,6 @@ int main() {
                            cosmo::CosmoParams::lambda_cdm(), base, hz));
   {
     boltzmann::PerturbationConfig mdm_cfg = base;
-    mdm_cfg.n_q = 8;
     mdm_cfg.lmax_massive_nu = 8;
     rows.push_back(run_model("MDM (m_nu ~ 5 eV)",
                              cosmo::CosmoParams::mixed_dark_matter(),

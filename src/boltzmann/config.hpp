@@ -11,7 +11,9 @@
 ///     F_nu[0..lmax_neutrino],           (massless neutrinos)
 ///     Psi[q=0..n_q-1][l=0..lmax_massive_nu] ]  (massive neutrinos)
 ///
-/// following Ma & Bertschinger (1995).  theta_gamma = (3k/4) F_gamma1 and
+/// following Ma & Bertschinger (1995).  n_q is the size of the
+/// background's momentum grid (Background::nu()->q_grid()), 0 for a
+/// model without massive neutrinos.  theta_gamma = (3k/4) F_gamma1 and
 /// sigma_gamma = F_gamma2 / 2 relate the fluid and hierarchy variables.
 
 #include <cstddef>
@@ -31,6 +33,13 @@ enum class InitialConditionType { adiabatic, cdm_isocurvature };
 /// times by interpolation inside accepted steps.
 enum class IntegratorKind { dverk, dop853 };
 
+/// Each mode starts superhorizon, at k tau = kIcEps ...
+inline constexpr double kIcEps = 1e-3;
+/// ... and no later than a_eq / kEarlyAFactor (radiation dominated).
+inline constexpr double kEarlyAFactor = 100.0;
+/// Tight coupling ends at this redshift at the latest.
+inline constexpr double kTcaExitZ = 2500.0;
+
 /// Numerical controls for the per-mode integration.  The lmax fields are
 /// per-run values; use lmax_photon_for_k() to pick the paper's k-dependent
 /// hierarchy size.
@@ -43,29 +52,25 @@ struct PerturbationConfig {
   /// when the E-mode spectrum itself is wanted at high l.
   std::size_t lmax_neutrino = 32;     ///< massless neutrino hierarchy
   std::size_t lmax_massive_nu = 10;   ///< massive neutrino hierarchy per q
-  std::size_t n_q = 0;                ///< massive-nu momentum nodes (0: none)
 
   IntegratorKind integrator = IntegratorKind::dverk;  ///< ODE core
 
   double rtol = 1e-6;   ///< integrator relative tolerance
   double atol = 1e-12;  ///< integrator absolute tolerance
 
-  double ic_eps = 1e-3;         ///< start at k tau = ic_eps (superhorizon)
-  double early_a_factor = 100;  ///< and no later than a_eq / early_a_factor
-  double tca_eps = 8e-3;        ///< leave tight coupling when
-                                ///< max(k, a'/a)/opacity exceeds this
-  double tca_exit_z = 2500.0;   ///< forced tight-coupling exit redshift
+  double tca_eps = 8e-3;  ///< leave tight coupling when
+                          ///< max(k, a'/a)/opacity exceeds this
 };
 
 /// Photon hierarchy size needed to free-stream moments up to l ~ k tau0
-/// without truncation reflections: lmax = margin * k tau0 + pad, capped.
+/// without truncation reflections: lmax = 1.15 k tau0 + 60, capped.
 /// The cap is applied in double, before the cast, so a huge, infinite or
 /// NaN want comes out as cap instead of an out-of-range conversion.
 inline std::size_t lmax_photon_for_k(double k, double tau0,
-                                     std::size_t cap = 12000,
-                                     double margin = 1.15,
-                                     std::size_t pad = 60) {
-  const double want = margin * k * tau0 + static_cast<double>(pad);
+                                     std::size_t cap = 12000) {
+  constexpr double kMargin = 1.15;
+  constexpr double kPad = 60.0;
+  const double want = kMargin * k * tau0 + kPad;
   if (!(want < static_cast<double>(cap))) return cap;
   const auto lmax = static_cast<std::size_t>(want);
   return lmax < 12 ? 12 : lmax;

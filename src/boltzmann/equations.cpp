@@ -47,12 +47,11 @@ ModeEquations::ModeEquations(const cosmo::Background& bg,
       k_(k),
       layout_(cfg.lmax_photon,
               std::min(cfg.lmax_polarization, cfg.lmax_photon),
-              cfg.lmax_neutrino, cfg.n_q, cfg.lmax_massive_nu),
+              cfg.lmax_neutrino,
+              bg.nu() != nullptr ? bg.nu()->q_grid().size() : 0,
+              cfg.lmax_massive_nu),
       cache_(cache) {
   PLINGER_REQUIRE(k > 0.0, "ModeEquations: k must be positive");
-  PLINGER_REQUIRE(cfg.n_q == 0 || bg.nu() != nullptr,
-                  "ModeEquations: n_q > 0 requires massive neutrinos in the "
-                  "background");
 
   k_third_ = k_ / 3.0;
   k_fifth_ = k_ / 5.0;
@@ -477,7 +476,7 @@ double ModeEquations::pi_source(double /*tau*/, std::span<const double> y,
 
 bool ModeEquations::tca_valid(double tau) const {
   const double a = bg_.a_of_tau(tau);
-  if (a > 1.0 / (1.0 + cfg_.tca_exit_z)) return false;
+  if (a > 1.0 / (1.0 + kTcaExitZ)) return false;
   const double opac = rec_.opacity(a);
   const double adotoa = bg_.adotoa(a);
   return std::max(k_, adotoa) < cfg_.tca_eps * opac;

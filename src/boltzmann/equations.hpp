@@ -53,7 +53,8 @@ class ModeEquations {
   /// Background/Recombination splines — same physics, hot-path speed.
   /// The cache must outlive this object and match (bg, rec).  Passing
   /// nullptr keeps the direct-spline path (used as the reference and as
-  /// the bench baseline).
+  /// the bench baseline).  The massive-neutrino block has one row per
+  /// node of bg.nu()->q_grid(), none without massive neutrinos.
   ModeEquations(const cosmo::Background& bg,
                 const cosmo::Recombination& rec,
                 const PerturbationConfig& cfg, double k,
@@ -84,8 +85,8 @@ class ModeEquations {
   /// quasi-static values so the full equations start smoothly.
   void tca_handoff(double tau, std::span<double> y) const;
 
-  /// True while tight coupling is valid at conformal time tau (thresholds
-  /// from the config; also false below the forced-exit redshift).
+  /// True while tight coupling is valid at conformal time tau (threshold
+  /// tca_eps from the config; also false below redshift kTcaExitZ).
   bool tca_valid(double tau) const;
 
   /// phi and psi of the conformal Newtonian gauge at (tau, y).

@@ -84,21 +84,20 @@ std::vector<double> los_sample_taus(const cosmo::Background& bg,
   return taus;
 }
 
-BesselTable::BesselTable(std::size_t l_max, double x_max, double dx)
-    : l_max_(l_max), x_max_(x_max), dx_(dx) {
+BesselTable::BesselTable(std::size_t l_max, double x_max)
+    : l_max_(l_max), x_max_(x_max) {
   PLINGER_REQUIRE(x_max > 0.0, "BesselTable: x_max must be positive");
-  PLINGER_REQUIRE(dx > 0.0, "BesselTable: dx must be positive");
   // One node past x_max so eval() always has a bracketing interval.
   // Bytes are counted in double (exact below 2^53, far past the ceiling
   // above it), starting with the node index; the node count is cast
   // only once that fits, which also refuses a non-finite x_max.
   const std::size_t width = l_max_ + 1;
-  const double cells = std::ceil(x_max / dx);
+  const double cells = std::ceil(x_max / kBesselDx);
   const double ceiling = static_cast<double>(kBesselTableMaxBytes);
   double bytes = sizeof(std::size_t) * (cells + 3.0);
   const auto refuse = [&] {
     std::ostringstream os;
-    os << "BesselTable: x_max = " << x_max << " at dx = " << dx
+    os << "BesselTable: x_max = " << x_max << " at dx = " << kBesselDx
        << " with l_max = " << l_max_ << " asks for a table of at least "
        << bytes << " bytes, above the " << kBesselTableMaxBytes
        << "-byte ceiling";
@@ -114,7 +113,7 @@ BesselTable::BesselTable(std::size_t l_max, double x_max, double dx)
   // node needs: one past its last entry at or above kBesselCut.
   std::vector<double> jl(width + 1, 0.0), buf(2 * width);
   const auto node = [&](std::size_t i) {
-    const double x = static_cast<double>(i) * dx_;
+    const double x = static_cast<double>(i) * kBesselDx;
     double* jrow = buf.data();
     double* jprow = jrow + width;
     if (x < 1e-12) {
@@ -195,16 +194,15 @@ std::size_t BesselTable::eval(double x, std::span<double> jl) const {
     throw InvalidArgument(os.str());
   }
   // The last interval starts at node n_nodes - 2 = start_.size() - 3.
-  std::size_t i = static_cast<std::size_t>(x / dx_);
+  std::size_t i = static_cast<std::size_t>(x / kBesselDx);
   i = std::min(i, start_.size() - 3);
-  const double t = x / dx_ - static_cast<double>(i);
+  const double t = x / kBesselDx - static_cast<double>(i);
   // Cubic Hermite basis on [x_i, x_{i+1}].
   const double t2 = t * t, t3 = t2 * t;
   const double h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
   const double h10 = t3 - 2.0 * t2 + t;
   const double h01 = -2.0 * t3 + 3.0 * t2;
   const double h11 = t3 - t2;
-  const double dx = dx_;
   // Row i's length covers the interval; row i + 1 is at least as long.
   const std::size_t n = std::min(jl.size(), start_[i + 1] - start_[i]);
   const double* j0 = j_.data() + start_[i];
@@ -213,7 +211,8 @@ std::size_t BesselTable::eval(double x, std::span<double> jl) const {
   const double* p1 = jp_.data() + start_[i + 1];
   double* out = jl.data();
   for (std::size_t l = 0; l < n; ++l) {
-    out[l] = h00 * j0[l] + h01 * j1[l] + dx * (h10 * p0[l] + h11 * p1[l]);
+    out[l] =
+        h00 * j0[l] + h01 * j1[l] + kBesselDx * (h10 * p0[l] + h11 * p1[l]);
   }
   std::fill(jl.begin() + static_cast<std::ptrdiff_t>(n), jl.end(), 0.0);
   return n;

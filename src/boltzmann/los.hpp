@@ -78,18 +78,22 @@ std::vector<double> los_sample_taus(const cosmo::Background& bg,
 /// but moves towers to 4e-19 of their peak, and 1e-12 moves C_l.
 inline constexpr double kBesselCut = 1e-30;
 
+/// Node spacing of the BesselTable's uniform x-grid.  The cubic Hermite
+/// interpolant between nodes is ~1e-6 accurate at this spacing.
+inline constexpr double kBesselDx = 0.125;
+
 /// The largest BesselTable a process builds (node index and both
 /// columns): 4 GiB, about 37x the 110 MB of bench_los at l_max 1000.  The
 /// table grows with x_max = k_max tau_end, which RunConfig only keeps finite.
 inline constexpr std::size_t kBesselTableMaxBytes = std::size_t{4} << 30;
 
 /// Precomputed spherical Bessel table for the projection hot loop:
-/// j_l(x) for l = 0..l_max on a uniform x-grid, evaluated between nodes
-/// by cubic Hermite interpolation (the exact derivative j_l' at every
-/// node comes from the recurrence, so the interpolant is ~1e-6 accurate
-/// at the default spacing).  One table is built per run and shared by
-/// every mode's projection; asking for l above l_max or x outside
-/// [0, x_max] is an error, not an extrapolation.
+/// j_l(x) for l = 0..l_max on a uniform x-grid of spacing kBesselDx,
+/// evaluated between nodes by cubic Hermite interpolation (the exact
+/// derivative j_l' at every node comes from the recurrence).  One table
+/// is built per run and shared by every mode's projection; asking for l
+/// above l_max or x outside [0, x_max] is an error, not an
+/// extrapolation.
 ///
 /// The table is triangular, as in CMBFAST (Seljak & Zaldarriaga 1996):
 /// j_l is negligible until x nears l, so node i's row keeps l only up to
@@ -103,11 +107,11 @@ inline constexpr std::size_t kBesselTableMaxBytes = std::size_t{4} << 30;
 /// the system with the table.
 class BesselTable {
  public:
-  /// Tabulate l = 0..l_max over x in [0, x_max] with node spacing dx.
-  /// Throws InvalidArgument naming x_max, l_max and the bytes when the
-  /// table would exceed kBesselTableMaxBytes (a non-finite x_max
-  /// included), before any allocation that grows with x_max.
-  BesselTable(std::size_t l_max, double x_max, double dx = 0.125);
+  /// Tabulate l = 0..l_max over x in [0, x_max].  Throws
+  /// InvalidArgument naming x_max, l_max and the bytes when the table
+  /// would exceed kBesselTableMaxBytes (a non-finite x_max included),
+  /// before any allocation that grows with x_max.
+  BesselTable(std::size_t l_max, double x_max);
 
   std::size_t l_max() const { return l_max_; }
   double x_max() const { return x_max_; }
@@ -122,7 +126,6 @@ class BesselTable {
  private:
   std::size_t l_max_ = 0;
   double x_max_ = 0.0;
-  double dx_ = 0.0;
   std::vector<double> j_;   ///< node-major rows: j_[start_[i] + l]
   std::vector<double> jp_;  ///< node-major derivatives, same layout
   std::vector<std::size_t> start_;  ///< row i is [start_[i], start_[i+1])

@@ -75,15 +75,15 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
 
   // Start superhorizon AND radiation-dominated.
   const double tau_init =
-      std::min(cfg.ic_eps / req.k,
-               bg_.tau_of_a(bg_.a_equality() / cfg.early_a_factor));
+      std::min(kIcEps / req.k,
+               bg_.tau_of_a(bg_.a_equality() / kEarlyAFactor));
   PLINGER_REQUIRE(tau_init < tau_end, "evolve: tau range is empty");
 
   // Tight-coupling exit: the validity margin shrinks monotonically, so a
   // single bracketed root gives the switch time.
   double tau_switch = tau_init;
   if (eq.tca_valid(tau_init)) {
-    const double a_forced = 1.0 / (1.0 + cfg.tca_exit_z);
+    const double a_forced = 1.0 / (1.0 + kTcaExitZ);
     double tau_forced = bg_.tau_of_a(a_forced);
     tau_forced = std::min(tau_forced, tau_end);
     auto margin = [&](double tau) {

@@ -40,6 +40,10 @@ struct ModeResult {
   TransferSample final_state;            ///< at tau0
   std::vector<TransferSample> samples;   ///< at the requested times
   double tau_init = 0.0, tau_switch = 0.0, tau_end = 0.0;
+  /// The integration's work.  The tag-4 header carries n_accepted and
+  /// n_rhs but no rejected count (plinger/records.hpp), so a result that
+  /// crossed the wire (threads and tcp drivers) or came back from a
+  /// journal has n_rejected = 0.
   plinger::math::OdeStats stats;
   std::uint64_t flops = 0;      ///< estimated flop count of the evolution
   /// Thread CPU of the evolution alone, measured inside

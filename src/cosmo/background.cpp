@@ -25,7 +25,7 @@ Background::Background(const CosmoParams& params) : params_(params) {
                      params_.omega_gamma();
   grho_v0_ = grhom_ * params_.omega_lambda;
 
-  if (params_.n_massive_nu > 0 && params_.omega_nu > 0.0) {
+  if (params_.has_massive_nu()) {
     nu_ = std::make_shared<const NuDensity>();
     const double omega_per =
         params_.omega_nu / static_cast<double>(params_.n_massive_nu);

@@ -88,7 +88,9 @@ class Background {
   /// factor (radiation = photons + all neutrinos while relativistic).
   double a_equality() const { return a_eq_; }
 
-  /// Massive-neutrino machinery (nullptr when n_massive_nu == 0).
+  /// Massive-neutrino machinery (nullptr unless
+  /// params().has_massive_nu()).  Its q_grid() is the one momentum grid
+  /// the perturbation hierarchy sums.
   const NuDensity* nu() const { return nu_.get(); }
 
   /// xi(a) = a m c^2 / (k_B T_nu0) for the massive species (0 if none).

@@ -12,6 +12,9 @@ namespace plinger::cosmo {
 namespace {
 constexpr double kZeta3 = 1.2020569031595943;
 
+/// Resolution of the log(xi) spline tables of I_rho and I_p.
+constexpr std::size_t kTableSize = 256;
+
 /// \int q^2 f0 dq = (3/2) zeta(3).
 double number_integral() { return 1.5 * kZeta3; }
 }  // namespace
@@ -21,12 +24,9 @@ double NuDensity::i_rho_massless() {
   return 7.0 * pi4 / 120.0;
 }
 
-NuDensity::NuDensity(std::size_t n_table, std::size_t n_q) {
-  PLINGER_REQUIRE(n_table >= 16, "NuDensity: n_table too small");
-  PLINGER_REQUIRE(n_q >= 4 && n_q <= 128, "NuDensity: n_q out of range");
-
-  // High-accuracy rule for the background tables (independent of the
-  // perturbation grid so the table accuracy does not limit n_q choices).
+NuDensity::NuDensity() {
+  // High-accuracy rule for the background tables, independent of the
+  // perturbation grid.
   const auto rule = plinger::math::gauss_laguerre(64);
 
   auto integrals = [&rule](double xi, double& i_rho, double& i_p) {
@@ -47,9 +47,9 @@ NuDensity::NuDensity(std::size_t n_table, std::size_t n_q) {
   xi_max_ = 1e7;
   const auto log_xi = plinger::math::linspace(std::log(xi_min_),
                                               std::log(xi_max_),
-                                              n_table);
-  std::vector<double> log_rho(n_table), log_p(n_table);
-  for (std::size_t i = 0; i < n_table; ++i) {
+                                              kTableSize);
+  std::vector<double> log_rho(kTableSize), log_p(kTableSize);
+  for (std::size_t i = 0; i < kTableSize; ++i) {
     double i_rho = 0.0, i_p = 0.0;
     integrals(std::exp(log_xi[i]), i_rho, i_p);
     log_rho[i] = std::log(i_rho);
@@ -59,10 +59,10 @@ NuDensity::NuDensity(std::size_t n_table, std::size_t n_q) {
   log_p_ = plinger::math::CubicSpline(log_xi, log_p);
 
   // Perturbation q-grid.
-  const auto pert = plinger::math::gauss_laguerre(n_q);
-  q_grid_.resize(n_q);
+  const auto pert = plinger::math::gauss_laguerre(kQNodes);
+  q_grid_.resize(kQNodes);
   grid_norm_ = 0.0;
-  for (std::size_t i = 0; i < n_q; ++i) {
+  for (std::size_t i = 0; i < kQNodes; ++i) {
     const double q = pert.nodes[i];
     NuQuadPoint pt;
     pt.q = q;

@@ -35,9 +35,11 @@ struct NuQuadPoint {
 /// const).
 class NuDensity {
  public:
-  /// n_table: resolution of the log(xi) spline table;
-  /// n_q: number of Gauss-Laguerre nodes for the perturbation grid.
-  explicit NuDensity(std::size_t n_table = 256, std::size_t n_q = 16);
+  /// Gauss-Laguerre nodes of the perturbation grid: the massive-neutrino
+  /// rows of every mode's state, and the node count the identity hashes.
+  static constexpr std::size_t kQNodes = 16;
+
+  NuDensity();
 
   /// rho(xi) / rho(0): energy density relative to the massless limit.
   double rho_ratio(double xi) const;
@@ -52,7 +54,7 @@ class NuDensity {
   /// I_rho(0) = 7 pi^4 / 120.
   static double i_rho_massless();
 
-  /// The perturbation momentum grid (fixed at construction).
+  /// The perturbation momentum grid: kQNodes nodes.
   const std::vector<NuQuadPoint>& q_grid() const { return q_grid_; }
 
   /// sum_i weight_i q_i ~ \int q^3 f0 dq — the massless normalization of

@@ -45,6 +45,8 @@ void CosmoParams::validate() const {
   PLINGER_REQUIRE(omega_nu >= 0.0, "omega_nu must be non-negative");
   PLINGER_REQUIRE(omega_nu == 0.0 || n_massive_nu > 0,
                   "omega_nu > 0 requires n_massive_nu > 0");
+  PLINGER_REQUIRE(n_massive_nu <= 0 || omega_nu > 0.0,
+                  "n_massive_nu > 0 requires omega_nu > 0");
   PLINGER_REQUIRE(t_cmb > 1.0 && t_cmb < 10.0, "t_cmb out of range");
   PLINGER_REQUIRE(y_helium > 0.0 && y_helium < 0.5, "y_helium out of range");
   PLINGER_REQUIRE(n_eff_massless >= 0.0, "n_eff_massless must be >= 0");

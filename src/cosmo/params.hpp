@@ -40,6 +40,11 @@ struct CosmoParams {
   /// Total matter Omega (CDM + baryons + massive neutrinos).
   double omega_matter() const { return omega_c + omega_b + omega_nu; }
 
+  /// The one test for massive neutrinos (Background's NuDensity, the
+  /// ThermoCache channels, the hashed momentum nodes).  validate()
+  /// refuses either half without the other.
+  bool has_massive_nu() const { return n_massive_nu > 0 && omega_nu > 0.0; }
+
   /// Close the universe to flatness by deriving omega_c from everything
   /// else: omega_c = 1 - omega_b - omega_lambda - omega_nu - omega_gamma
   /// - omega_nu_massless.  This is the one canonical form of the closure

@@ -30,16 +30,16 @@ double saha_factor(double t_kelvin, double e_ion_joule) {
 
 /// RECFAST case-B hydrogen recombination coefficient (m^3/s), including
 /// the multilevel fudge factor.
-double alpha_b(double t_kelvin, double fudge) {
+double alpha_b(double t_kelvin) {
   const double t4 = t_kelvin / 1e4;
-  return fudge * 1e-19 * 4.309 * std::pow(t4, -0.6166) /
+  return Recombination::kFudge * 1e-19 * 4.309 * std::pow(t4, -0.6166) /
          (1.0 + 0.6703 * std::pow(t4, 0.5300));
 }
 
 /// Photoionization rate from n=2, beta = alpha (2 pi m_e k T/h^2)^{3/2}
 /// e^{-E_2/kT} (s^-1).
-double beta_b(double t_kelvin, double fudge) {
-  return alpha_b(t_kelvin, fudge) * saha_factor(t_kelvin, k::E_ion_H_n2);
+double beta_b(double t_kelvin) {
+  return alpha_b(t_kelvin) * saha_factor(t_kelvin, k::E_ion_H_n2);
 }
 
 }  // namespace
@@ -54,8 +54,8 @@ Recombination::Recombination(const Background& bg, const Options& opts)
   f_he_ = y / (4.0 * (1.0 - y));
   n_h0_ = (1.0 - y) * p.omega_b * k::rho_crit_h2 * p.h * p.h / k::m_hydrogen;
 
-  const std::size_t n = opts.n_points;
-  auto lna = plinger::math::linspace(std::log(opts.a_start), 0.0, n);
+  constexpr std::size_t n = kNPoints;
+  auto lna = plinger::math::linspace(std::log(kAStart), 0.0, n);
 
   auto t_gamma = [&](double a) { return p.t_cmb / a; };
   auto n_h = [&](double a) { return n_h0_ / (a * a * a); };
@@ -94,7 +94,7 @@ Recombination::Recombination(const Background& bg, const Options& opts)
     double xh = 1.0;
     xe[i] = saha_xe(a, xh);
     tb[i] = t_gamma(a);
-    if (xh < opts.saha_exit_xh) {
+    if (xh < kSahaExitXh) {
       i_switch = i;
       break;
     }
@@ -139,14 +139,14 @@ Recombination::Recombination(const Background& bg, const Options& opts)
     const double lam_alpha3 = std::pow(k::lambda_lyman_alpha, 3);
     const double kk = lam_alpha3 / (8.0 * std::numbers::pi * r.h);
     const double n_1s = (1.0 - x_h) * r.nh;
-    const double beta = beta_b(t_b, opts.fudge);
+    const double beta = beta_b(t_b);
     const double c_p = (1.0 + kk * k::lambda_2s1s * n_1s) /
                        (1.0 + kk * (k::lambda_2s1s + beta) * n_1s);
     const double boltz = std::exp(
         -std::min(680.0, k::E_lyman_alpha / (k::k_boltzmann * t_b)));
     return c_p *
            (beta * (1.0 - x_h) * boltz -
-            alpha_b(t_b, opts.fudge) * r.nh * r.x_e * x_h) /
+            alpha_b(t_b) * r.nh * r.x_e * x_h) /
            r.h;
   };
 
@@ -213,7 +213,7 @@ Recombination::Recombination(const Background& bg, const Options& opts)
     for (std::size_t i = 0; i < n; ++i) {
       const double z = 1.0 / std::exp(lna[i]) - 1.0;
       const double f =
-          0.5 * (1.0 + std::tanh((opts.z_reion - z) / opts.dz_reion));
+          0.5 * (1.0 + std::tanh((opts.z_reion - z) / kDzReion));
       xe[i] = xe[i] + (xe_target - xe[i]) * f;
     }
   }

@@ -39,20 +39,21 @@ namespace plinger::cosmo {
 /// Thermal history and Thomson opacity of a cosmological model.
 class Recombination {
  public:
-  /// Tuning knobs; the defaults reproduce the standard treatment.
+  /// The standard treatment's constants.
+  static constexpr double kAStart = 1e-9;  ///< table start (fully ionized)
+  static constexpr std::size_t kNPoints = 4096;  ///< log-a table resolution
+  static constexpr double kSahaExitXh = 0.985;  ///< Saha -> Peebles ODE
+  static constexpr double kFudge = 1.14;  ///< RECFAST multilevel calibration
+  static constexpr double kDzReion = 1.5;  ///< width of the reionization tanh
+
   struct Options {
-    double a_start = 1e-9;      ///< table start (fully ionized there)
-    std::size_t n_points = 4096;  ///< log-a table resolution
-    double saha_exit_xh = 0.985;  ///< switch Saha -> Peebles ODE
-    double fudge = 1.14;          ///< RECFAST multilevel calibration
     /// Optional late reionization (an extension: the paper's standard
     /// CDM runs have none).  z_reion <= 0 disables it; otherwise x_e is
     /// raised to the fully-ionized H + singly-ionized He value over a
-    /// tanh of width dz_reion.  Gas reheating is not modeled (it has no
+    /// tanh of width kDzReion.  Gas reheating is not modeled (it has no
     /// effect on the Thomson opacity, which is all the perturbations
     /// see).
     double z_reion = 0.0;
-    double dz_reion = 1.5;
 
     friend bool operator==(const Options&, const Options&) = default;
   };

@@ -2,35 +2,25 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
 #include "math/spline.hpp"
 
 namespace plinger::cosmo {
 
 ThermoCache::ThermoCache(const Background& bg, const Recombination& rec)
-    : ThermoCache(bg, rec, Options{}) {}
-
-ThermoCache::ThermoCache(const Background& bg, const Recombination& rec,
-                         const Options& opts)
     : d_(bg.density_constants()) {
-  PLINGER_REQUIRE(opts.a_min > 0.0 && opts.a_min < 1.0,
-                  "ThermoCache: a_min must be in (0, 1)");
-  PLINGER_REQUIRE(opts.n_points >= 8, "ThermoCache: n_points too small");
-
   const NuDensity* nu = bg.nu();
-  has_nu_ = (nu != nullptr) && d_.n_massive_nu > 0;
+  has_nu_ = bg.params().has_massive_nu();
   n_massive_ = static_cast<double>(d_.n_massive_nu);
 
-  n_ = opts.n_points;
-  a_min_ = opts.a_min;
-  lna0_ = std::log(opts.a_min);
-  h_ = -lna0_ / static_cast<double>(n_ - 1);
+  constexpr std::size_t n = kNPoints;
+  lna0_ = std::log(kAMin);
+  h_ = -lna0_ / static_cast<double>(n - 1);
   inv_h_ = 1.0 / h_;
   h2over6_ = h_ * h_ / 6.0;
 
-  const auto lna = plinger::math::linspace(lna0_, 0.0, n_);
-  std::vector<double> opac(n_), cs2(n_), rr(n_, 1.0), pr(n_, 1.0);
-  for (std::size_t i = 0; i < n_; ++i) {
+  const auto lna = plinger::math::linspace(lna0_, 0.0, n);
+  std::vector<double> opac(n), cs2(n), rr(n, 1.0), pr(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
     opac[i] = rec.opacity_lna(lna[i]);
     cs2[i] = rec.cs2_baryon_lna(lna[i]);
     if (has_nu_) {
@@ -52,8 +42,8 @@ ThermoCache::ThermoCache(const Background& bg, const Recombination& rec,
   const auto rr2 = s_rr.second_derivs();
   const auto pr2 = s_pr.second_derivs();
 
-  knots_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
+  knots_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     knots_[i] = Knot{opac[i], cs2[i], rr[i],    pr[i],
                      opac2[i], cs22[i], rr2[i], pr2[i]};
   }
@@ -62,10 +52,10 @@ ThermoCache::ThermoCache(const Background& bg, const Recombination& rec,
 ThermoPoint ThermoCache::eval(double a) const {
   const double lna = std::log(a);  // the only transcendental in this call
 
-  // Tabulated channels clamp to the table edge below a_min: opacity runs
+  // Tabulated channels clamp to the table edge below kAMin: opacity runs
   // as a^-2 there, which the boundary cubic in ln a cannot follow — it
   // would swing to huge negative values within a few spacings.  The
-  // integrators never start below a_min, so the clamp only guards stray
+  // integrators never start below kAMin, so the clamp only guards stray
   // diagnostic queries; the analytic channels below stay exact at all a.
   const double lna_t = lna < lna0_ ? lna0_ : lna;
 
@@ -75,7 +65,7 @@ ThermoPoint ThermoCache::eval(double a) const {
   std::size_t i = 0;
   if (u > 0.0) {
     i = static_cast<std::size_t>(u);
-    if (i > n_ - 2) i = n_ - 2;
+    if (i > kNPoints - 2) i = kNPoints - 2;
   }
 
   // Shared cubic weights for all four channels of the interval.

@@ -26,8 +26,9 @@
 /// run, zero synchronization, zero wire-protocol change.
 ///
 /// Accuracy: the cache resamples the source splines on a ~3x finer grid
-/// (16384 points over ln a in [ln 1e-11, 0] by default vs Recombination's
-/// 4096 over [ln 1e-9, 0]), so the cache-vs-direct difference is far
+/// (kNPoints = 16384 points over ln a in [ln kAMin, 0], kAMin = 1e-11, vs
+/// Recombination's 4096 over [ln 1e-9, 0]), so the cache-vs-direct
+/// difference is far
 /// below the source tables' own discretization error (see
 /// tests/cosmo/test_thermo_cache.cpp for the enforced bounds).
 
@@ -54,23 +55,16 @@ struct ThermoPoint {
 /// The fused cache.  Immutable and thread-safe after construction.
 class ThermoCache {
  public:
-  struct Options {
-    /// Table start.  Queries below a_min clamp the tabulated channels to
-    /// the table edge (integrations never go there; the analytic
-    /// channels stay exact at all a).
-    double a_min = 1e-11;
-    std::size_t n_points = 16384;  ///< uniform ln-a resolution
-  };
+  /// Table start.  Queries below kAMin clamp the tabulated channels to
+  /// the table edge (integrations never go there; the analytic channels
+  /// stay exact at all a).
+  static constexpr double kAMin = 1e-11;
+  static constexpr std::size_t kNPoints = 16384;  ///< uniform ln-a resolution
 
   ThermoCache(const Background& bg, const Recombination& rec);
-  ThermoCache(const Background& bg, const Recombination& rec,
-              const Options& opts);
 
   /// All per-a quantities from one O(1) table lookup (a > 0).
   ThermoPoint eval(double a) const;
-
-  std::size_t n_points() const { return n_; }
-  double a_min() const { return a_min_; }
 
  private:
   /// One table knot: the four tabulated channels and their natural-spline
@@ -84,12 +78,10 @@ class ThermoCache {
   DensityConstants d_;
   bool has_nu_ = false;
   double n_massive_ = 0.0;  ///< n_massive_nu as a double, for the product
-  double a_min_ = 0.0;
-  double lna0_ = 0.0;   ///< ln a_min
+  double lna0_ = 0.0;   ///< ln kAMin
   double h_ = 0.0;      ///< uniform ln-a spacing
   double inv_h_ = 0.0;
   double h2over6_ = 0.0;
-  std::size_t n_ = 0;
   std::vector<Knot> knots_;
 };
 

@@ -35,7 +35,6 @@ struct OdeOptions {
   double rtol = 1e-6;      ///< relative tolerance per component
   double atol = 1e-12;     ///< absolute tolerance per component
   double h_init = 0.0;     ///< initial step; 0 selects (t1-t0)/100
-  double h_min = 0.0;      ///< minimum |step|; 0 selects ~16*eps*|t|
   double h_max = 0.0;      ///< maximum |step|; 0 means unlimited
   long max_steps = 2'000'000;  ///< hard cap on accepted+rejected steps
 };
@@ -69,6 +68,10 @@ inline double first_step(double t0, double t1, const OdeOptions& opts) {
   return h;
 }
 
+/// The smallest |step| is kStepFloorUlps machine epsilons of
+/// max(|t|, |t1|): below that, t + h cannot be told from t.
+inline constexpr double kStepFloorUlps = 16.0;
+
 /// Per-step guard: clamp |h| to what is left of [t, t1], stretch a step
 /// that would stop short of t1 by less than the floor so that it ends
 /// at t1 (as Hairer's dop853 does near xend; the sub-floor remainder it
@@ -76,10 +79,9 @@ inline double first_step(double t0, double t1, const OdeOptions& opts) {
 /// |h| underflowed the floor or the step budget is spent.
 inline void guard_step(double t, double t1, double& h,
                        const OdeOptions& opts, const OdeStats& stats) {
-  const double h_floor =
-      opts.h_min > 0.0 ? opts.h_min
-                       : 16.0 * std::numeric_limits<double>::epsilon() *
-                             std::max(std::abs(t), std::abs(t1));
+  const double h_floor = kStepFloorUlps *
+                         std::numeric_limits<double>::epsilon() *
+                         std::max(std::abs(t), std::abs(t1));
   const double rest = std::abs(t1 - t);
   h = rest - h < h_floor ? rest : h;
   if (h < h_floor) {

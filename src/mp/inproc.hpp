@@ -7,14 +7,14 @@
 /// used:
 ///
 ///  * per-(source, destination) ordering is always preserved (as in MPI),
+///  * Library::mpisim allows fully tag-selective out-of-order retrieval,
+///    as MPI and PVM both do, so one personality stands for the two,
 ///  * Library::mplsim additionally *enforces* the SP2 MPL restriction the
 ///    paper notes — "MPL requires that messages be received in the order
 ///    in which they arrive" — per source: receiving a message that is not
 ///    the oldest pending one from its source throws ProtocolError.  The
 ///    paper observes this "does not create difficulties" for the
 ///    master/worker algorithm; our protocol tests prove it.
-///  * Library::pvmsim allows fully tag-selective out-of-order retrieval
-///    (PVM semantics).
 
 #include <condition_variable>
 #include <deque>
@@ -30,8 +30,9 @@
 
 namespace plinger::mp {
 
-/// Which library personality the world emulates.
-enum class Library { pvmsim, mpisim, mplsim };
+/// Which library personality the world emulates: tag-selective
+/// retrieval (MPI, PVM) or MPL's in-arrival-order receives.
+enum class Library { mpisim, mplsim };
 
 /// Thrown when a receive violates the emulated library's rules.
 class ProtocolError : public Error {

@@ -14,8 +14,9 @@
 /// "In the parallel code, calls to wrapper routines are made; these
 /// routines in turn invoke the actual message passing libraries" — here
 /// the library is the in-process world, selected by its personality
-/// (pvmsim / mpisim / mplsim).  PLINGER's master and workers are written
-/// exclusively against this API, exactly as in the paper.
+/// (mpisim, which also stands for PVM's tag-selective receives, or
+/// mplsim).  PLINGER's master and workers are written exclusively
+/// against this API, exactly as in the paper.
 
 #include <span>
 

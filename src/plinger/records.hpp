@@ -7,7 +7,10 @@
 ///  * tag 4 — a fixed 21-double header.  The paper's master writes
 ///    y(1)..y(20) to an ASCII file and reads lmax from y(21); our header
 ///    carries ik, k, the final-state transfer summary, run statistics,
-///    and lmax in slot 21 — same length, same role.
+///    and lmax in slot 21 — same length, same role.  Of the integrator
+///    statistics it carries accepted steps (y[15]) and RHS evaluations
+///    (y[16]) only: OdeStats::n_rejected has no slot, so it unpacks as 0
+///    for every mode a master receives or a journal returns.
 ///
 ///  * tag 5 — the variable-length moment payload.  The paper's length is
 ///    8 + 2*lmax (temperature + polarization moment arrays plus an

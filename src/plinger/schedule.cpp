@@ -12,10 +12,12 @@ namespace plinger::parallel {
 namespace {
 /// pos_of_ik_ sentinel for work indices a residual schedule never issues.
 constexpr std::size_t kNotIssued = std::numeric_limits<std::size_t>::max();
+
+/// Seed of the random_shuffle order, so the ablation is reproducible.
+constexpr unsigned kShuffleSeed = 12345;
 }  // namespace
 
-KSchedule::KSchedule(std::vector<double> k_ascending, IssueOrder order,
-                     unsigned shuffle_seed)
+KSchedule::KSchedule(std::vector<double> k_ascending, IssueOrder order)
     : k_(std::move(k_ascending)), order_(order) {
   PLINGER_REQUIRE(!k_.empty(), "KSchedule: empty k grid");
   for (std::size_t i = 1; i < k_.size(); ++i) {
@@ -45,7 +47,7 @@ KSchedule::KSchedule(std::vector<double> k_ascending, IssueOrder order,
       std::reverse(issue_.begin(), issue_.end());
       break;
     case IssueOrder::random_shuffle: {
-      ::plinger::math::Xoshiro256 rng(shuffle_seed);
+      ::plinger::math::Xoshiro256 rng(kShuffleSeed);
       for (std::size_t i = n; i > 1; --i) {
         const std::size_t j =
             static_cast<std::size_t>(rng.uniform() * static_cast<double>(i));

@@ -20,8 +20,8 @@ enum class IssueOrder { largest_first, natural, random_shuffle };
 class KSchedule {
  public:
   /// k_ascending: the integration grid (strictly increasing).
-  KSchedule(std::vector<double> k_ascending, IssueOrder order,
-            unsigned shuffle_seed = 12345);
+  /// random_shuffle draws its order from one fixed seed.
+  KSchedule(std::vector<double> k_ascending, IssueOrder order);
 
   /// Residual schedule for a resumed run: the same grid, ik numbering,
   /// k/weight mapping, and issue policy, but only the work indices in

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
 #include "common/timing.hpp"
 #include "io/ascii_table.hpp"
 
@@ -78,10 +77,7 @@ Trace TraceRecorder::finish(int n_workers, double t_end) {
   return out;
 }
 
-RunReport make_run_report(const Trace& trace, double bytes_per_second,
-                          double latency_seconds) {
-  PLINGER_REQUIRE(bytes_per_second > 0.0 && latency_seconds >= 0.0,
-                  "make_run_report: bad link parameters");
+RunReport make_run_report(const Trace& trace) {
   RunReport rep;
   rep.wallclock_seconds = trace.t_end;
   rep.n_workers = trace.n_workers;
@@ -144,9 +140,10 @@ RunReport make_run_report(const Trace& trace, double bytes_per_second,
     rep.per_tag_bytes[slot] += m.bytes;
   }
   if (rep.total_cpu_seconds > 0.0) {
+    const LinkModel link;
     const double transit =
-        static_cast<double>(rep.n_messages) * latency_seconds +
-        static_cast<double>(rep.n_bytes) / bytes_per_second;
+        static_cast<double>(rep.n_messages) * link.latency_seconds +
+        static_cast<double>(rep.n_bytes) / link.bytes_per_second;
     rep.message_overhead_ratio = transit / rep.total_cpu_seconds;
   }
   for (const FaultEvent& f : trace.faults) {

@@ -194,11 +194,22 @@ struct RunReport {
   double message_overhead_ratio = 0.0;
 };
 
-/// Derive the report.  The link parameters only feed the §4 overhead
-/// estimate; the defaults are the SP2-class interconnect LinkModel uses.
-RunReport make_run_report(const Trace& trace,
-                          double bytes_per_second = 40e6,
-                          double latency_seconds = 1e-4);
+/// Network and master-service costs; the defaults are an SP2-class
+/// interconnect (~100 us latency, ~40 MB/s) and a fast master.
+struct LinkModel {
+  double latency_seconds = 1e-4;
+  double bytes_per_second = 40e6;
+  double master_service_seconds = 5e-5;  ///< per message handled
+
+  double transit(std::size_t bytes) const {
+    return latency_seconds +
+           static_cast<double>(bytes) / bytes_per_second;
+  }
+};
+
+/// Derive the report; its §4 overhead estimate prices the messages on
+/// the default LinkModel.
+RunReport make_run_report(const Trace& trace);
 
 /// Per-worker ASCII table plus run-level summary lines.
 void write_ascii_report(std::ostream& os, const RunReport& report);

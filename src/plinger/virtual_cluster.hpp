@@ -24,19 +24,6 @@ namespace plinger::parallel {
 /// times, or a fitted c0 + c1 (k tau0)^p model for large sweeps.
 using CostModel = std::function<double(double k)>;
 
-/// Network and master-service costs; the defaults are an SP2-class
-/// interconnect (~100 us latency, ~40 MB/s) and a fast master.
-struct LinkModel {
-  double latency_seconds = 1e-4;
-  double bytes_per_second = 40e6;
-  double master_service_seconds = 5e-5;  ///< per message handled
-
-  double transit(std::size_t bytes) const {
-    return latency_seconds +
-           static_cast<double>(bytes) / bytes_per_second;
-  }
-};
-
 /// Outcome of one virtual run.
 struct VirtualRunResult {
   double wallclock_seconds = 0.0;

@@ -419,7 +419,6 @@ boltzmann::PerturbationConfig RunConfig::perturbation() const {
   cfg.lmax_polarization = lmax_polarization;
   cfg.lmax_neutrino = lmax_neutrino;
   cfg.tca_eps = tca_eps;
-  if (n_massive_nu > 0) cfg.n_q = 16;  // the NuDensity default
   return cfg;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "boltzmann/config.hpp"
+#include "cosmo/nu_density.hpp"
 #include "cosmo/params.hpp"
 #include "plinger/records.hpp"
 
@@ -49,18 +50,21 @@ void add_cosmology(Hasher& h, const cosmo::CosmoParams& params) {
   h.add(params.n_s);
 }
 
-/// The thermal history's knobs (reionization among them).  Hashed only
-/// when they depart from the defaults, behind their own salt, so every
-/// identity of a run without reionization keeps its stamp.
+/// The thermal history, hashed only when z_reion departs from the
+/// default, behind its own salt, so every identity of a run without
+/// reionization keeps its stamp.  The treatment's constants are hashed
+/// too, each in a fixed slot: reordering or dropping one would move
+/// every reionized identity.
 void add_recombination(Hasher& h, const cosmo::Recombination::Options& o) {
-  if (o == cosmo::Recombination::Options{}) return;
+  using cosmo::Recombination;
+  if (o == Recombination::Options{}) return;
   h.add(std::uint64_t{6});  // recombination-options salt
-  h.add(o.a_start);
-  h.add(static_cast<std::uint64_t>(o.n_points));
-  h.add(o.saha_exit_xh);
-  h.add(o.fudge);
+  h.add(Recombination::kAStart);
+  h.add(static_cast<std::uint64_t>(Recombination::kNPoints));
+  h.add(Recombination::kSahaExitXh);
+  h.add(Recombination::kFudge);
   h.add(o.z_reion);
-  h.add(o.dz_reion);
+  h.add(Recombination::kDzReion);
 }
 
 }  // namespace
@@ -100,19 +104,22 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   add_cosmology(h, params);
   add_recombination(h, rec);
 
-  // Perturbation configuration (everything the evolver reads).
+  // Perturbation configuration (everything the evolver reads), with the
+  // momentum node count and the boltzmann constants in fixed slots:
+  // reordering or dropping one would move every identity.
   h.add(static_cast<std::uint64_t>(cfg.ic_type));
   h.add(static_cast<std::uint64_t>(cfg.lmax_photon));
   h.add(static_cast<std::uint64_t>(cfg.lmax_polarization));
   h.add(static_cast<std::uint64_t>(cfg.lmax_neutrino));
   h.add(static_cast<std::uint64_t>(cfg.lmax_massive_nu));
-  h.add(static_cast<std::uint64_t>(cfg.n_q));
+  h.add(static_cast<std::uint64_t>(
+      params.has_massive_nu() ? cosmo::NuDensity::kQNodes : 0));
   h.add(cfg.rtol);
   h.add(cfg.atol);
-  h.add(cfg.ic_eps);
-  h.add(cfg.early_a_factor);
+  h.add(boltzmann::kIcEps);
+  h.add(boltzmann::kEarlyAFactor);
   h.add(cfg.tca_eps);
-  h.add(cfg.tca_exit_z);
+  h.add(boltzmann::kTcaExitZ);
   // The integrator core changes every trajectory.  Hashed only when it
   // departs from the historical default so every pre-existing dverk
   // journal keeps its stamp (the salt keeps a dop853 run from ever

@@ -203,7 +203,6 @@ TEST(Evolution, MassiveNeutrinosSuppressSmallScalePower) {
 
   pb::PerturbationConfig cfg = small_cfg();
   pb::PerturbationConfig cfg_mdm = small_cfg();
-  cfg_mdm.n_q = 8;
   cfg_mdm.lmax_massive_nu = 8;
 
   auto ratio_at = [&](double k) {
@@ -219,6 +218,24 @@ TEST(Evolution, MassiveNeutrinosSuppressSmallScalePower) {
   const double large_scale = ratio_at(0.002);
   const double small_scale = ratio_at(0.08);
   EXPECT_LT(small_scale, 0.8 * large_scale);
+}
+
+TEST(Equations, MassiveNeutrinoBlockIsTheBackgroundGrid) {
+  // The momentum nodes are the background's own: every node of the mdm
+  // q-grid gets a row, and scdm's modes carry no massive block at all.
+  const pc::Background bg_mdm(pc::CosmoParams::mixed_dark_matter());
+  const pc::Recombination rec_mdm(bg_mdm);
+  ASSERT_NE(bg_mdm.nu(), nullptr);
+  const pb::ModeEquations mdm(bg_mdm, rec_mdm, small_cfg(), 0.01);
+  EXPECT_EQ(mdm.layout().n_q(), bg_mdm.nu()->q_grid().size());
+  EXPECT_EQ(mdm.layout().n_q(), 16u);
+
+  const auto& w = world();
+  EXPECT_EQ(w.bg.nu(), nullptr);
+  const pb::ModeEquations scdm(w.bg, w.rec, small_cfg(), 0.01);
+  EXPECT_EQ(scdm.layout().n_q(), 0u);
+  EXPECT_EQ(mdm.layout().size() - scdm.layout().size(),
+            16u * (small_cfg().lmax_massive_nu + 1));
 }
 
 TEST(Equations, FlopEstimateScalesWithLmax) {

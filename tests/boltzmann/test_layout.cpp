@@ -52,7 +52,7 @@ TEST(LmaxForK, ScalesWithKTau) {
 }
 
 TEST(LmaxForK, ClampsBeforeTheCast) {
-  // margin k tau0 + pad above every size_t (or not a number at all) is
+  // 1.15 k tau0 + 60 above every size_t (or not a number at all) is
   // clamped in double, so the cap comes back instead of a wrapped size.
   const double tau0 = 11839.0;
   const double inf = std::numeric_limits<double>::infinity();

@@ -256,7 +256,6 @@ TEST(BesselTableTest, RefusesASizeItCannotHold) {
     }
   }
   EXPECT_THROW(pb::BesselTable(20, std::nan("")), plinger::InvalidArgument);
-  EXPECT_THROW(pb::BesselTable(20, 10.0, 0.0), plinger::InvalidArgument);
 }
 
 TEST(BesselTableTest, RowsStopWhereJlHasNotTurnedOn) {

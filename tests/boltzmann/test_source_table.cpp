@@ -183,9 +183,9 @@ namespace {
 
 class RectangularTable {
  public:
-  RectangularTable(std::size_t l_max, double x_max, double dx = 0.125)
-      : l_max_(l_max), dx_(dx) {
-    n_nodes_ = static_cast<std::size_t>(std::ceil(x_max / dx)) + 2;
+  RectangularTable(std::size_t l_max, double x_max)
+      : l_max_(l_max), dx_(pb::kBesselDx) {
+    n_nodes_ = static_cast<std::size_t>(std::ceil(x_max / dx_)) + 2;
     const std::size_t width = l_max_ + 1;
     j_.assign(n_nodes_ * width, 0.0);
     jp_.assign(n_nodes_ * width, 0.0);

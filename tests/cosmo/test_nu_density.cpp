@@ -60,7 +60,8 @@ TEST(NuDensity, TableMatchesDirectIntegralMidrange) {
 }
 
 TEST(NuDensity, QGridNormalization) {
-  pc::NuDensity nu(256, 16);
+  pc::NuDensity nu;
+  EXPECT_EQ(nu.q_grid().size(), pc::NuDensity::kQNodes);
   // grid_norm = int q^3 f0 dq = 7 pi^4/120.
   EXPECT_NEAR(nu.grid_norm_massless(),
               7.0 * std::pow(std::numbers::pi, 4) / 120.0, 1e-6);

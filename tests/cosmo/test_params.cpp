@@ -1,6 +1,7 @@
 #include "cosmo/params.hpp"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -74,6 +75,25 @@ TEST(CosmoParams, ValidationRejectsBadInput) {
   p = pc::CosmoParams::standard_cdm();
   p.n_s = -1.0;
   EXPECT_THROW(p.validate(), plinger::InvalidArgument);
+}
+
+TEST(CosmoParams, MassiveSpeciesAndDensityComeTogether) {
+  // A species count without a density would vanish from the background
+  // (no NuDensity is built for it), so each half is refused without the
+  // other, and has_massive_nu() is the one test of the pair.
+  auto p = pc::CosmoParams::standard_cdm();
+  EXPECT_FALSE(p.has_massive_nu());
+  p.n_massive_nu = 1;
+  EXPECT_FALSE(p.has_massive_nu());
+  try {
+    p.validate();
+    ADD_FAILURE() << "n_massive_nu = 1 with omega_nu = 0 accepted";
+  } catch (const plinger::InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("n_massive_nu"), std::string::npos) << what;
+    EXPECT_NE(what.find("omega_nu"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(pc::CosmoParams::mixed_dark_matter().has_massive_nu());
 }
 
 TEST(CosmoParams, SummaryMentionsKeyNumbers) {

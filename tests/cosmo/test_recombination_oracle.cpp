@@ -73,8 +73,9 @@ ExplicitHistory explicit_history(const pc::Background& bg,
   const double n_h0 =
       (1.0 - y) * p.omega_b * k::rho_crit_h2 * p.h * p.h / k::m_hydrogen;
 
-  const std::size_t n = opts.n_points;
-  const auto lna = pm::linspace(std::log(opts.a_start), 0.0, n);
+  using R = pc::Recombination;
+  const std::size_t n = R::kNPoints;
+  const auto lna = pm::linspace(std::log(R::kAStart), 0.0, n);
 
   auto t_gamma = [&](double a) { return p.t_cmb / a; };
   auto n_h = [&](double a) { return n_h0 / (a * a * a); };
@@ -112,7 +113,7 @@ ExplicitHistory explicit_history(const pc::Background& bg,
     double xh = 1.0;
     xe[i] = saha_xe(a, xh);
     tb[i] = t_gamma(a);
-    if (xh < opts.saha_exit_xh) {
+    if (xh < R::kSahaExitXh) {
       i_switch = i;
       break;
     }
@@ -136,14 +137,14 @@ ExplicitHistory explicit_history(const pc::Background& bg,
     const double lam_alpha3 = std::pow(k::lambda_lyman_alpha, 3);
     const double kk = lam_alpha3 / (8.0 * std::numbers::pi * h_cosmic);
     const double n_1s = (1.0 - x_h) * nh;
-    const double beta = beta_b(t_b, opts.fudge);
+    const double beta = beta_b(t_b, R::kFudge);
     const double c_p = (1.0 + kk * k::lambda_2s1s * n_1s) /
                        (1.0 + kk * (k::lambda_2s1s + beta) * n_1s);
     const double boltz = std::exp(
         -std::min(680.0, k::E_lyman_alpha / (k::k_boltzmann * t_b)));
     const double dxh_dt =
         c_p * (beta * (1.0 - x_h) * boltz -
-               alpha_b(t_b, opts.fudge) * nh * x_e * x_h);
+               alpha_b(t_b, R::kFudge) * nh * x_e * x_h);
     const double t_r4 = std::pow(t_r, 4);
     const double compton =
         (8.0 / 3.0) * k::sigma_thomson * k::a_radiation * t_r4 /
@@ -179,7 +180,7 @@ ExplicitHistory explicit_history(const pc::Background& bg,
     for (std::size_t i = 0; i < n; ++i) {
       const double z = 1.0 / std::exp(lna[i]) - 1.0;
       const double f =
-          0.5 * (1.0 + std::tanh((opts.z_reion - z) / opts.dz_reion));
+          0.5 * (1.0 + std::tanh((opts.z_reion - z) / R::kDzReion));
       xe[i] = xe[i] + (xe_target - xe[i]) * f;
     }
   }

@@ -104,36 +104,21 @@ TEST_F(ThermoCacheTest, MatchesDirectAccessorsMassiveNeutrinos) {
 
 TEST_F(ThermoCacheTest, QueriesBelowTableStartClampTabulatedChannels) {
   // The integrators never start below a ~ 1e-8, but a stray query below
-  // a_min must stay bounded and physical: the tabulated channels clamp
+  // kAMin must stay bounded and physical: the tabulated channels clamp
   // to the table edge (opacity ~ a^-2 would drive a boundary-cubic
   // extrapolation in ln a to huge negative values within a few
   // spacings), while the analytic channels remain exact.
   const Background bg(CosmoParams::standard_cdm());
   const Recombination rec(bg);
-  ThermoCache::Options opts;
-  opts.a_min = 1e-9;
-  const ThermoCache cache(bg, rec, opts);
-  const double a = 3e-10;  // below the cache table
+  const ThermoCache cache(bg, rec);
+  const double a = 0.3 * ThermoCache::kAMin;  // below the cache table
   const ThermoPoint p = cache.eval(a);
-  const ThermoPoint edge = cache.eval(opts.a_min);
+  const ThermoPoint edge = cache.eval(ThermoCache::kAMin);
   EXPECT_EQ(p.opacity, edge.opacity);
   EXPECT_EQ(p.cs2_baryon, edge.cs2_baryon);
   EXPECT_GT(p.opacity, 0.0);
   EXPECT_LE(rel_diff(p.adotoa, bg.adotoa(a)), kTolAnalytic);
   EXPECT_LE(rel_diff(p.grho.photon, bg.grho(a).photon), kTolAnalytic);
-}
-
-TEST_F(ThermoCacheTest, OptionsValidated) {
-  const Background bg(CosmoParams::standard_cdm());
-  const Recombination rec(bg);
-  ThermoCache::Options bad;
-  bad.a_min = 0.0;
-  EXPECT_ANY_THROW(ThermoCache(bg, rec, bad));
-  bad.a_min = 2.0;
-  EXPECT_ANY_THROW(ThermoCache(bg, rec, bad));
-  bad.a_min = 1e-11;
-  bad.n_points = 4;
-  EXPECT_ANY_THROW(ThermoCache(bg, rec, bad));
 }
 
 TEST_F(ThermoCacheTest, ConcurrentReadersBitwiseMatchSerial) {

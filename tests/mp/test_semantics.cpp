@@ -65,10 +65,9 @@ TEST(Semantics, SelfSendIsAllowed) {
 }
 
 TEST(Semantics, PersonalitiesAgreeOnInOrderTraffic) {
-  // For a stream consumed strictly in arrival order, all three library
+  // For a stream consumed strictly in arrival order, both library
   // personalities behave identically.
-  for (auto lib : {pm::Library::pvmsim, pm::Library::mpisim,
-                   pm::Library::mplsim}) {
+  for (auto lib : {pm::Library::mpisim, pm::Library::mplsim}) {
     pm::InProcWorld w(2, lib);
     for (double i = 0; i < 20; ++i) {
       w.send(0, 1, 1 + (static_cast<int>(i) % 3),

@@ -461,8 +461,8 @@ TEST(FaultDriver, KillMatrixBitwiseIdenticalToFaultFreeRun) {
 TEST(FaultDriver, LibraryPersonalitiesSurviveAKill) {
   const auto& w = phys();
   const auto s = phys_schedule();
-  for (const auto lib : {pm::Library::pvmsim, pm::Library::mplsim}) {
-    SCOPED_TRACE(lib == pm::Library::pvmsim ? "pvmsim" : "mplsim");
+  for (const auto lib : {pm::Library::mpisim, pm::Library::mplsim}) {
+    SCOPED_TRACE(lib == pm::Library::mpisim ? "mpisim" : "mplsim");
     auto setup = phys_setup();
     setup.inject = kill_plan(kKillPhases[3], 1);  // dies after a result
     const auto out =

@@ -44,7 +44,7 @@ TEST(KSchedule, LargestFirstIssuesDescendingK) {
 }
 
 TEST(KSchedule, ShuffleCoversAllExactlyOnce) {
-  pp::KSchedule s(grid(64), pp::IssueOrder::random_shuffle, 9);
+  pp::KSchedule s(grid(64), pp::IssueOrder::random_shuffle);
   const auto order = walk(s);
   const std::set<std::size_t> unique(order.begin(), order.end());
   EXPECT_EQ(order.size(), 64u);

@@ -14,10 +14,13 @@
 #include <sstream>
 #include <string>
 
+#include "boltzmann/equations.hpp"
 #include "common/error.hpp"
+#include "cosmo/nu_density.hpp"
 #include "cosmo/params.hpp"
 #include "io/params.hpp"
 #include "run/config.hpp"
+#include "run/context.hpp"
 
 using namespace plinger;
 
@@ -268,6 +271,9 @@ TEST(RunConfig, ValidateRejectsOutOfRangeValues) {
   // Closure with no room for omega_c is a validate()-time error too.
   EXPECT_THROW(parse_text("omega_b = 0.9\nomega_lambda = 0.2\n"),
                InvalidArgument);
+  // A massive species with no density would vanish from the background.
+  EXPECT_THROW(parse_text("n_massive_nu = 1\n"), InvalidArgument);
+  EXPECT_THROW(parse_text("preset = mdm\nomega_nu = 0\n"), InvalidArgument);
 }
 
 TEST(RunConfig, PresetKeyRebasesTheCosmologySurface) {
@@ -342,11 +348,20 @@ TEST(RunConfig, CloseUniverseRejectsOverfullBudget) {
 }
 
 TEST(RunConfig, PerturbationMaterializationSetsMassiveNuQuadrature) {
+  // The momentum grid is not a setting but the background's: a mode of
+  // an mdm run carries every node of it, a mode of an scdm run none.
   run::RunConfig cfg;
   EXPECT_EQ(cfg.perturbation().rtol, cfg.rtol);
-  cfg.set_preset("mdm");
-  ASSERT_GT(cfg.n_massive_nu, 0);
-  EXPECT_EQ(cfg.perturbation().n_q, 16u);
+  for (const char* name : {"scdm", "mdm"}) {
+    cfg.set_preset(name);
+    const auto ctx = run::make_context(cfg);
+    const boltzmann::ModeEquations eq(ctx->background(),
+                                      ctx->recombination(),
+                                      cfg.perturbation(), 0.01);
+    EXPECT_EQ(eq.layout().n_q(),
+              cfg.n_massive_nu > 0 ? cosmo::NuDensity::kQNodes : 0u)
+        << name;
+  }
 }
 
 TEST(RunConfig, ReferenceMarkdownCoversEveryKey) {

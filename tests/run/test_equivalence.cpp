@@ -154,6 +154,42 @@ TEST(RunEquivalence, IdentityHashIsStableAcrossReleases) {
   EXPECT_EQ(plan.identity().value, UINT64_C(0xE0DE65790795AA5C));
 }
 
+// Three more pins, one per hashed group whose values come from named
+// constants rather than settings: the massive-neutrino momentum nodes,
+// the recombination-options salt and the line-of-sight extension.  Each
+// value was computed before those settings became constants; a journal,
+// LRU entry or cached context written then must still be found.
+TEST(RunEquivalence, MassiveNeutrinoIdentityIsStableAcrossReleases) {
+  run::RunConfig cfg = small_config();
+  cfg.set_preset("mdm");
+  const run::RunPlan plan(cfg, run::make_context(cfg));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0x46ffcad6e3762fbc));
+  EXPECT_EQ(run::RunContext::cosmology_key(cfg),
+            UINT64_C(0x3816d1913b73a66a));
+}
+
+TEST(RunEquivalence, ReionizationIdentityIsStableAcrossReleases) {
+  run::RunConfig cfg = small_config();
+  cfg.z_reion = 10.0;
+  const run::RunPlan plan(cfg, run::make_context(cfg));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0xa4684e3951934ad3));
+  EXPECT_EQ(run::RunContext::cosmology_key(cfg),
+            UINT64_C(0x2fba3b751e66bac1));
+}
+
+TEST(RunEquivalence, LosIdentityIsStableAcrossReleases) {
+  // The sample times are read off the recombination tables, so this pin
+  // also holds the tables' construction still.
+  run::RunConfig cfg = small_config();
+  cfg.set_preset("lcdm");
+  cfg.solver = "los";
+  cfg.grid = "cl";
+  cfg.l_max = 60;
+  cfg.tau_end = 0.0;
+  const run::RunPlan plan(cfg, run::make_context(cfg));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0xa4ffbf6dfe9855f7));
+}
+
 TEST(RunEquivalence, ReionizationIsPartOfTheIdentity) {
   // The recombination options are hashed only when they leave the
   // defaults: z_reion = 0 keeps the pinned value above, and any other

@@ -252,6 +252,13 @@ TEST(SpectrumServer, BadRequestsGetErrReplies) {
   line = c.read_line();
   EXPECT_EQ(line.rfind("ERR key 'store' is reserved", 0), 0u);
 
+  // A massive species with no density, refused naming the missing key
+  // before any mode runs (one ERR line: the PONG below is the next).
+  c.send_text("RUN\nn_massive_nu = 1\nEND\n");
+  line = c.read_line();
+  EXPECT_EQ(line.rfind("ERR ", 0), 0u) << line;
+  EXPECT_NE(line.find("omega_nu"), std::string::npos) << line;
+
   // The connection survives errors; nothing was computed or cached.
   c.send_text("PING\n");
   EXPECT_EQ(c.read_line(), "PONG");

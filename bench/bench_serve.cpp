@@ -3,33 +3,49 @@
 // The daemon's pitch is that a spectrum is computed once and then
 // served from memory: tier 1 (identity-keyed LRU), tier 2 (persistent
 // journal, surviving restarts), tier 3 (RunPlan::execute).  This bench
-// measures the tiers directly against SpectrumService (the TCP shell
-// adds nothing but socket I/O) and reports
+// measures the tiers directly against SpectrumService, then the same
+// cold computes through the TCP shell, and reports
 //
 //   * per-tier answer latency p50/p99 — the headline is the
 //     repeat-identity speedup, p50(compute) / p50(lru), gated >= 100x
 //     (in practice it is orders beyond that: an LRU hit is a hash
 //     lookup against seconds of Boltzmann integration),
+//   * the wire: those computes as RUN requests to a SpectrumServer on
+//     127.0.0.1 over one persistent connection, first byte sent to DONE
+//     received, and what the socket adds over the in-process compute
+//     p50 (ungated: a wall time, not a work count),
 //   * requests/sec over mixed request streams at 0% / 50% / 95%
 //     repeat-identity hit rates,
-//   * a bitwise gate: the journal tier (a fresh service over the same
-//     journal directory, i.e. a daemon restart) must render byte-for-
-//     byte the response the compute tier rendered.
+//   * bitwise gates: the journal tier (a fresh service over the same
+//     journal directory, i.e. a daemon restart) and every wire reply
+//     (after its PROGRESS lines) must be byte-for-byte the response the
+//     compute tier rendered.
 //
 // Usage: bench_serve [--smoke] [--out FILE]
 //   --smoke   reduced workload; writes BENCH_serve.json to the cwd
 //             (ctest wiring, `check-serve` target)
 //   --out     explicit output path (overrides both defaults)
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timing.hpp"
 #include "io/bench_json.hpp"
+#include "mp/tcp_world.hpp"
 #include "run/config.hpp"
+#include "serve/request.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 
 using namespace plinger;
@@ -67,6 +83,65 @@ struct TierTimes {
   std::vector<double> seconds;
   double p50() const { return percentile(seconds, 0.50); }
   double p99() const { return percentile(seconds, 0.99); }
+};
+
+/// The RUN request for cfg: its key = value lines, less the keys the
+/// daemon reserves for itself.
+std::string run_request(const run::RunConfig& cfg) {
+  std::istringstream lines(cfg.to_params_text());
+  std::string out = "RUN\n";
+  for (std::string line; std::getline(lines, line);) {
+    if (!serve::is_reserved_key(line.substr(0, line.find(' ')))) {
+      out += line + "\n";
+    }
+  }
+  return out + "END\n";
+}
+
+/// One persistent loopback connection to a SpectrumServer.  request()
+/// sends one RUN request in one write and returns its reply through
+/// DONE (or a one-line ERR) without the PROGRESS lines; "" when the
+/// connection fails.
+class WireClient {
+ public:
+  explicit WireClient(int port)
+      : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    const sockaddr_in addr = mp::ipv4_address("127.0.0.1", port);
+    if (fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof addr) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~WireClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WireClient(const WireClient&) = delete;
+  WireClient& operator=(const WireClient&) = delete;
+
+  std::string request(const std::string& text) {
+    if (fd_ < 0 || !mp::send_all(fd_, text)) return "";
+    std::string reply;
+    while (true) {
+      std::string::size_type nl;
+      while ((nl = buf_.find('\n')) != std::string::npos) {
+        const std::string line = buf_.substr(0, nl + 1);
+        buf_.erase(0, nl + 1);
+        if (line.rfind("PROGRESS ", 0) == 0) continue;
+        reply += line;
+        if (line == "DONE\n" || line.rfind("ERR ", 0) == 0) return reply;
+      }
+      char chunk[16384];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return "";
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
 };
 
 }  // namespace
@@ -184,6 +259,56 @@ int main(int argc, char** argv) {
     report.entries[0]
         .metric("journal_p50_seconds", t_journal.p50())
         .metric("journal_p99_seconds", t_journal.p99());
+
+    // --- the wire: the same cold computes through the TCP shell ---
+    // A fresh service and journal directory keep every request cold.
+    // One connection carries them all, after a warm-up compute (another
+    // identity, the same cosmology, so it also builds the context) that
+    // spends Linux's quick-ACK start: a new connection ACKs its first
+    // segments at once, which would hide a reply waiting on an ACK.
+    TierTimes t_wire;
+    {
+      serve::ServeOptions wopts = opts;
+      wopts.journal_dir = jdir + "/wire";
+      serve::SpectrumService wired(wopts);
+      serve::SpectrumServer server(wired, serve::ServerOptions{});
+      std::thread serving([&server] { server.serve(); });
+      std::string failure;
+      try {
+        WireClient client(server.port());
+        if (client.request(run_request(config_for(n_distinct))).empty()) {
+          failure = "warm-up request got no reply";
+        }
+        for (std::size_t i = 0; i < n_distinct && failure.empty(); ++i) {
+          const std::string request = run_request(config_for(i));
+          const double t0 = wallclock_seconds();
+          const std::string reply = client.request(request);
+          t_wire.seconds.push_back(wallclock_seconds() - t0);
+          if (reply != reference[i]) {
+            failure = "wire reply " + std::to_string(i) +
+                      " differs from the in-process compute";
+          }
+        }
+      } catch (const std::exception& e) {
+        failure = e.what();  // the serving thread is joined below
+      }
+      server.request_stop();
+      serving.join();
+      if (!failure.empty()) {
+        std::fprintf(stderr, "FAIL: %s\n", failure.c_str());
+        return 1;
+      }
+    }
+    const double wire_overhead = t_wire.p50() - t_compute.p50();
+    std::printf("wire    p50 %.3f ms  p99 %.3f ms   (one connection; "
+                "%.3f ms over the in-process compute p50)\n\n",
+                t_wire.p50() * 1e3, t_wire.p99() * 1e3,
+                wire_overhead * 1e3);
+    report.add("wire")
+        .metric("requests", static_cast<double>(t_wire.seconds.size()))
+        .metric("wire_compute_p50_seconds", t_wire.p50())
+        .metric("wire_compute_p99_seconds", t_wire.p99())
+        .metric("wire_overhead_p50_seconds", wire_overhead);
 
     // --- mixed streams: requests/sec at fixed repeat-identity rates ---
     // Each stream runs against a fresh service and a fresh journal dir

@@ -8,7 +8,8 @@
 // `run` sends the parameter file's key=value lines (RunConfig surface;
 // defaults when omitted) and prints the streamed reply — PROGRESS lines
 // while the daemon computes, then the OK status line and the CL table.
-// Exits 0 on OK/PONG/DONE, 2 on an ERR reply, 1 on connection trouble.
+// Exits 0 on OK/PONG/DONE, 2 on an ERR reply, 1 on connection trouble
+// (a daemon that closes before the reply ends included).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -126,7 +127,13 @@ int main(int argc, char** argv) {
     if (finished) break;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) break;  // server closed mid-reply
+    if (n == 0) {
+      std::fprintf(stderr,
+                   "spectrum_client: connection closed before the reply "
+                   "ended\n");
+      ::close(fd);
+      return 1;
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);

@@ -43,6 +43,7 @@ void CosmoParams::validate() const {
   PLINGER_REQUIRE(omega_b > 0.0, "omega_b must be positive");
   PLINGER_REQUIRE(omega_c >= 0.0, "omega_c must be non-negative");
   PLINGER_REQUIRE(omega_nu >= 0.0, "omega_nu must be non-negative");
+  PLINGER_REQUIRE(n_massive_nu >= 0, "n_massive_nu must be non-negative");
   PLINGER_REQUIRE(omega_nu == 0.0 || n_massive_nu > 0,
                   "omega_nu > 0 requires n_massive_nu > 0");
   PLINGER_REQUIRE(n_massive_nu <= 0 || omega_nu > 0.0,

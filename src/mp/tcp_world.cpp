@@ -45,11 +45,6 @@ std::uint32_t get_u32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
 /// Read exactly n bytes from fd before the deadline; false on timeout,
 /// EOF, or a read error.
 bool read_exact(int fd, unsigned char* out, std::size_t n,
@@ -200,6 +195,11 @@ bool send_all(int fd, const void* data, std::size_t n) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
+}
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 sockaddr_in ipv4_address(const std::string& host, int port) {

@@ -121,6 +121,11 @@ inline bool send_all(int fd, std::string_view text) {
   return send_all(fd, text.data(), text.size());
 }
 
+/// Disable Nagle on a connected socket (TcpWorld's links, the daemon's
+/// connections): under it a write that follows an unacknowledged one
+/// waits for the peer's delayed ACK (about 40 ms on Linux).
+void set_nodelay(int fd);
+
 /// The socket-backed world.  Construct via the factories: listen() on
 /// the master, connect() on a worker.  All InProcWorld semantics hold
 /// for the local rank (library personalities, per-source ordering,

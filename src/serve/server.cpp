@@ -159,6 +159,9 @@ void SpectrumServer::serve() {
     const int cfd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (cfd < 0) continue;
+    // PROGRESS lines, the OK line and the payload are separate writes;
+    // each leaves at once instead of waiting for the client's ACK.
+    mp::set_nodelay(cfd);
     // Join the connections that have finished (erasing joins), so a
     // long-lived daemon does not keep one thread stack per connection
     // it ever served.

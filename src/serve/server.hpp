@@ -7,7 +7,8 @@
 /// docs/protocol.md: a command line (RUN / PING / STATS / QUIT), for
 /// RUN a key=value body terminated by "END", and a streamed reply
 /// (PROGRESS lines while a computation runs, then OK + payload, or one
-/// ERR line).  The accept loop joins finished connection threads as it
+/// ERR line), with Nagle off so each line leaves as it is written.
+/// The accept loop joins finished connection threads as it
 /// accepts new ones, so the daemon holds about as many threads as it
 /// has open connections, however many it has served.
 ///

@@ -93,6 +93,22 @@ TEST(CosmoParams, MassiveSpeciesAndDensityComeTogether) {
     EXPECT_NE(what.find("n_massive_nu"), std::string::npos) << what;
     EXPECT_NE(what.find("omega_nu"), std::string::npos) << what;
   }
+  // A negative count is no model at all: without a density it would run
+  // as the count-0 model under an identity of its own.
+  for (const double omega_nu : {0.0, 0.1}) {
+    auto q = pc::CosmoParams::standard_cdm();
+    q.n_massive_nu = -1;
+    q.omega_nu = omega_nu;
+    try {
+      q.validate();
+      ADD_FAILURE() << "n_massive_nu = -1 accepted with omega_nu = "
+                    << omega_nu;
+    } catch (const plinger::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("n_massive_nu"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_TRUE(pc::CosmoParams::mixed_dark_matter().has_massive_nu());
 }
 

@@ -274,6 +274,14 @@ TEST(RunConfig, ValidateRejectsOutOfRangeValues) {
   // A massive species with no density would vanish from the background.
   EXPECT_THROW(parse_text("n_massive_nu = 1\n"), InvalidArgument);
   EXPECT_THROW(parse_text("preset = mdm\nomega_nu = 0\n"), InvalidArgument);
+  // A negative species count is refused naming the key.
+  try {
+    parse_text("n_massive_nu = -1\n");
+    ADD_FAILURE() << "n_massive_nu = -1 accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("n_massive_nu"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RunConfig, PresetKeyRebasesTheCosmologySurface) {

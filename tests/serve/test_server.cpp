@@ -1,11 +1,12 @@
 // SpectrumServer end-to-end tests over real sockets: the wire protocol
 // (PING/RUN/STATS/QUIT, ERR replies with suggestions, PROGRESS
-// streaming), repeat-identity answers from the LRU, graceful shutdown
-// draining an in-flight request to completion, and finished connections
-// giving their threads back.
+// streaming), Nagle off on every accepted connection, repeat-identity
+// answers from the LRU, graceful shutdown draining an in-flight request
+// to completion, and finished connections giving their threads back.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <stdexcept>
@@ -58,6 +60,14 @@ class Client {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+
+  /// This end's address: the peer address of the daemon's end.
+  sockaddr_in local_address() const {
+    sockaddr_in addr{};
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    return addr;
+  }
 
   void send_text(const std::string& text) {
     ASSERT_TRUE(try_send(text));
@@ -172,6 +182,47 @@ TEST(SpectrumServer, PingStatsQuit) {
   }
 }
 
+TEST(SpectrumServer, AcceptedConnectionsDisableNagle) {
+  // Each reply line is its own write.  Under Nagle, a write behind an
+  // unacknowledged one waits for the client's delayed ACK (about 40 ms),
+  // so the daemon disables it on every connection it accepts.  Its end
+  // of this connection is in this process: the socket among
+  // /proc/self/fd whose local port is the daemon's and whose peer is
+  // this client.
+  ServerFixture fx;
+  Client c(fx.port());
+  ASSERT_TRUE(c.connected());
+  c.send_text("PING\n");
+  ASSERT_EQ(c.read_line(), "PONG");
+
+  const sockaddr_in client = c.local_address();
+  int found = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local{};
+    socklen_t len = sizeof local;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != fx.port()) {
+      continue;
+    }
+    sockaddr_in peer{};
+    len = sizeof peer;
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0 ||
+        peer.sin_port != client.sin_port ||
+        peer.sin_addr.s_addr != client.sin_addr.s_addr) {
+      continue;  // the listening socket has no peer
+    }
+    int nodelay = 0;
+    socklen_t olen = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &olen),
+              0);
+    EXPECT_EQ(nodelay, 1) << "daemon fd " << fd;
+    ++found;
+  }
+  EXPECT_EQ(found, 1);
+}
+
 TEST(SpectrumServer, RefusesABindThatIsNotAnAddress) {
   sv::SpectrumService service{sv::ServeOptions{}};
   for (const char* bind : {"example.org", "256.0.0.1", ""}) {
@@ -258,6 +309,12 @@ TEST(SpectrumServer, BadRequestsGetErrReplies) {
   line = c.read_line();
   EXPECT_EQ(line.rfind("ERR ", 0), 0u) << line;
   EXPECT_NE(line.find("omega_nu"), std::string::npos) << line;
+
+  // A negative species count: one ERR naming the key.
+  c.send_text("RUN\nn_massive_nu = -1\nEND\n");
+  line = c.read_line();
+  EXPECT_EQ(line.rfind("ERR ", 0), 0u) << line;
+  EXPECT_NE(line.find("n_massive_nu"), std::string::npos) << line;
 
   // The connection survives errors; nothing was computed or cached.
   c.send_text("PING\n");

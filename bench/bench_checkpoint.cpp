@@ -111,7 +111,6 @@ int main() {
     remove_journal();
     store::StoreOptions opts;
     opts.path = kPath;
-    opts.resume = false;
     opts.flush_interval = fi;
     std::size_t n = 0;
     t0 = wallclock_seconds();

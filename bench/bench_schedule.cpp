@@ -24,7 +24,7 @@ plinger::parallel::RunReport traced_report(
     const plinger::parallel::CostModel& cost,
     const plinger::parallel::MessageSizer& sizer) {
   using namespace plinger::parallel;
-  TraceRecorder recorder(TraceConfig{.enabled = true});
+  TraceRecorder recorder;
   const auto r = simulate_virtual_cluster(schedule, n_workers, cost,
                                           LinkModel{}, sizer, {},
                                           &recorder);

@@ -21,8 +21,7 @@
 //
 // With store=path the run checkpoints every completed mode to a
 // crash-safe journal; rerunning the same parameter file resumes from it,
-// computing only the missing modes (resume=0 recomputes the full grid
-// instead, appending only modes missing from the journal).
+// computing only the missing modes.
 //
 // With fault_timeout=SECONDS the master arms a per-mode deadline
 // (scaled by each mode's k / k_max) and reassigns modes whose

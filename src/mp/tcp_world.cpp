@@ -234,14 +234,13 @@ TcpEndpoint parse_endpoint(const std::string& text) {
   return ep;
 }
 
-TcpWorld::TcpWorld(int nprocs, Library lib, int local_rank)
-    : InProcWorld(nprocs, lib), local_rank_(local_rank) {
+TcpWorld::TcpWorld(int nprocs, int local_rank)
+    : InProcWorld(nprocs), local_rank_(local_rank) {
   peers_.resize(static_cast<std::size_t>(nprocs));
 }
 
 std::unique_ptr<TcpWorld> TcpWorld::listen(const std::string& host,
-                                           int port, int n_workers,
-                                           Library lib) {
+                                           int port, int n_workers) {
   PLINGER_REQUIRE(n_workers >= 1, "TcpWorld::listen: need >= 1 worker");
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   PLINGER_REQUIRE(fd >= 0, "TcpWorld::listen: socket() failed");
@@ -260,7 +259,7 @@ std::unique_ptr<TcpWorld> TcpWorld::listen(const std::string& host,
   socklen_t len = sizeof bound;
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
 
-  std::unique_ptr<TcpWorld> w(new TcpWorld(n_workers + 1, lib, 0));
+  std::unique_ptr<TcpWorld> w(new TcpWorld(n_workers + 1, 0));
   w->listen_fd_ = fd;
   w->port_ = static_cast<int>(ntohs(bound.sin_port));
   return w;
@@ -385,7 +384,7 @@ std::unique_ptr<TcpWorld> TcpWorld::connect_once(const std::string& host,
     ::close(fd);
     throw Error("TcpWorld::connect: WELCOME assigned invalid rank");
   }
-  std::unique_ptr<TcpWorld> w(new TcpWorld(nprocs, Library::mpisim, rank));
+  std::unique_ptr<TcpWorld> w(new TcpWorld(nprocs, rank));
   w->attach_peer(0, fd);
   return w;
 }

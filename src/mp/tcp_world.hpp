@@ -127,8 +127,8 @@ inline bool send_all(int fd, std::string_view text) {
 void set_nodelay(int fd);
 
 /// The socket-backed world.  Construct via the factories: listen() on
-/// the master, connect() on a worker.  All InProcWorld semantics hold
-/// for the local rank (library personalities, per-source ordering,
+/// the master, connect() on a worker.  All InProcWorld semantics of the
+/// mpisim personality hold for the local rank (per-source ordering,
 /// MPI-style truncation); remote ranks are reachable through send()
 /// only.
 class TcpWorld final : public InProcWorld {
@@ -138,8 +138,7 @@ class TcpWorld final : public InProcWorld {
   /// world has n_workers + 1 ranks; call accept_workers() before
   /// running the protocol.
   static std::unique_ptr<TcpWorld> listen(const std::string& host, int port,
-                                          int n_workers,
-                                          Library lib = Library::mpisim);
+                                          int n_workers);
 
   /// Worker factory: connect to the master at host:port, perform the
   /// HELLO/WELCOME rendezvous, and return a world sized and ranked by
@@ -182,7 +181,7 @@ class TcpWorld final : public InProcWorld {
                    std::span<double> out) override;
 
  private:
-  TcpWorld(int nprocs, Library lib, int local_rank);
+  TcpWorld(int nprocs, int local_rank);
 
   /// One connect() attempt: retry the syscall for timeout_seconds while
   /// the master is still binding, then the rendezvous.

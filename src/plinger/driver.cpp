@@ -138,35 +138,35 @@ void require_projected(std::size_t ik, double k, const ModeResult& r,
 }
 
 /// A run's books and the one place its results land, shared by the
-/// serial loop, the autotask cursor and the master.  Opening it starts
+/// serial loop, the autotask cursor and the master: a mode has landed
+/// when, and only when, it enters the output here.  Opening it starts
 /// the wallclock and the optional trace recorder and binds the journal
-/// named in setup.store to the run's identity.  On resume the
-/// journaled modes enter the output up front, as zero-cost spans on the
-/// trace's synthetic "worker 0" (store) row — completed-mode counts but
-/// no busy time, CPU, or flops — and issue() becomes the residual
-/// schedule.  Each computed mode is shape-checked, appended to the
-/// journal, then counted, then kept; locked, because autotask workers
-/// sink concurrently.
+/// named in setup.store to the run's identity.  The journaled modes
+/// land up front, as zero-cost spans on the trace's synthetic
+/// "worker 0" (store) row — completed-mode counts but no busy time,
+/// CPU, or flops — and issue() becomes the residual schedule.  Each
+/// computed mode is shape-checked, appended to the journal, then
+/// counted, then landed; locked, because autotask workers sink
+/// concurrently, so setup.progress hears of every landing in order.
 class ModeSink {
  public:
   ModeSink(store::RunIdentity identity, const KSchedule& schedule,
            const RunSetup& setup, int n_workers)
       : schedule_(schedule), setup_(setup) {
     out_.n_workers = n_workers;
-    if (setup.trace.enabled) {
-      recorder_ = std::make_shared<TraceRecorder>(setup.trace);
-    }
+    if (setup.trace.enabled) recorder_ = std::make_shared<TraceRecorder>();
     if (setup.store.path.empty()) return;
     store_ = std::make_unique<store::ModeResultStore>(setup.store, identity,
                                                       schedule.size());
-    if (!setup.store.resume || store_->n_loaded() == 0) return;
+    if (store_->n_loaded() == 0) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [ik, r] : store_->loaded()) {
       if (recorder_) {
         const double t = recorder_->now();
         recorder_->record_span(ik, r.k, /*worker=*/0, /*completed=*/true,
                                t, t, 0.0, 0);
       }
-      out_.results.emplace(ik, r);
+      land(ik, r);
     }
     out_.n_modes_loaded = store_->n_loaded();
     std::vector<std::size_t> remaining;
@@ -184,7 +184,7 @@ class ModeSink {
     ++out_.n_modes_computed;
     out_.total_worker_cpu_seconds += r.cpu_seconds;
     out_.total_flops += r.flops;
-    out_.results.emplace(ik, std::move(r));
+    land(ik, std::move(r));
   }
 
   /// Shared: a world's message tap may outlive the run (see
@@ -212,8 +212,17 @@ class ModeSink {
   }
 
  private:
+  /// Under mutex_: the result enters the output, then the progress hook
+  /// hears the new count.
+  void land(std::size_t ik, ModeResult r) {
+    out_.results.emplace(ik, std::move(r));
+    if (setup_.progress) {
+      setup_.progress(out_.results.size(), schedule_.size());
+    }
+  }
+
   const double w0_ = wallclock_seconds();
-  std::mutex mutex_;  ///< guards out_ and the appends while sinking
+  std::mutex mutex_;  ///< guards out_, the appends and the progress hook
   RunOutput out_;
   std::shared_ptr<TraceRecorder> recorder_;
   std::unique_ptr<store::ModeResultStore> store_;
@@ -316,7 +325,7 @@ RunOutput run_master_over(mp::InProcWorld& world,
                           const StartWorkers& start_workers = {}) {
   ModeSink sink(identity, schedule, setup, world.size() - 1);
   TraceRecorder* recorder = sink.recorder().get();
-  if (recorder && setup.trace.capture_messages) {
+  if (recorder) {
     // The tap keeps the recorder alive: the world outlives this run (a
     // tcp caller keeps its world; a fault-injecting world joins delayed
     // deliveries only in its destructor), and sends go on reaching it.

@@ -17,9 +17,10 @@
 /// all its workers: shape the request from RunSetup, evolve, and on the
 /// line-of-sight route project the sources onto F_l/G_l towers) and
 /// lands it in one sink (shape check, journal append, then counters,
-/// then RunOutput::results), so results are identical mode for mode
-/// whoever computes them (the driver-equivalence sweep asserts it
-/// bitwise) and every mode has the shape of a hierarchy mode.
+/// then RunOutput::results and RunSetup::progress), so results are
+/// identical mode for mode whoever computes them (the driver-equivalence
+/// sweep asserts it bitwise) and every mode has the shape of a
+/// hierarchy mode.
 ///
 /// Timing mirrors the paper's Figure 1: total CPU time summed over
 /// workers (their etime) and master wallclock.
@@ -64,7 +65,7 @@ struct RunOutput {
   int n_workers = 0;
   /// Checkpoint/resume accounting: modes recovered from the store vs
   /// integrated this run (loaded + computed == results.size() unless
-  /// some modes failed).  Both zero when RunSetup::store is off.
+  /// some modes failed).  Nothing loads when RunSetup::store is off.
   std::size_t n_modes_loaded = 0;
   std::size_t n_modes_computed = 0;
   /// Degraded-completion accounting (mirrors MasterStats): modes that

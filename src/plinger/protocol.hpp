@@ -105,6 +105,14 @@ struct RunSetup {
   /// Host-side run tracing (trace.hpp); never broadcast.
   TraceConfig trace;
 
+  /// Host-side live progress; never broadcast.  The drivers' result
+  /// sink calls it under its lock once per result entering
+  /// RunOutput::results: the journal-loaded ones at open, in ik order,
+  /// then each computed one right after its journal append.  `landed`
+  /// runs 1, 2, ... in order up to at most `total`, the schedule size.
+  /// Null = off.
+  std::function<void(std::size_t landed, std::size_t total)> progress;
+
   /// Host-side checkpoint/restart (store/mode_result_store.hpp); also
   /// never broadcast — the master checkpoints, workers are oblivious.
   store::StoreOptions store;
@@ -191,7 +199,7 @@ using EvolveFn =
 /// The worker loop ("kidsub"): receive setup, request work, integrate,
 /// report, repeat until stopped.  `evolve` gets a request carrying only
 /// k; sizing the hierarchy and ending the evolution are its business
-/// (the drivers shape in one place, driver.cpp's run_mode).
+/// (the drivers shape in one place, driver.cpp's ModeRunner).
 /// Admission is one check: the broadcast must carry `identity`, the one
 /// this worker's own inputs give (what `evolve` shapes and evolves
 /// from).  Otherwise the worker sends the master a tag-7 death notice

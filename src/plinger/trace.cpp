@@ -8,8 +8,7 @@
 
 namespace plinger::parallel {
 
-TraceRecorder::TraceRecorder(TraceConfig cfg)
-    : cfg_(cfg), origin_(wallclock_seconds()) {}
+TraceRecorder::TraceRecorder() : origin_(wallclock_seconds()) {}
 
 double TraceRecorder::now() const { return wallclock_seconds() - origin_; }
 
@@ -33,20 +32,15 @@ void TraceRecorder::record_span(std::size_t ik, double k, int worker,
   span.t_finish = t_finish;
   span.cpu_seconds = cpu_seconds;
   span.flops = flops;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    span.attempt = ++attempts_[ik];
-    const auto it = enqueued_.find(ik);
-    if (it != enqueued_.end()) span.t_enqueue = it->second;
-    trace_.spans.push_back(span);
-  }
-  // Outside the lock: an observer may call back into the recorder.
-  if (cfg_.on_span) cfg_.on_span(span);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  span.attempt = ++attempts_[ik];
+  const auto it = enqueued_.find(ik);
+  if (it != enqueued_.end()) span.t_enqueue = it->second;
+  trace_.spans.push_back(span);
 }
 
 void TraceRecorder::record_message(int tag, int source, int dest,
                                    std::size_t bytes, double t) {
-  if (!cfg_.capture_messages) return;
   if (t < 0.0) t = now();
   const std::lock_guard<std::mutex> lock(mutex_);
   trace_.messages.push_back(MessageEvent{tag, source, dest, bytes, t});

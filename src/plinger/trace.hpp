@@ -13,6 +13,11 @@
 ///  * MessageEvent — every transport send (tag, direction, bytes),
 ///    captured from InProcWorld via its send observer.
 ///
+/// The trace is a record for after the run, not a live feed: what has
+/// landed is the drivers' result sink's to say (RunSetup::progress).  A
+/// stalled worker's span, for one, is recorded before its late result
+/// is dropped as a duplicate, so spans can outnumber landed modes.
+///
 /// From a Trace, make_run_report() derives the Figure-1 quantities:
 /// per-worker busy/idle breakdown, the end-of-run idle tail, per-worker
 /// parallel efficiency, and the §4 message-overhead-vs-compute ratio.
@@ -25,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -33,22 +37,11 @@
 
 namespace plinger::parallel {
 
-struct ModeSpan;
-
-/// Live span observer: called by the recorder once per recorded
-/// integration attempt, after the span is numbered and enqueued-stamped.
-/// This is the progress feed the serve daemon streams PROGRESS lines
-/// from — unlike the Trace itself it sees events as they happen, not at
-/// finish().  Called outside the recorder's lock (re-entry is safe) but
-/// possibly from any worker thread, so observers synchronize themselves.
-using SpanObserver = std::function<void(const ModeSpan&)>;
-
-/// Host-side tracing switches.  Not part of the tag-1 wire broadcast —
-/// workers record into the recorder the driver hands them directly.
+/// Host-side tracing switch.  Not part of the tag-1 wire broadcast —
+/// workers record into the recorder the driver hands them directly.  A
+/// traced run records spans, assignments, faults and every message.
 struct TraceConfig {
   bool enabled = false;
-  bool capture_messages = true;  ///< record per-send MessageEvents
-  SpanObserver on_span = nullptr;  ///< live progress feed; null = off
 };
 
 /// One integration attempt of one wavenumber on one worker.
@@ -108,9 +101,7 @@ struct Trace {
 /// the master/worker loops (nullptr == tracing disabled).
 class TraceRecorder {
  public:
-  explicit TraceRecorder(TraceConfig cfg = {});
-
-  const TraceConfig& config() const { return cfg_; }
+  TraceRecorder();
 
   /// Seconds since the recorder was constructed (the trace origin).
   double now() const;
@@ -140,7 +131,6 @@ class TraceRecorder {
   Trace finish(int n_workers, double t_end = -1.0);
 
  private:
-  TraceConfig cfg_;
   double origin_;
   mutable std::mutex mutex_;
   Trace trace_;

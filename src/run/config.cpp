@@ -254,9 +254,6 @@ const KeyImpl kKeys[] = {
     PLINGER_KEY_STRING("store", store, "*(empty)*",
                        "checkpoint journal path; empty = no "
                        "checkpointing"),
-    PLINGER_KEY_BOOL("resume", resume, "1",
-                     "0 = keep the journal but recompute the full grid "
-                     "(first record per mode wins)"),
     PLINGER_KEY_SIZE("flush_interval", flush_interval, "1",
                      "journal flush cadence in modes (1 = every mode, 0 "
                      "= only on close)"),

@@ -121,7 +121,6 @@ struct RunConfig {
 
   // --- checkpoint store ---
   std::string store;  ///< journal path; empty = no checkpointing
-  bool resume = true;
   std::size_t flush_interval = 1;
   std::size_t stop_after = 0;
 

@@ -47,7 +47,6 @@ RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
   setup_.lmax_cap = cfg_.lmax_cap;
   setup_.trace.enabled = cfg_.trace;
   setup_.store.path = cfg_.store;
-  setup_.store.resume = cfg_.resume;
   setup_.store.flush_interval = cfg_.flush_interval;
   setup_.store.stop_after = cfg_.stop_after;
   setup_.fault.timeout_seconds = cfg_.fault_timeout;

@@ -31,7 +31,7 @@ bool is_reserved_key(const std::string& key) {
   // run identity and owns the progress feed.
   // Transport wiring too: the daemon always runs in-process, and a
   // request must not make it listen on or dial arbitrary sockets.
-  return key == "store" || key == "resume" || key == "flush_interval" ||
+  return key == "store" || key == "flush_interval" ||
          key == "stop_after" || key == "trace" || key == "trace_json" ||
          key == "transport" || key == "tcp_listen" ||
          key == "tcp_connect" || key == "tcp_retry" ||
@@ -91,8 +91,8 @@ RequestParse parse_request(const std::string& command_line,
     (void)value;
     if (is_reserved_key(key)) {
       out.error = "key '" + key +
-                  "' is reserved by the daemon (journal placement, "
-                  "resume policy, and tracing are managed per identity)";
+                  "' is reserved by the daemon (journal placement and "
+                  "tracing are managed per identity)";
       return out;
     }
   }

@@ -38,9 +38,9 @@ struct RequestParse {
   std::string error;
 };
 
-/// Keys a request may not set: journal placement, resume policy, and
-/// trace wiring belong to the daemon, which keys journals by run
-/// identity and feeds PROGRESS lines from its own trace hook.
+/// Keys a request may not set: journal placement and trace wiring
+/// belong to the daemon, which keys journals by run identity and feeds
+/// PROGRESS lines from the driver's result sink.
 bool is_reserved_key(const std::string& key);
 
 /// Parse one command line ("RUN", "PING", ...; surrounding whitespace

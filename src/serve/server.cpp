@@ -236,10 +236,11 @@ void SpectrumServer::handle_connection(int fd) {
         break;
       }
       case Command::run: {
-        // PROGRESS lines stream from worker threads (serialized by the
-        // ProgressHub); this thread is blocked inside answer() until
-        // the last of them has been delivered, so the OK line and
-        // payload never interleave with them.
+        // PROGRESS lines come from the driver's result sink, on
+        // whichever thread lands a mode, numbered and sent under the
+        // sink's lock; this thread is blocked inside answer() until the
+        // last of them has been delivered, so the OK line and payload
+        // never interleave with them.
         const ProgressFn progress = [fd](std::size_t done,
                                          std::size_t total) {
           send_all(fd, "PROGRESS " + std::to_string(done) + "/" +

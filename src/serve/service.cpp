@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -114,19 +113,13 @@ std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
     const SlotGuard slot(slots_);
     if (!jpath.empty()) {
       plan.setup().store.path = jpath;
-      plan.setup().store.resume = true;
       plan.setup().store.flush_interval = 1;
     }
-    // The trace layer is the progress feed: every recorded span
-    // (including zero-cost journal-loaded ones) advances the counter.
-    const std::size_t total = plan.schedule().size();
-    auto done = std::make_shared<std::atomic<std::size_t>>(0);
-    plan.setup().trace.enabled = true;
-    plan.setup().trace.capture_messages = false;
-    plan.setup().trace.on_span = [hub, done,
-                                  total](const parallel::ModeSpan& span) {
-      if (!span.completed) return;
-      hub->notify(++*done, total);
+    // The driver's result sink is the progress feed: it numbers each
+    // landed mode (journal-loaded ones first) under its own lock, so
+    // the hub hears 1, 2, ... in order.
+    plan.setup().progress = [hub](std::size_t landed, std::size_t total) {
+      hub->notify(landed, total);
     };
     if (opts_.on_compute) opts_.on_compute();
     out = plan.execute();

@@ -24,7 +24,8 @@
 /// identical requests cost exactly one computation, and the coalescing
 /// test pins the responses bitwise identical.  Progress for everyone
 /// waiting streams through a per-computation ProgressHub fed by the
-/// trace layer's span observer.
+/// driver's result sink (RunSetup::progress), one notification per
+/// landed mode.
 ///
 /// Contexts (Background/Recombination/ThermoCache) come from a
 /// run::ContextCache of context_capacity cosmologies, so a miss on a
@@ -103,7 +104,7 @@ struct Answer {
   std::shared_ptr<const AnswerBody> body;
 };
 
-/// Streamed progress: completed modes out of the schedule total.
+/// Streamed progress: landed modes out of the schedule total.
 using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
 
 /// Counters for the STATS command and the bench harness.

@@ -163,7 +163,7 @@ void ModeResultStore::open_journal() {
     }
     for (const auto& [ik, r] : journal->results) in_journal_.insert(ik);
     n_duplicates_ = journal->iks.size() - journal->results.size();
-    if (opts_.resume) loaded_ = std::move(journal->results);
+    loaded_ = std::move(journal->results);
     if (journal->torn_tail) {
       // Torn tail from a crash mid-write: drop it, keep the prefix.
       fs::resize_file(opts_.path, journal->good_bytes);
@@ -229,18 +229,11 @@ void ModeResultStore::append(std::size_t ik,
   rec.push_back(static_cast<double>(crc32_doubles(rec)));
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!in_journal_.insert(ik).second) {
-    // With resume on the drivers only schedule the residual, so a
-    // duplicate append is a caller bug.  With resume off they recompute
-    // the full schedule over the existing journal; the journal is
-    // append-only and the first record wins, so the recompute is
-    // absorbed without rewriting.
-    PLINGER_REQUIRE(!opts_.resume,
-                    "ModeResultStore: ik " + std::to_string(ik) +
-                        " already checkpointed");
-    ++n_append_skipped_;
-    return;
-  }
+  // The drivers only schedule the residual, so a duplicate append is a
+  // caller bug.
+  const bool fresh = in_journal_.insert(ik).second;
+  PLINGER_REQUIRE(fresh, "ModeResultStore: ik " + std::to_string(ik) +
+                             " already checkpointed");
   io::FortranRecordWriter writer(out_);
   writer.record(rec);
   require_writable("append");
@@ -263,11 +256,6 @@ void ModeResultStore::append(std::size_t ik,
 std::size_t ModeResultStore::n_appended() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return n_appended_;
-}
-
-std::size_t ModeResultStore::n_append_skipped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return n_append_skipped_;
 }
 
 void ModeResultStore::flush() {

@@ -117,10 +117,9 @@ class ModeResultStore {
   /// Open (creating if absent) the journal at opts.path for the run
   /// identified by `id` over an n_k-point grid.  An existing journal is
   /// read with read_journal(), identity-checked, torn-tail-truncated,
-  /// and — when opts.resume is set — its records are loaded into
-  /// loaded().  An empty file, or one whose header frame is torn (a
-  /// crash before the header was flushed), starts over as a fresh
-  /// journal.
+  /// and its records are loaded into loaded().  An empty file, or one
+  /// whose header frame is torn (a crash before the header was flushed),
+  /// starts over as a fresh journal.
   ModeResultStore(const StoreOptions& opts, RunIdentity id,
                   std::size_t n_k);
   ~ModeResultStore();  ///< flushes; never throws
@@ -128,8 +127,8 @@ class ModeResultStore {
   ModeResultStore(const ModeResultStore&) = delete;
   ModeResultStore& operator=(const ModeResultStore&) = delete;
 
-  /// Results recovered from the journal at open (empty when resume was
-  /// off or the journal was fresh).  First record wins for duplicate ik.
+  /// Results recovered from the journal at open (empty for a fresh
+  /// journal).  First record wins for duplicate ik.
   const std::map<std::size_t, boltzmann::ModeResult>& loaded() const {
     return loaded_;
   }
@@ -140,16 +139,12 @@ class ModeResultStore {
   std::size_t n_duplicates_dropped() const { return n_duplicates_; }
 
   /// Append one completed mode.  Thread-safe; flushes per
-  /// StoreOptions::flush_interval.  With resume on, appending an ik that
-  /// is already in the journal is a caller bug (the drivers only
-  /// schedule the residual) and throws InvalidArgument; with resume off
-  /// the drivers recompute the full schedule over an existing journal,
-  /// so an already-journaled ik is silently skipped (append-only: the
-  /// first record wins) and counted in n_append_skipped().
+  /// StoreOptions::flush_interval.  Appending an ik that is already in
+  /// the journal, loaded at open or appended since, is a caller bug (the
+  /// drivers only schedule the residual) and throws InvalidArgument.
   void append(std::size_t ik, const boltzmann::ModeResult& result);
 
   std::size_t n_appended() const;
-  std::size_t n_append_skipped() const;
 
   /// Push buffered records to the OS now (a checkpoint barrier).
   void flush();
@@ -171,7 +166,6 @@ class ModeResultStore {
   mutable std::mutex mutex_;
   std::ofstream out_;
   std::size_t n_appended_ = 0;
-  std::size_t n_append_skipped_ = 0;
   std::size_t n_unflushed_ = 0;
   bool stop_requested_ = false;
 

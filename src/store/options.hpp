@@ -11,16 +11,10 @@
 namespace plinger::store {
 
 struct StoreOptions {
-  /// Journal path; empty disables checkpointing entirely.
+  /// Journal path; empty disables checkpointing entirely.  An existing
+  /// journal of the same run always resumes: its modes enter the output
+  /// at open and only the remainder is scheduled.
   std::string path;
-
-  /// Consult an existing journal at startup: mark its modes done and
-  /// schedule only the remainder.  With resume off an existing journal
-  /// with the right identity is kept but not loaded: the full schedule
-  /// is recomputed, modes missing from the journal are appended, and
-  /// already-journaled modes are skipped on append (the journal is
-  /// append-only; its first record for an ik wins).
-  bool resume = true;
 
   /// Flush the journal to the OS every N appended records; 1 (the
   /// default) checkpoints every mode, larger values trade crash window

@@ -19,6 +19,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -497,6 +498,10 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   setup.fault.timeout_seconds = 0.3;
   setup.fault.timeout_floor_seconds = 1.0;
   setup.trace.enabled = true;
+  std::vector<std::pair<std::size_t, std::size_t>> landings;
+  setup.progress = [&landings](std::size_t landed, std::size_t total) {
+    landings.emplace_back(landed, total);
+  };
   const auto out =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2);
   expect_matches_reference(out.results);
@@ -510,6 +515,17 @@ TEST(FaultDriver, StallTimeoutRecoversWithTraceEvidence) {
   }
   EXPECT_TRUE(saw_stall);
   EXPECT_TRUE(saw_reassign);
+  // The stalled worker recorded its span before its delayed send, so
+  // the trace holds one completed span more than there are modes; the
+  // sink lands each mode once, and progress counts landings.
+  std::size_t completed_spans = 0;
+  for (const auto& span : out.trace->spans) completed_spans += span.completed;
+  EXPECT_EQ(completed_spans, kNModes + 1);
+  ASSERT_EQ(landings.size(), kNModes);
+  for (std::size_t i = 0; i < kNModes; ++i) {
+    EXPECT_EQ(landings[i].first, i + 1);
+    EXPECT_EQ(landings[i].second, kNModes);
+  }
   const auto report = pp::make_run_report(*out.trace);
   EXPECT_GE(report.n_workers_lost, 1u);
   EXPECT_GE(report.n_reassigned, 1u);
@@ -550,7 +566,6 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
   setup1.inject = kill_plan(kKillPhases[1], 1);
   setup1.fault.max_reassignments = 0;
   setup1.store.path = path;
-  setup1.store.resume = true;
   const auto run1 =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup1, 2);
   ASSERT_EQ(run1.master.quarantined_ik.size(), 1u);
@@ -560,7 +575,6 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
 
   auto setup2 = phys_setup();
   setup2.store.path = path;
-  setup2.store.resume = true;
   const auto run2 =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup2, 2);
   EXPECT_EQ(run2.n_modes_loaded, kNModes - 1);

@@ -101,7 +101,7 @@ std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
     const pp::KSchedule& sched, const std::vector<pp::EvolveFn>& workers,
     int max_retries, pm::TransportStats* transport_out = nullptr) {
   pm::InProcWorld world_mp(static_cast<int>(workers.size()) + 1);
-  pp::TraceRecorder recorder(pp::TraceConfig{.enabled = true});
+  pp::TraceRecorder recorder;
   world_mp.set_send_observer(
       [&recorder](int from, int to, int tag, std::size_t bytes) {
         recorder.record_message(tag, from, to, bytes);
@@ -327,7 +327,7 @@ TEST(TraceReport, VirtualClusterIdleTailLargestFirstBeatsNatural) {
 
   auto tail_for = [&](pp::IssueOrder order) {
     const pp::KSchedule schedule(kgrid, order);
-    pp::TraceRecorder recorder(pp::TraceConfig{.enabled = true});
+    pp::TraceRecorder recorder;
     const auto r = pp::simulate_virtual_cluster(
         schedule, 8, cost, pp::LinkModel{}, sizer, {}, &recorder);
     const auto trace = recorder.finish(8, r.wallclock_seconds);

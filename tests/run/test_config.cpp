@@ -49,7 +49,6 @@ TEST(RunConfig, DefaultsMatchHistoricalLingerCli) {
   EXPECT_EQ(cfg.driver, "threads");
   EXPECT_EQ(cfg.workers, 2);
   EXPECT_TRUE(cfg.store.empty());
-  EXPECT_TRUE(cfg.resume);
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -82,7 +81,6 @@ TEST(RunConfig, SerializeParseRoundTripIsExact) {
   cfg.driver = "serial";
   cfg.workers = 7;
   cfg.store = "sweep.bin";
-  cfg.resume = false;
   cfg.flush_interval = 4;
   cfg.stop_after = 3;
   cfg.trace = true;

@@ -78,12 +78,16 @@ TEST(ServeRequest, MalformedBodyIsRefused) {
 }
 
 TEST(ServeRequest, ReservedKeysAreFenced) {
-  for (const char* key : {"store", "resume", "flush_interval",
-                          "stop_after", "trace", "trace_json"}) {
+  for (const char* key : {"store", "flush_interval", "stop_after", "trace",
+                          "trace_json"}) {
     EXPECT_TRUE(sv::is_reserved_key(key)) << key;
     const auto p = parse("RUN", {std::string(key) + " = 1"});
     ASSERT_FALSE(p.error.empty()) << key;
     EXPECT_NE(p.error.find("reserved"), std::string::npos) << key;
   }
   EXPECT_FALSE(sv::is_reserved_key("n_k"));
+  // `resume` is no key: every journal resumes.
+  EXPECT_FALSE(sv::is_reserved_key("resume"));
+  const auto p = parse("RUN", {"resume = 1"});
+  EXPECT_EQ(p.error.rfind("unrecognized key 'resume'", 0), 0u) << p.error;
 }

@@ -200,28 +200,56 @@ TEST(SpectrumService, ProgressStreamsToEverySubscriber) {
   sv::ServeOptions opts;  // no journal dir: LRU-only service
   sv::SpectrumService service(opts);
 
-  std::atomic<std::size_t> calls{0};
-  std::atomic<std::size_t> last_done{0};
+  // The callbacks run under the driver's sink lock, one at a time.
+  std::vector<std::size_t> dones;
   std::size_t total_seen = 0;
   const sv::Answer a = service.answer(
       fast_config(), [&](std::size_t done, std::size_t total) {
-        ++calls;
-        last_done = done;
+        dones.push_back(done);
         total_seen = total;
       });
   EXPECT_EQ(a.tier, sv::Tier::compute);
-  // One notification per completed mode, ending at done == total.
-  EXPECT_EQ(calls.load(), 4u);
-  EXPECT_EQ(last_done.load(), 4u);
+  // One notification per landed mode, counted 1..total in order.
+  EXPECT_EQ(dones, (std::vector<std::size_t>{1, 2, 3, 4}));
   EXPECT_EQ(total_seen, 4u);
 
   // An LRU hit answers instantly: no progress callbacks fire.
-  calls = 0;
+  std::atomic<std::size_t> calls{0};
   const sv::Answer warm =
       service.answer(fast_config(),
                      [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(warm.tier, sv::Tier::lru);
   EXPECT_EQ(calls.load(), 0u);
+
+  // Four autotask workers land modes concurrently, and the count still
+  // arrives in order.  With the LRU and the journal off every answer
+  // is a fresh compute.
+  rn::RunConfig los;
+  los.set_preset("lcdm");
+  los.solver = "los";
+  los.grid = "cl";
+  los.l_max = 60;
+  los.driver = "autotask";
+  los.workers = 4;
+  sv::ServeOptions uncached;
+  uncached.lru_capacity = 0;
+  sv::SpectrumService recompute(uncached);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::size_t> seen;
+    std::size_t total = 0;
+    const sv::Answer ans = recompute.answer(
+        los, [&](std::size_t done, std::size_t t) {
+          seen.push_back(done);
+          total = t;
+        });
+    EXPECT_EQ(ans.tier, sv::Tier::compute);
+    EXPECT_EQ(ans.body->modes, total);
+    ASSERT_EQ(seen.size(), total) << rep;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], i + 1) << "answer " << rep;
+    }
+  }
+  EXPECT_EQ(recompute.stats().computes, 3u);
 }
 
 TEST(SpectrumService, LruEvictionFallsBackToJournal) {

@@ -180,12 +180,38 @@ TEST_P(CrashResume, KillAfterThreeModesThenResumeBitwise) {
   EXPECT_FALSE(journal.torn_tail);
 
   // Phase 2: resume.  Only the remainder is computed; the union is
-  // bitwise identical to the uninterrupted reference.
+  // bitwise identical to the uninterrupted reference.  The progress
+  // hook logs each landing with the journal's record count at that
+  // moment (it runs under the sink's lock, so no append races it).
+  struct Landing {
+    std::size_t landed, total, journaled;
+  };
+  std::vector<Landing> landings;
   setup.store.stop_after = 0;
+  setup.progress = [&](std::size_t landed, std::size_t total) {
+    landings.push_back({landed, total, ps::read_journal(path).iks.size()});
+  };
   const auto resumed = run_driver(d, s, setup);
-  EXPECT_EQ(resumed.n_modes_loaded, partial.results.size());
+  const std::size_t n_loaded = partial.results.size();
+  EXPECT_EQ(resumed.n_modes_loaded, n_loaded);
   EXPECT_EQ(resumed.n_modes_loaded + resumed.n_modes_computed, kNModes);
   expect_matches_reference(resumed);
+
+  // One landing per mode, counted 1..kNModes in order: the journaled
+  // modes 1..n_loaded before any computed one (the journal has grown by
+  // nothing yet), then each computed mode right after its append.
+  ASSERT_EQ(landings.size(), kNModes);
+  for (std::size_t i = 0; i < kNModes; ++i) {
+    EXPECT_EQ(landings[i].landed, i + 1);
+    EXPECT_EQ(landings[i].total, kNModes);
+    EXPECT_EQ(landings[i].journaled, std::max(i + 1, n_loaded)) << i;
+  }
+
+  // The journal converged to one record per mode, no duplicates.
+  auto iks = ps::read_journal(path).iks;
+  std::sort(iks.begin(), iks.end());
+  ASSERT_EQ(iks.size(), kNModes);
+  for (std::size_t i = 0; i < kNModes; ++i) EXPECT_EQ(iks[i], i + 1);
 
   // And the assembled spectrum is bitwise identical too.
   EXPECT_EQ(cl_of(resumed, s), cl_of(reference(), s));
@@ -209,37 +235,6 @@ TEST_P(CrashResume, FullyResumedRunComputesNothing) {
   // Degenerate-run guards: a near-instant run must not divide by ~zero.
   EXPECT_GE(second.parallel_efficiency(), 0.0);
   EXPECT_GE(second.flops_per_second(), 0.0);
-}
-
-TEST_P(CrashResume, ResumeOffRecomputesFullSchedule) {
-  const Driver d = GetParam();
-  const auto path = temp_path(std::string("noresume") + driver_name(d));
-  const auto s = make_schedule();
-
-  // Phase 1: a partial journal ("crash" after 3 checkpoints).
-  auto setup = setup_for(path);
-  setup.store.stop_after = 3;
-  const auto partial = run_driver(d, s, setup);
-  const auto n_journaled = ps::read_journal(path).iks.size();
-  ASSERT_GE(n_journaled, 3u);
-  ASSERT_LT(n_journaled, kNModes);
-
-  // Phase 2: resume=0 over the existing journal.  Nothing loads, the
-  // full schedule is recomputed (this used to throw on the first
-  // already-journaled append and, under the threaded driver, hang the
-  // worker joins), and only the missing modes are appended.
-  setup.store.stop_after = 0;
-  setup.store.resume = false;
-  const auto second = run_driver(d, s, setup);
-  EXPECT_EQ(second.n_modes_loaded, 0u);
-  EXPECT_EQ(second.n_modes_computed, kNModes);
-  expect_matches_reference(second);
-
-  // The journal converged to one record per mode, no duplicates.
-  auto iks = ps::read_journal(path).iks;
-  std::sort(iks.begin(), iks.end());
-  ASSERT_EQ(iks.size(), kNModes);
-  for (std::size_t i = 0; i < kNModes; ++i) EXPECT_EQ(iks[i], i + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, CrashResume,

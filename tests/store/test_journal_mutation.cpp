@@ -154,7 +154,6 @@ std::string escapes(const std::string& bytes) {
   const bool opened = attempt("ModeResultStore", [&] {
     ps::StoreOptions o;
     o.path = store_path;
-    o.resume = true;
     ps::ModeResultStore st(o, kIdentity, kNk);
   });
   if (!opened && read_file(store_path) != bytes) {

@@ -236,7 +236,6 @@ void expect_retired_journal_refused(int version) {
 
   ps::StoreOptions o;
   o.path = path;
-  o.resume = true;
   EXPECT_THROW((void)ps::ModeResultStore(o, ps::RunIdentity{0xDEC0DEull}, 4),
                ps::StoreCorrupt);
   std::ifstream in(path, std::ios::binary);

@@ -369,40 +369,23 @@ TEST(ModeResultStore, DuplicateRecordFirstWins) {
 
 TEST(ModeResultStore, DuplicateAppendThrows) {
   const auto path = temp_path("dupappend");
-  ps::ModeResultStore st(opts_for(path), test_identity(), 4);
-  st.append(1, fake_result(0.01));
-  EXPECT_THROW(st.append(1, fake_result(0.01)),
-               plinger::InvalidArgument);
-  EXPECT_EQ(st.n_appended(), 1u);
-}
-
-TEST(ModeResultStore, ResumeOffSkipsJournaledAppends) {
-  // With resume off the drivers recompute the full schedule over an
-  // existing journal, so append must absorb already-journaled modes
-  // (append-only, first record wins) instead of throwing.
-  const auto path = temp_path("noresume");
   const auto id = test_identity();
   {
     ps::ModeResultStore st(opts_for(path), id, 4);
     st.append(1, fake_result(0.01));
-    st.append(2, fake_result(0.02));
-  }
-  {
-    auto o = opts_for(path);
-    o.resume = false;
-    ps::ModeResultStore st(o, id, 4);
-    EXPECT_EQ(st.n_loaded(), 0u);      // nothing resumed...
-    st.append(1, fake_result(0.05));   // ...recompute is absorbed
-    EXPECT_EQ(st.n_appended(), 0u);
-    EXPECT_EQ(st.n_append_skipped(), 1u);
-    st.append(3, fake_result(0.03));   // fresh modes still append
+    EXPECT_THROW(st.append(1, fake_result(0.01)),
+                 plinger::InvalidArgument);
     EXPECT_EQ(st.n_appended(), 1u);
-    EXPECT_EQ(ps::read_journal(path).iks,
-              (std::vector<std::size_t>{1, 2, 3}));
   }
-  // The journal's original record for ik 1 won, not the recompute.
+  // An ik loaded from a reopened journal is just as taken: appending it
+  // again throws and writes nothing, while a fresh ik still appends.
   ps::ModeResultStore st(opts_for(path), id, 4);
-  EXPECT_EQ(st.loaded().at(1).k, 0.01);
+  ASSERT_TRUE(st.contains(1));
+  EXPECT_THROW(st.append(1, fake_result(0.05)), plinger::InvalidArgument);
+  EXPECT_EQ(st.n_appended(), 0u);
+  st.append(2, fake_result(0.02));
+  EXPECT_EQ(st.n_appended(), 1u);
+  EXPECT_EQ(ps::read_journal(path).iks, (std::vector<std::size_t>{1, 2}));
 }
 
 TEST(ModeResultStore, FlushThenStopHook) {

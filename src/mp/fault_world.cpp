@@ -129,17 +129,20 @@ void FaultInjectingWorld::hold_for_rendezvous(int from) const {
 
 void FaultInjectingWorld::kill(int rank, int tag, std::size_t ik,
                                FaultKind kind) {
-  // Caller holds no lock.  Mark dead first so concurrent calls by the
-  // same rank fail fast, then notify the master.
+  // Caller holds no lock.  Mark dead first so concurrent sends by the
+  // same rank fail fast and sends to it vanish, end its receives, then
+  // notify the master.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     killed_[static_cast<std::size_t>(rank)] = 1;
     log_.push_back(InjectedFault{kind, rank, tag, ik});
   }
+  const RankKilled death("rank " + std::to_string(rank) +
+                         " killed by fault injection at tag " +
+                         std::to_string(tag));
+  close_mailbox(rank, std::make_exception_ptr(death));
   if (plan_.notify_on_kill && rank != 0) notify_worker_lost(rank);
-  throw RankKilled("rank " + std::to_string(rank) +
-                   " killed by fault injection at tag " +
-                   std::to_string(tag));
+  throw death;
 }
 
 void FaultInjectingWorld::send(int from, int to, int tag,
@@ -285,24 +288,6 @@ void FaultInjectingWorld::send(int from, int to, int tag,
   if (kill_after) {
     kill(from, tag, ik, FaultKind::kill_after_send);  // throws
   }
-}
-
-ProbeResult FaultInjectingWorld::probe(int rank, int source,
-                                       int tag) const {
-  check_alive(rank);
-  return InProcWorld::probe(rank, source, tag);
-}
-
-std::optional<ProbeResult> FaultInjectingWorld::probe_for(
-    int rank, int source, int tag, double timeout_seconds) const {
-  check_alive(rank);
-  return InProcWorld::probe_for(rank, source, tag, timeout_seconds);
-}
-
-std::size_t FaultInjectingWorld::recv(int rank, int source, int tag,
-                                      std::span<double> out) {
-  check_alive(rank);
-  return InProcWorld::recv(rank, source, tag, out);
 }
 
 }  // namespace plinger::mp

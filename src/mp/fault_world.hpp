@@ -6,14 +6,15 @@
 /// die: on the SP2/T3D a lost worker meant a lost run.  To grow the
 /// recovery machinery in `run_master` we need a transport that can fail
 /// on demand, deterministically.  FaultInjectingWorld decorates
-/// InProcWorld through its virtual send/probe/recv seams and can, per a
-/// declarative plan:
+/// InProcWorld through its virtual send and can, per a declarative plan:
 ///
-///  * kill a rank — the simulated process dies: every later transport
-///    call by that rank throws RankKilled (the driver treats it as
-///    simulated death, not an error), sends *to* it vanish silently, and
-///    a synthetic tag-7 death notice is delivered to the master (the
-///    analogue of PVM's pvm_notify host-failure message),
+///  * kill a rank — the simulated process dies: every later send by
+///    that rank throws RankKilled (the driver treats it as simulated
+///    death, not an error), its mailbox is closed with the same
+///    exception (InProcWorld::close_mailbox: a receive drains what was
+///    queued before the kill, then throws), sends *to* it vanish
+///    silently, and a synthetic tag-7 death notice is delivered to the
+///    master (the analogue of PVM's pvm_notify host-failure message),
 ///  * drop a message — it is never delivered (a flaky link),
 ///  * duplicate a message — it is delivered twice,
 ///  * delay a message — it is delivered after a wallclock pause (a
@@ -40,10 +41,11 @@
 
 namespace plinger::mp {
 
-/// Thrown by transport calls of a rank whose simulated process was
-/// killed.  Protocol loops do not catch it: it unwinds the worker like
-/// the process death it models, and the driver recognizes it as a
-/// simulated fault rather than a real error.
+/// Thrown by the send that kills a rank and by every later send of
+/// that rank; its receives throw it once no matching message queued
+/// before the kill remains.  Protocol loops do not catch it: it unwinds
+/// the worker like the process death it models, and the driver
+/// recognizes it as a simulated fault rather than a real error.
 class RankKilled : public Error {
  public:
   explicit RankKilled(const std::string& what) : Error(what) {}
@@ -115,11 +117,6 @@ class FaultInjectingWorld final : public InProcWorld {
 
   void send(int from, int to, int tag,
             std::span<const double> data) override;
-  ProbeResult probe(int rank, int source, int tag) const override;
-  std::optional<ProbeResult> probe_for(int rank, int source, int tag,
-                                       double timeout_seconds) const override;
-  std::size_t recv(int rank, int source, int tag,
-                   std::span<double> out) override;
 
   /// Has this rank's simulated process been killed?
   bool is_killed(int rank) const;
@@ -138,7 +135,8 @@ class FaultInjectingWorld final : public InProcWorld {
   /// hold_healthy_results: block until no other rank has an unfired
   /// planned action (or the 5 s valve opens).
   void hold_for_rendezvous(int from) const;
-  /// Kill `rank`: mark dead, emit the death notice, log, throw.
+  /// Kill `rank`: mark dead, log, close its mailbox, emit the death
+  /// notice, throw.
   [[noreturn]] void kill(int rank, int tag, std::size_t ik,
                          FaultKind kind);
 

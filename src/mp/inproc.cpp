@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace plinger::mp {
+
+namespace {
+
+/// The longest wait probe_for times, about 32 years.  wait_for keeps
+/// its deadline in int64 nanoseconds, which overflow past about 9.2e9 s;
+/// a longer timeout is no deadline at all.
+constexpr double kMaxTimedWaitSeconds = 1e9;
+
+}  // namespace
 
 InProcWorld::InProcWorld(int nprocs, Library lib) : lib_(lib) {
   PLINGER_REQUIRE(nprocs >= 1 && nprocs <= 100000,
@@ -35,7 +45,16 @@ void InProcWorld::send(int from, int to, int tag,
 void InProcWorld::enqueue_local(int to, Message msg) {
   Mailbox& box = *boxes_[static_cast<std::size_t>(to)];
   const std::lock_guard<std::mutex> lock(box.mutex);
+  if (box.closed) return;  // the rank is gone; its mail vanishes
   box.queue.push_back(std::move(msg));
+  box.cv.notify_all();
+}
+
+void InProcWorld::close_mailbox(int rank, std::exception_ptr why) {
+  check_rank(rank);
+  Mailbox& box = *boxes_[static_cast<std::size_t>(rank)];
+  const std::lock_guard<std::mutex> lock(box.mutex);
+  if (!box.closed) box.closed = std::move(why);
   box.cv.notify_all();
 }
 
@@ -78,31 +97,40 @@ const Message* InProcWorld::find_match(const Mailbox& box, int source,
   return nullptr;
 }
 
-ProbeResult InProcWorld::probe(int rank, int source, int tag) const {
-  check_rank(rank);
-  const Mailbox& box = *boxes_[static_cast<std::size_t>(rank)];
-  std::unique_lock<std::mutex> lock(box.mutex);
+const Message* InProcWorld::wait_match(const Mailbox& box,
+                                       std::unique_lock<std::mutex>& lock,
+                                       int source, int tag,
+                                       double timeout_seconds) const {
   const Message* match = nullptr;
-  box.cv.wait(lock, [&] {
+  const auto ready = [&] {
     match = find_match(box, source, tag);
-    return match != nullptr;
-  });
-  return ProbeResult{match->tag, match->source, match->payload.size()};
+    return match != nullptr || box.closed != nullptr;
+  };
+  if (timeout_seconds > kMaxTimedWaitSeconds) {
+    box.cv.wait(lock, ready);
+  } else if (!box.cv.wait_for(
+                 lock,
+                 std::chrono::duration<double>(std::max(timeout_seconds, 0.0)),
+                 ready)) {
+    return nullptr;
+  }
+  if (match == nullptr) std::rethrow_exception(box.closed);
+  return match;
+}
+
+ProbeResult InProcWorld::probe(int rank, int source, int tag) const {
+  return *probe_for(rank, source, tag,
+                    std::numeric_limits<double>::infinity());
 }
 
 std::optional<ProbeResult> InProcWorld::probe_for(
     int rank, int source, int tag, double timeout_seconds) const {
   check_rank(rank);
-  if (timeout_seconds < 0.0) timeout_seconds = 0.0;
   const Mailbox& box = *boxes_[static_cast<std::size_t>(rank)];
   std::unique_lock<std::mutex> lock(box.mutex);
-  const Message* match = nullptr;
-  const bool found = box.cv.wait_for(
-      lock, std::chrono::duration<double>(timeout_seconds), [&] {
-        match = find_match(box, source, tag);
-        return match != nullptr;
-      });
-  if (!found) return std::nullopt;
+  const Message* match =
+      wait_match(box, lock, source, tag, timeout_seconds);
+  if (match == nullptr) return std::nullopt;
   return ProbeResult{match->tag, match->source, match->payload.size()};
 }
 
@@ -111,11 +139,8 @@ std::size_t InProcWorld::recv(int rank, int source, int tag,
   check_rank(rank);
   Mailbox& box = *boxes_[static_cast<std::size_t>(rank)];
   std::unique_lock<std::mutex> lock(box.mutex);
-  const Message* match = nullptr;
-  box.cv.wait(lock, [&] {
-    match = find_match(box, source, tag);
-    return match != nullptr;
-  });
+  const Message* match = wait_match(box, lock, source, tag,
+                                    std::numeric_limits<double>::infinity());
 
   if (lib_ == Library::mplsim) {
     // The MPL restriction (paper §4): a receive must take the oldest

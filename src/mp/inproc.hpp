@@ -18,6 +18,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -44,10 +45,13 @@ class ProtocolError : public Error {
 /// typically rank 0 is driven by the master thread and ranks 1..n-1 by
 /// worker threads.
 ///
-/// send/probe/probe_for/recv are virtual so a decorator can interpose on
-/// the transport without the protocol layer knowing: FaultInjectingWorld
-/// (fault_world.hpp) kills ranks, delays, drops, and duplicates messages
-/// through exactly these seams.
+/// send is virtual so a decorator can interpose on the transport
+/// without the protocol layer knowing: FaultInjectingWorld
+/// (fault_world.hpp) kills ranks, delays, drops, and duplicates
+/// messages there, and TcpWorld (tcp_world.hpp) frames them onto a
+/// socket.  The receive calls are not virtual: a backend ends a rank's
+/// receives through one seam, close_mailbox, when that rank is killed
+/// or its link to the master drops.
 class InProcWorld {
  public:
   explicit InProcWorld(int nprocs, Library lib = Library::mpisim);
@@ -57,28 +61,29 @@ class InProcWorld {
   InProcWorld& operator=(const InProcWorld&) = delete;
 
   int size() const { return static_cast<int>(boxes_.size()); }
-  Library library() const { return lib_; }
 
   /// Copy data into `to`'s mailbox with the given tag.
   virtual void send(int from, int to, int tag, std::span<const double> data);
 
   /// Block until a message matching (source, tag) — either may be a
   /// wildcard — is available for `rank`; report it without consuming.
-  virtual ProbeResult probe(int rank, int source = kAnySource,
-                            int tag = kAnyTag) const;
+  /// On a closed mailbox with no match queued, rethrow its exception
+  /// (this holds for probe_for and recv too).
+  ProbeResult probe(int rank, int source = kAnySource,
+                    int tag = kAnyTag) const;
 
   /// Like probe, but give up after timeout_seconds.  Returns nullopt on
   /// timeout.  This is the master's stall-detection primitive: a bounded
   /// wait for the next protocol message so a dead or wedged worker
-  /// cannot hang the join forever.
-  virtual std::optional<ProbeResult> probe_for(int rank, int source, int tag,
-                                               double timeout_seconds) const;
+  /// cannot hang the join forever.  A timeout above 1e9 s (about 32
+  /// years) waits with no deadline.
+  std::optional<ProbeResult> probe_for(int rank, int source, int tag,
+                                       double timeout_seconds) const;
 
   /// Block until a matching message is available, then copy at most
   /// out.size() doubles into out and consume it.  Returns the payload
   /// length (the full length even if truncated, as MPI does).
-  virtual std::size_t recv(int rank, int source, int tag,
-                           std::span<double> out);
+  std::size_t recv(int rank, int source, int tag, std::span<double> out);
 
   /// Transport counters accumulated so far.
   TransportStats stats() const;
@@ -110,6 +115,13 @@ class InProcWorld {
   /// rank's outstanding mode without waiting for a stall timeout.
   void notify_worker_lost(int rank);
 
+  /// End `rank`'s receives, the one way a rank goes away (a kill, a lost
+  /// master link).  Its probe, probe_for and recv still return any
+  /// matching message already queued, then rethrow `why`, waking the
+  /// calls already blocked; later mail to it is dropped.  The first
+  /// close wins.
+  void close_mailbox(int rank, std::exception_ptr why);
+
   void check_rank(int rank) const;
 
  private:
@@ -117,9 +129,16 @@ class InProcWorld {
     mutable std::mutex mutex;
     mutable std::condition_variable cv;
     std::deque<Message> queue;
+    std::exception_ptr closed;  ///< set once by close_mailbox
   };
 
   const Message* find_match(const Mailbox& box, int source, int tag) const;
+  /// With `lock` held on `box`, wait up to timeout_seconds for a
+  /// message matching (source, tag); nullptr on timeout.  A closed
+  /// mailbox with no match rethrows its exception.
+  const Message* wait_match(const Mailbox& box,
+                            std::unique_lock<std::mutex>& lock, int source,
+                            int tag, double timeout_seconds) const;
 
   Library lib_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;

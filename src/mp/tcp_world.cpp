@@ -26,11 +26,6 @@ static_assert(sizeof(double) == 8, "tcp_world: binary64 doubles required");
 
 namespace {
 
-/// Loss-detection poll tick for the blocking probe/recv loops.  Message
-/// arrival wakes the mailbox condition variable immediately; this tick
-/// only bounds how long a blocked call can outlive a dead connection.
-constexpr double kLossPollSeconds = 0.05;
-
 void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
   b.push_back(static_cast<unsigned char>(v & 0xFFu));
   b.push_back(static_cast<unsigned char>((v >> 8) & 0xFFu));
@@ -418,27 +413,7 @@ void TcpWorld::attach_peer(int rank, int fd) {
   p->rank = rank;
   Peer& ref = *p;
   peers_[static_cast<std::size_t>(rank)] = std::move(p);
-  ref.sender = std::thread([this, &ref] { sender_loop(ref); });
   ref.receiver = std::thread([this, &ref] { receiver_loop(ref); });
-}
-
-void TcpWorld::sender_loop(Peer& p) {
-  for (;;) {
-    std::vector<unsigned char> frame;
-    {
-      std::unique_lock<std::mutex> lock(p.mutex);
-      p.cv.wait(lock,
-                [&] { return !p.queue.empty() || p.closing || p.lost; });
-      if (p.lost) return;
-      if (p.queue.empty()) return;  // closing with a drained queue
-      frame = std::move(p.queue.front());
-      p.queue.pop_front();
-    }
-    if (!send_all(p.fd, frame.data(), frame.size())) {
-      mark_lost(p, "write error");
-      return;
-    }
-  }
 }
 
 void TcpWorld::receiver_loop(Peer& p) {
@@ -459,7 +434,6 @@ void TcpWorld::receiver_loop(Peer& p) {
       parser.feed({chunk.data(), static_cast<std::size_t>(n)});
       while (auto f = parser.next()) {
         if (f->tag == kCtrlGoodbye) {
-          const std::lock_guard<std::mutex> lock(p.mutex);
           p.goodbye_seen = true;
           continue;
         }
@@ -487,41 +461,21 @@ void TcpWorld::receiver_loop(Peer& p) {
 }
 
 void TcpWorld::mark_lost(Peer& p, const char* why) {
-  bool clean = false;
-  {
-    const std::lock_guard<std::mutex> lock(p.mutex);
-    if (p.lost) return;
-    p.lost = true;
-    clean = p.closing || p.goodbye_seen;
-    p.cv.notify_all();
-  }
-  ::shutdown(p.fd, SHUT_RDWR);  // wake the twin thread
+  if (p.lost.exchange(true)) return;
+  const bool clean = p.closing || p.goodbye_seen;
+  // Wakes the receiver, and a writer stuck in send_all on a dead link.
+  ::shutdown(p.fd, SHUT_RDWR);
+  if (!clean) ++n_peers_lost_;
   if (local_rank_ == 0) {
-    if (!clean) {
-      ++n_peers_lost_;
-      // The same tag-7 notice a FaultPlan kill delivers; run_master's
-      // recovery path owns the fallout.
-      notify_worker_lost(p.rank);
-    }
+    // The same tag-7 notice a FaultPlan kill delivers; run_master's
+    // recovery path owns the fallout.
+    if (!clean) notify_worker_lost(p.rank);
   } else {
-    if (!clean) ++n_peers_lost_;
-    {
-      const std::lock_guard<std::mutex> lock(lost_mutex_);
-      lost_reason_ = why;
-    }
-    master_lost_.store(true);
+    close_mailbox(local_rank_,
+                  std::make_exception_ptr(PeerLost(
+                      std::string("tcp: master connection lost (") + why +
+                      ")")));
   }
-}
-
-void TcpWorld::throw_if_master_lost(int rank) const {
-  if (local_rank_ == 0 || rank != local_rank_) return;
-  if (!master_lost_.load()) return;
-  std::string why;
-  {
-    const std::lock_guard<std::mutex> lock(lost_mutex_);
-    why = lost_reason_;
-  }
-  throw PeerLost("tcp: master connection lost (" + why + ")");
 }
 
 void TcpWorld::send(int from, int to, int tag,
@@ -542,54 +496,15 @@ void TcpWorld::send(int from, int to, int tag,
   }
   Peer* p = peers_[static_cast<std::size_t>(to)].get();
   if (p == nullptr) return;  // never-connected rank, already declared lost
-  auto frame = encode_frame(tag, from, data);
+  const auto frame = encode_frame(tag, from, data);
   {
-    const std::lock_guard<std::mutex> lock(p->mutex);
+    const std::lock_guard<std::mutex> lock(p->write_mutex);
     if (p->lost || p->closing) return;  // sends to a dead peer vanish
-    p->queue.push_back(std::move(frame));
-    p->cv.notify_all();
+    if (!send_all(p->fd, frame.data(), frame.size())) {
+      mark_lost(*p, "write error");
+    }
   }
   count_send(from, to, tag, data.size() * sizeof(double));
-}
-
-ProbeResult TcpWorld::probe(int rank, int source, int tag) const {
-  for (;;) {
-    if (const auto pr =
-            InProcWorld::probe_for(rank, source, tag, kLossPollSeconds)) {
-      return *pr;
-    }
-    throw_if_master_lost(rank);
-  }
-}
-
-std::optional<ProbeResult> TcpWorld::probe_for(
-    int rank, int source, int tag, double timeout_seconds) const {
-  if (timeout_seconds < 0.0) timeout_seconds = 0.0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  for (;;) {
-    const double left = std::chrono::duration<double>(
-                            deadline - std::chrono::steady_clock::now())
-                            .count();
-    const double tick = std::clamp(left, 0.0, kLossPollSeconds);
-    if (const auto pr = InProcWorld::probe_for(rank, source, tag, tick)) {
-      return pr;
-    }
-    throw_if_master_lost(rank);
-    if (left <= tick) return std::nullopt;
-  }
-}
-
-std::size_t TcpWorld::recv(int rank, int source, int tag,
-                           std::span<double> out) {
-  for (;;) {
-    if (InProcWorld::probe_for(rank, source, tag, kLossPollSeconds)) {
-      // Single consumer per rank: the matched message cannot vanish
-      // between the probe and this receive.
-      return InProcWorld::recv(rank, source, tag, out);
-    }
-    throw_if_master_lost(rank);
-  }
 }
 
 TcpWorld::~TcpWorld() {
@@ -597,18 +512,17 @@ TcpWorld::~TcpWorld() {
   for (auto& pp : peers_) {
     if (!pp) continue;
     Peer& p = *pp;
+    p.closing = true;
     {
-      const std::lock_guard<std::mutex> lock(p.mutex);
+      const std::lock_guard<std::mutex> lock(p.write_mutex);
       if (!p.lost) {
         // Announce the clean close so the peer's EOF is not a death.
-        p.queue.push_back(encode_frame(kCtrlGoodbye, local_rank_, {}));
+        const auto bye = encode_frame(kCtrlGoodbye, local_rank_, {});
+        send_all(p.fd, bye.data(), bye.size());
       }
-      p.closing = true;
-      p.cv.notify_all();
     }
-    if (p.sender.joinable()) p.sender.join();  // drains the GOODBYE
     ::shutdown(p.fd, SHUT_RDWR);
-    if (p.receiver.joinable()) p.receiver.join();
+    p.receiver.join();
     ::close(p.fd);
   }
 }

@@ -27,15 +27,24 @@
 /// {0.0, 1.0} from that rank (InProcWorld::notify_worker_lost, the same
 /// notice a FaultPlan kill delivers), so the master's reassignment/
 /// quarantine machinery runs unchanged over real sockets.  On a worker
-/// it marks the master link down, and any blocked probe/recv throws
-/// PeerLost within one poll tick.
+/// it closes the worker's own mailbox with PeerLost
+/// (InProcWorld::close_mailbox): a probe/recv returns what the master
+/// sent before it went, then throws, and one already blocked wakes and
+/// throws at once.
+///
+/// Threads: each link has one, its receiver, which reads frames into
+/// the local mailbox and declares the link lost.  send() writes its
+/// frame on the calling thread, under the link's write lock; declaring
+/// a link lost shuts the socket down, which unblocks a stuck writer.  A
+/// send waits only while the peer's socket buffer is full; the master
+/// sends a worker the broadcast, then at most one small frame per
+/// message from it, so a wedged worker cannot fill it.
 
 #include <netinet/in.h>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,9 +56,11 @@
 
 namespace plinger::mp {
 
-/// Thrown by a worker's probe/recv when the master connection is gone
-/// and no matching message remains queued.  The master never throws it:
-/// peer loss there becomes a tag-7 death notice instead.
+/// Thrown by a worker's probe/probe_for/recv once the master
+/// connection is gone and no matching message it sent before then
+/// remains queued; a call already blocked throws it as the link drops.
+/// The master never throws it: peer loss there becomes a tag-7 death
+/// notice instead.
 class PeerLost : public Error {
  public:
   explicit PeerLost(const std::string& what) : Error(what) {}
@@ -155,7 +166,7 @@ class TcpWorld final : public InProcWorld {
       const std::string& host, int port, int attempts = 1,
       int backoff_ms = 0, double attempt_timeout_seconds = 30.0);
 
-  ~TcpWorld() override;  ///< GOODBYE + drain + close on every live peer
+  ~TcpWorld() override;  ///< GOODBYE + shutdown + close on every live peer
 
   int local_rank() const { return local_rank_; }
   /// The actually bound port (master; resolves a port-0 listen).
@@ -174,11 +185,6 @@ class TcpWorld final : public InProcWorld {
 
   void send(int from, int to, int tag,
             std::span<const double> data) override;
-  ProbeResult probe(int rank, int source, int tag) const override;
-  std::optional<ProbeResult> probe_for(int rank, int source, int tag,
-                                       double timeout_seconds) const override;
-  std::size_t recv(int rank, int source, int tag,
-                   std::span<double> out) override;
 
  private:
   TcpWorld(int nprocs, int local_rank);
@@ -192,35 +198,28 @@ class TcpWorld final : public InProcWorld {
   struct Peer {
     int fd = -1;
     int rank = 0;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<std::vector<unsigned char>> queue;  ///< framed sends
-    bool closing = false;        ///< local teardown: EOF is expected
-    bool goodbye_seen = false;   ///< peer announced a clean close
-    bool lost = false;           ///< link declared dead (once)
-    std::thread sender;
+    std::mutex write_mutex;  ///< one frame on the wire at a time
+    std::atomic<bool> closing{false};       ///< local teardown: EOF is expected
+    std::atomic<bool> goodbye_seen{false};  ///< peer announced a clean close
+    std::atomic<bool> lost{false};          ///< link declared dead (once)
     std::thread receiver;
   };
 
   /// Adopt an already-handshaken socket as the link to `rank` and spawn
-  /// its sender/receiver threads.
+  /// its receiver thread.
   void attach_peer(int rank, int fd);
-  void sender_loop(Peer& p);
   void receiver_loop(Peer& p);
-  /// Declare the link to `p` dead (idempotent): master side synthesizes
-  /// the tag-7 death notice unless the close was clean or local.
+  /// Declare the link to `p` dead (idempotent) and shut its socket down.
+  /// The master synthesizes the tag-7 death notice unless the close was
+  /// clean or local; a worker closes its mailbox with PeerLost.  Takes
+  /// no write lock, so it can unblock a writer stuck in send().
   void mark_lost(Peer& p, const char* why);
-  /// Worker-side loss check for the probe/recv poll loops.
-  void throw_if_master_lost(int rank) const;
 
   int local_rank_ = 0;
   int listen_fd_ = -1;
   int port_ = 0;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< indexed by peer rank
-  std::atomic<bool> master_lost_{false};
   std::atomic<int> n_peers_lost_{0};
-  mutable std::mutex lost_mutex_;  ///< guards lost_reason_
-  std::string lost_reason_;
 };
 
 }  // namespace plinger::mp

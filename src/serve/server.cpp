@@ -35,16 +35,16 @@ void close_if_open(int& fd) {
 
 /// Line-buffered reads over a polled socket.  next_line() returns false
 /// on EOF/error and on a line past kMaxLineBytes (overlong() is then
-/// set); while waiting it checks the caller's stop predicate every poll
-/// tick so an idle connection notices a shutdown.
+/// set).  An idle connection waits on the daemon's wake pipe as well as
+/// its socket, so a shutdown ends the wait: request_stop() writes the
+/// pipe and nothing drains it, so it stays readable from then on.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  LineReader(int fd, int wake_fd) : fd_(fd), wake_fd_(wake_fd) {}
 
   /// idle: true while the connection sits between requests — only then
   /// may a shutdown abandon the read.
-  template <typename StopFn>
-  bool next_line(std::string& line, bool idle, const StopFn& stop) {
+  bool next_line(std::string& line, bool idle) {
     while (true) {
       const auto nl = buf_.find('\n');
       if (nl != std::string::npos && nl <= kMaxLineBytes) {
@@ -57,14 +57,13 @@ class LineReader {
         overlong_ = true;
         return false;
       }
-      if (idle && stop()) return false;
-      struct pollfd pfd{fd_, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, 200);
+      struct pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+      const int pr = ::poll(fds, idle ? 2 : 1, -1);
       if (pr < 0) {
         if (errno == EINTR) continue;
         return false;
       }
-      if (pr == 0) continue;
+      if (idle && fds[1].revents != 0) return false;  // shutting down
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
       if (n == 0) return false;
@@ -80,6 +79,7 @@ class LineReader {
 
  private:
   int fd_;
+  int wake_fd_;
   std::string buf_;
   bool overlong_ = false;
 };
@@ -173,17 +173,16 @@ void SpectrumServer::serve() {
       conn.done.store(true);
     });
   }
-  // Drain: connections notice stopping_ between requests, finish the
+  // Drain: connections notice the wake pipe between requests, finish the
   // request in flight, and exit; joining them completes the shutdown.
   connections_.clear();
 }
 
 void SpectrumServer::handle_connection(int fd) {
-  LineReader reader(fd);
-  const auto stop = [this] { return stopping_.load(); };
+  LineReader reader(fd, wake_read_);
   std::string line;
   bool body_overlong = false;
-  while (reader.next_line(line, /*idle=*/true, stop)) {
+  while (reader.next_line(line, /*idle=*/true)) {
     std::vector<std::string> body;
     bool truncated = false;
     if (line == "RUN" || line == "RUN\r") {
@@ -191,7 +190,7 @@ void SpectrumServer::handle_connection(int fd) {
       // already on the wire gets its answer (drain semantics).
       std::string body_line;
       while (true) {
-        if (!reader.next_line(body_line, /*idle=*/false, stop)) {
+        if (!reader.next_line(body_line, /*idle=*/false)) {
           truncated = true;
           break;
         }

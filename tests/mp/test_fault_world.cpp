@@ -40,6 +40,7 @@ std::vector<double> header_of(std::size_t ik) {
 TEST(FaultWorld, KillBeforeSendThrowsNotifiesAndSilencesRank) {
   pm::FaultInjectingWorld w(
       3, plan_of(action(pm::FaultKind::kill_before_send, 1, 2)));
+  w.send(0, 1, 3, std::vector<double>{4.0});  // queued before the kill
   EXPECT_THROW(w.send(1, 0, 2, std::vector<double>{0.0}), pm::RankKilled);
   EXPECT_TRUE(w.is_killed(1));
   // The master got the synthetic death notice instead of the request.
@@ -50,11 +51,17 @@ TEST(FaultWorld, KillBeforeSendThrowsNotifiesAndSilencesRank) {
   EXPECT_EQ(w.recv(0, 1, 7, notice), 2u);
   EXPECT_EQ(notice[0], 0.0);  // ik unknown
   EXPECT_EQ(notice[1], 1.0);  // code: worker lost
-  // Every later transport call by the dead rank throws; sends to it
-  // vanish without error.
+  // Every later send by the dead rank throws.  Its receives drain what
+  // was queued before the kill, then throw; sends to it vanish without
+  // error.
   EXPECT_THROW(w.send(1, 0, 2, std::vector<double>{0.0}), pm::RankKilled);
+  std::vector<double> assign(1, 0.0);
+  EXPECT_EQ(w.recv(1, 0, 3, assign), 1u);
+  EXPECT_EQ(assign[0], 4.0);
   EXPECT_THROW(w.recv(1, 0, 3, notice), pm::RankKilled);
   w.send(0, 1, 3, std::vector<double>{5.0});  // no throw, no delivery
+  EXPECT_THROW(w.probe(1, 0, 3), pm::RankKilled);
+  EXPECT_THROW((void)w.probe_for(1, 0, 3, 30.0), pm::RankKilled);
   // Rank 2 is unaffected.
   w.send(2, 0, 2, std::vector<double>{0.0});
   EXPECT_FALSE(w.is_killed(2));

@@ -10,7 +10,8 @@
 //    delivery, star-topology enforcement, and the fault mapping: an
 //    abrupt close, garbage bytes, or a never-connected rank all become
 //    the synthesized tag-7 death notice on the master, and a vanished
-//    master becomes PeerLost on the worker;
+//    master becomes PeerLost on the worker, after what it sent first;
+//    each end of a link runs one thread;
 //  * multi-process E2E — fork/exec real plinger_worker processes
 //    against a listening master and require C_l bitwise identical to
 //    the in-process threads driver, including when one worker is
@@ -34,11 +35,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <iterator>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -231,6 +236,13 @@ bool eventually(Pred pred) {
   return pred();
 }
 
+/// Threads of this process, one /proc/self/task entry each.
+std::size_t n_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
 TEST(TcpWorldLoopback, RendezvousAssignsRanksInConnectionOrder) {
   auto master = pm::TcpWorld::listen("127.0.0.1", 0, 2);
   ASSERT_GT(master->port(), 0);  // port 0 resolved by the kernel
@@ -364,18 +376,84 @@ TEST(TcpWorldLoopback, VanishedMasterThrowsPeerLost) {
   t.join();
   const int wr = worker->local_rank();
 
+  // Two receives already blocked on a stop that never comes: the loss
+  // wakes both, the 30 s probe_for long before its timeout (a timeout
+  // would return nullopt, not throw).
+  std::atomic<int> n_woken_by_loss{0};
+  const auto wait_on_stop = [&](double timeout_seconds) {
+    try {
+      if (timeout_seconds > 0.0) {
+        (void)worker->probe_for(wr, 0, pp::kTagStop, timeout_seconds);
+      } else {
+        (void)worker->probe(wr, 0, pp::kTagStop);
+      }
+    } catch (const pm::PeerLost&) {
+      ++n_woken_by_loss;
+    }
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread in_probe(wait_on_stop, 0.0);
+  std::thread in_probe_for(wait_on_stop, 30.0);
+  // A moment to block; a call that has not yet blocked when the link
+  // drops throws on entry all the same.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  master->send(0, wr, pp::kTagAssign, {{4.0, 0.0125, 24.0}});
   master.reset();  // the master process is gone
+  in_probe.join();
+  in_probe_for.join();
+  EXPECT_EQ(n_woken_by_loss.load(), 2);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(20));
+
+  // What the master sent before it went is still received first.
+  const auto asn = worker->probe(wr, 0, pp::kTagAssign);
+  EXPECT_EQ(asn.length, 3u);
+  std::vector<double> buf(4);
+  EXPECT_EQ(worker->recv(wr, 0, pp::kTagAssign, buf), 3u);
+  EXPECT_EQ(buf[1], 0.0125);
+  // Then every receive throws.
   EXPECT_THROW(worker->probe(wr, 0, pp::kTagAssign), pm::PeerLost);
-  EXPECT_THROW(
-      {
-        std::vector<double> buf(4);
-        worker->recv(wr, 0, pp::kTagAssign, buf);
-      },
-      pm::PeerLost);
-  // Queued-before-loss messages would still be drained; with none
-  // queued, send() to the dead master stays silent (fault_world
-  // convention) rather than throwing from the transport.
+  EXPECT_THROW((void)worker->probe_for(wr, 0, pp::kTagAssign, 30.0),
+               pm::PeerLost);
+  EXPECT_THROW(worker->recv(wr, 0, pp::kTagAssign, buf), pm::PeerLost);
+  // send() to the dead master stays silent (fault_world convention)
+  // rather than throwing from the transport.
   worker->send(wr, 0, pp::kTagRequest, {{1.0}});
+}
+
+TEST(TcpWorldLoopback, OneThreadPerLink) {
+  // Each end of a link runs one thread, its receiver; a send writes its
+  // frame on the calling thread.  The dialing thread starts before the
+  // baseline and stays up past the count, so the baseline holds it, and
+  // any helper a sanitizer runtime starts with a process's first thread.
+  std::promise<int> port;
+  std::latch connected(1);
+  std::latch release(1);
+  std::unique_ptr<pm::TcpWorld> worker;
+  std::thread dial([&] {
+    worker = pm::TcpWorld::connect("127.0.0.1", port.get_future().get());
+    connected.count_down();
+    release.wait();
+  });
+  const std::size_t base = n_threads();
+  auto master = pm::TcpWorld::listen("127.0.0.1", 0, 1);
+  port.set_value(master->port());
+  EXPECT_EQ(master->accept_workers(10.0), 1);
+  connected.wait();
+  const int wr = worker->local_rank();
+  worker->send(wr, 0, pp::kTagRequest, {{double(wr)}});
+  EXPECT_EQ(master->probe(0, wr, pp::kTagRequest).length, 1u);
+  master->send(0, wr, pp::kTagAssign, {{4.0, 0.0125, 24.0}});
+  EXPECT_EQ(worker->probe(wr, 0, pp::kTagAssign).length, 3u);
+  EXPECT_EQ(n_threads(), base + 2);
+
+  worker.reset();
+  master.reset();
+  // A joined thread can outlive its join in /proc for a moment.
+  EXPECT_TRUE(eventually([&] { return n_threads() == base; }))
+      << "threads above the baseline: " << n_threads() - base;
+  release.count_down();
+  dial.join();
 }
 
 // --- bounded-retry connect ------------------------------------------

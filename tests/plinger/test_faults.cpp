@@ -38,12 +38,13 @@ constexpr plinger::store::RunIdentity kRun{0xABCDu};
 /// functions; returns (results-count, master stats).
 std::pair<std::size_t, pp::MasterStats> run_protocol(
     const pp::KSchedule& sched, const std::vector<pp::EvolveFn>& workers,
-    int max_retries = 2) {
+    int max_retries = 2, double timeout_seconds = 0.0) {
   pm::InProcWorld world(static_cast<int>(workers.size()) + 1);
   pp::RunSetup setup;
   setup.tau_end = 100.0;
   setup.lmax_cap = 0.0;  // fake evolvers ignore lmax
   setup.fault.max_retries = max_retries;
+  setup.fault.timeout_seconds = timeout_seconds;
 
   std::vector<std::jthread> threads;
   for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -126,6 +127,20 @@ TEST(FaultTolerance, AllWorkersFlakyStillCompletes) {
   const auto [n, stats] = run_protocol(sched, {flaky, flaky, flaky}, 10);
   EXPECT_EQ(n, 8u);
   EXPECT_TRUE(stats.failed_ik.empty());
+}
+
+TEST(FaultTolerance, StallTimeoutBeyondAnyDeadlineLosesNoWorker) {
+  // The master's stall wait is probe_for(timeout).  Timed in int64
+  // nanoseconds, a 1e10 s wait overflows (past about 9.2e9 s): undefined
+  // behaviour, and on x86 a deadline in the past that declared every
+  // worker stalled before it could answer.  Beyond 1e9 s the wait has
+  // no deadline.
+  const auto sched = sched_n(8);
+  const auto [n, stats] =
+      run_protocol(sched, {fake_result, fake_result}, 2, 1e10);
+  EXPECT_EQ(n, 8u);
+  EXPECT_TRUE(stats.lost_workers.empty());
+  EXPECT_FALSE(stats.all_workers_lost);
 }
 
 TEST(FaultTolerance, ThrowingSinkStopsWorkersCleanly) {

@@ -2,7 +2,8 @@
 // (PING/RUN/STATS/QUIT, ERR replies with suggestions, PROGRESS
 // streaming), Nagle off on every accepted connection, repeat-identity
 // answers from the LRU, graceful shutdown draining an in-flight request
-// to completion, and finished connections giving their threads back.
+// to completion and ending idle connections, and finished connections
+// giving their threads back.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -445,4 +446,21 @@ TEST(SpectrumServer, GracefulStopDrainsInFlightRequests) {
   EXPECT_EQ(fx.service().stats().computes, 1u);
   // The fixture's destructor joins serve(): returning at all proves the
   // drain completed.
+}
+
+TEST(SpectrumServer, StopEndsIdleConnections) {
+  // A connection between requests has nothing to drain: the stop wakes
+  // its wait, serve() returns although the client never hangs up, and
+  // the client reads EOF.
+  sv::SpectrumService service(sv::ServeOptions{});
+  sv::SpectrumServer server(service, sv::ServerOptions{});
+  std::thread serving([&server] { server.serve(); });
+  Client c(server.port());
+  EXPECT_TRUE(c.connected());  // not ASSERT: serving must still be joined
+  c.send_text("PING\n");
+  EXPECT_EQ(c.read_line(), "PONG");  // served, and now idle
+
+  server.request_stop();
+  serving.join();
+  EXPECT_EQ(c.read_line(), "");  // EOF
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cmath>
 
+#include "common/simd.hpp"
 #include "io/bench_json.hpp"
 #include "math/spline.hpp"
 #include "plinger/driver.hpp"
@@ -107,6 +108,8 @@ int main() {
   report.add("aggregate")
       .metric("gflops_64_nodes", agg64 / 1e9)
       .metric("gflops_256_nodes", agg256 / 1e9);
+  // The copy of the PLINGER_HOT kernels that ran (common/simd.hpp).
+  for (auto& e : report.entries) e.label("hot_copy", plinger::hot_copy());
   std::printf("wrote %s\n", report.write_file().c_str());
   return 0;
 }

@@ -24,6 +24,7 @@
 
 #include "boltzmann/equations.hpp"
 #include "boltzmann/mode_evolution.hpp"
+#include "common/simd.hpp"
 #include "common/timing.hpp"
 #include "cosmo/background.hpp"
 #include "cosmo/recombination.hpp"
@@ -310,6 +311,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The copy of the PLINGER_HOT kernels that ran (common/simd.hpp).
+  for (auto& e : report.entries) e.label("hot_copy", plinger::hot_copy());
   const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
   return 0;

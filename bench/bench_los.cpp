@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "common/timing.hpp"
 #include "io/bench_json.hpp"
 #include "run/config.hpp"
@@ -271,6 +272,8 @@ int main(int argc, char** argv) {
   std::printf("\nhighest-k decade speedup: %.1fx%s\n", speedup_highest,
               smoke ? " (smoke scale; the full run is the record)" : "");
 
+  // The copy of the PLINGER_HOT kernels that ran (common/simd.hpp).
+  for (auto& e : report.entries) e.label("hot_copy", plinger::hot_copy());
   const std::string written = report.write_file(args.out);
   std::printf("wrote %s\n", written.c_str());
 

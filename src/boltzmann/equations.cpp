@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace plinger::boltzmann {
 
@@ -326,8 +327,9 @@ void ModeEquations::massive_nu_rhs(double tau, std::span<const double> y,
   }
 }
 
-void ModeEquations::rhs_full(double tau, std::span<const double> y,
-                             std::span<double> dy) const {
+PLINGER_HOT void ModeEquations::rhs_full(double tau,
+                                         std::span<const double> y,
+                                         std::span<double> dy) const {
   ++n_calls_;
   const StateLayout& L = layout_;
   const Common c = compute_common(y, /*photon_shear_from_state=*/true);
@@ -387,8 +389,9 @@ void ModeEquations::rhs_full(double tau, std::span<const double> y,
   massive_nu_rhs(tau, y, dy, c);
 }
 
-void ModeEquations::rhs_tca(double tau, std::span<const double> y,
-                            std::span<double> dy) const {
+PLINGER_HOT void ModeEquations::rhs_tca(double tau,
+                                        std::span<const double> y,
+                                        std::span<double> dy) const {
   ++n_calls_;
   const StateLayout& L = layout_;
   const Common c = compute_common(y, /*photon_shear_from_state=*/false);

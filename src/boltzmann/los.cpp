@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "math/bessel.hpp"
 
 namespace plinger::boltzmann {
@@ -179,7 +180,8 @@ BesselTable::BesselTable(std::size_t l_max, double x_max)
   }
 }
 
-std::size_t BesselTable::eval(double x, std::span<double> jl) const {
+PLINGER_HOT std::size_t BesselTable::eval(double x,
+                                           std::span<double> jl) const {
   PLINGER_REQUIRE(!jl.empty(), "BesselTable::eval: empty output span");
   if (jl.size() - 1 > l_max_) {
     std::ostringstream os;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "math/bessel.hpp"
 #include "math/spline.hpp"
 
@@ -69,11 +70,12 @@ constexpr double kProjectionDx = 0.25;
 /// l (l + 1) come from per-l rows of exact doubles, so the l loop is
 /// one vector stream and each l keeps its scalar sequence of IEEE
 /// operations.
-void fold_point(double x, double w, double st0, double st1, double st2,
-                double se, std::size_t n_l, const double* __restrict__ jl,
-                const double* __restrict__ lp1,
-                const double* __restrict__ llp1, double* __restrict__ f,
-                double* __restrict__ g) {
+PLINGER_HOT void fold_point(double x, double w, double st0, double st1,
+                            double st2, double se, std::size_t n_l,
+                            const double* __restrict__ jl,
+                            const double* __restrict__ lp1,
+                            const double* __restrict__ llp1,
+                            double* __restrict__ f, double* __restrict__ g) {
   const double xx = x * x, two_x = 2.0 / x;
   // l = 0: j_0' = -j_1.
   {

@@ -36,12 +36,6 @@ double alpha_b(double t_kelvin) {
          (1.0 + 0.6703 * std::pow(t4, 0.5300));
 }
 
-/// Photoionization rate from n=2, beta = alpha (2 pi m_e k T/h^2)^{3/2}
-/// e^{-E_2/kT} (s^-1).
-double beta_b(double t_kelvin) {
-  return alpha_b(t_kelvin) * saha_factor(t_kelvin, k::E_ion_H_n2);
-}
-
 }  // namespace
 
 Recombination::Recombination(const Background& bg)
@@ -139,14 +133,17 @@ Recombination::Recombination(const Background& bg, const Options& opts)
     const double lam_alpha3 = std::pow(k::lambda_lyman_alpha, 3);
     const double kk = lam_alpha3 / (8.0 * std::numbers::pi * r.h);
     const double n_1s = (1.0 - x_h) * r.nh;
-    const double beta = beta_b(t_b);
+    // Case-B recombination, and photoionization from n=2 at the same
+    // T_b: beta = alpha (2 pi m_e k T/h^2)^{3/2} e^{-E_2/kT} (s^-1).
+    const double alpha = alpha_b(t_b);
+    const double beta = alpha * saha_factor(t_b, k::E_ion_H_n2);
     const double c_p = (1.0 + kk * k::lambda_2s1s * n_1s) /
                        (1.0 + kk * (k::lambda_2s1s + beta) * n_1s);
     const double boltz = std::exp(
         -std::min(680.0, k::E_lyman_alpha / (k::k_boltzmann * t_b)));
     return c_p *
            (beta * (1.0 - x_h) * boltz -
-            alpha_b(t_b) * r.nh * r.x_e * x_h) /
+            alpha * r.nh * r.x_e * x_h) /
            r.h;
   };
 

@@ -32,20 +32,28 @@ ThermoCache::ThermoCache(const Background& bg, const Recombination& rec)
   }
 
   // Natural-spline second derivatives per channel, then interleave so one
-  // interval touches exactly two adjacent knots.
+  // interval touches exactly two adjacent knots.  eval() reads the
+  // neutrino channels only with massive neutrinos, so only then are
+  // their splines built; otherwise they stay 1 with zero curvature.
   const plinger::math::CubicSpline s_opac(lna, opac);
   const plinger::math::CubicSpline s_cs2(lna, cs2);
-  const plinger::math::CubicSpline s_rr(lna, rr);
-  const plinger::math::CubicSpline s_pr(lna, pr);
   const auto opac2 = s_opac.second_derivs();
   const auto cs22 = s_cs2.second_derivs();
-  const auto rr2 = s_rr.second_derivs();
-  const auto pr2 = s_pr.second_derivs();
 
   knots_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    knots_[i] = Knot{opac[i], cs2[i], rr[i],    pr[i],
-                     opac2[i], cs22[i], rr2[i], pr2[i]};
+    knots_[i] = Knot{opac[i], cs2[i], rr[i], pr[i], opac2[i], cs22[i], 0.0,
+                     0.0};
+  }
+  if (has_nu_) {
+    const plinger::math::CubicSpline s_rr(lna, rr);
+    const plinger::math::CubicSpline s_pr(lna, pr);
+    const auto rr2 = s_rr.second_derivs();
+    const auto pr2 = s_pr.second_derivs();
+    for (std::size_t i = 0; i < n; ++i) {
+      knots_[i].rr2 = rr2[i];
+      knots_[i].pr2 = pr2[i];
+    }
   }
 }
 

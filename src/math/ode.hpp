@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace plinger::math {
 
@@ -286,8 +287,9 @@ class Dverk {
   /// One trial step of size h (signed).  Fills y_new_ with the high-order
   /// solution and returns the weighted RMS error of the embedded estimate.
   template <class F>
-  double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
-                      OdeStats& stats) {
+  PLINGER_HOT double attempt_step(F&& f, double t, double h,
+                                  const std::vector<double>& y,
+                                  OdeStats& stats) {
     constexpr int s = T::stages;
     const std::size_t n = y.size();
     const double* yp = y.data();
@@ -630,8 +632,9 @@ class Dop853 {
   /// returns Hairer's combined 5th/3rd error measure (accept when
   /// <= 1).
   template <class F>
-  double attempt_step(F&& f, double t, double h, const std::vector<double>& y,
-                      OdeStats& stats) {
+  PLINGER_HOT double attempt_step(F&& f, double t, double h,
+                                  const std::vector<double>& y,
+                                  OdeStats& stats) {
     constexpr int s = T::stages;
     const std::size_t n = y.size();
     const double* yp = y.data();
@@ -679,8 +682,9 @@ class Dop853 {
   /// all 16 stages (the 3 extra stages are evaluated here — the cost is
   /// paid only for steps that contain a sample).
   template <class F>
-  void prepare_dense(F&& f, double t, double h, const std::vector<double>& y,
-                     OdeStats& stats) {
+  PLINGER_HOT void prepare_dense(F&& f, double t, double h,
+                                 const std::vector<double>& y,
+                                 OdeStats& stats) {
     constexpr int s = T::stages;
     const std::size_t n = y.size();
     const double* yp = y.data();
@@ -708,7 +712,7 @@ class Dop853 {
 
   /// Evaluate the continuous extension at ts inside [t_old, t_old+h],
   /// into y_sample_.
-  void dense_eval(double ts, double t_old, double h) {
+  PLINGER_HOT void dense_eval(double ts, double t_old, double h) {
     const double s = (ts - t_old) / h;
     const double s1 = 1.0 - s;
     const std::size_t n = y_sample_.size();

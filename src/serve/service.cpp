@@ -133,19 +133,28 @@ std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
     ++stats_.journal_hits;
   }
 
-  const run::SpectrumSet spectra = run::make_spectra(plan, out);
   body->modes = out.results.size();
-  body->l_max = spectra.temperature.l_max();
   body->degraded = out.completed_degraded || !out.master.failed_ik.empty();
+  std::string degraded;
+  if (body->degraded) {
+    degraded = "DEGRADED workers_lost=" + std::to_string(out.n_workers_lost) +
+               " reassigned=" + std::to_string(out.n_modes_reassigned) +
+               " quarantined=" +
+               std::to_string(out.master.quarantined_ik.size()) +
+               " failed=" + std::to_string(out.master.failed_ik.size());
+    // No mode landed, so there is no C_2 to normalize: the request's
+    // one ERR line says what was lost (nothing is memoized).
+    if (out.results.empty()) {
+      throw Error(degraded + " delivered=0/" +
+                  std::to_string(plan.schedule().size()) +
+                  ": no C_2 to normalize");
+    }
+  }
+  const run::SpectrumSet spectra = run::make_spectra(plan, out);
+  body->l_max = spectra.temperature.l_max();
 
   std::string& p = body->payload;
-  if (body->degraded) {
-    p += "DEGRADED workers_lost=" + std::to_string(out.n_workers_lost) +
-         " reassigned=" + std::to_string(out.n_modes_reassigned) +
-         " quarantined=" +
-         std::to_string(out.master.quarantined_ik.size()) +
-         " failed=" + std::to_string(out.master.failed_ik.size()) + "\n";
-  }
+  if (body->degraded) p += degraded + "\n";
   for (std::size_t l = 2; l <= body->l_max; ++l) {
     p += "CL " + std::to_string(l) + " " +
          fmt17(spectra.temperature.cl[l]) + " " +

@@ -7,11 +7,12 @@
 # asan: ASan + UBSan, float-cast-overflow included (GCC's `undefined`
 #       group leaves it out; -fno-sanitize-recover for both,
 #       -D_GLIBCXX_ASSERTIONS) in build-asan/, running test_math,
-#       test_cosmo, test_boltzmann, test_integrator and test_golden — the
-#       Runge-Kutta stage kernel (in test_cosmo over the thermal
-#       history's one- and two-component systems) and the hierarchy
-#       streams, whose pointers are __restrict__, run there — and every
-#       decoder of bytes from outside the process: test_plinger (mode
+#       test_cosmo, test_boltzmann, test_integrator, test_golden and
+#       test_hotpath — the Runge-Kutta stage kernel (in test_cosmo over
+#       the thermal history's one- and two-component systems) and the
+#       hierarchy streams, whose pointers are __restrict__, run there,
+#       and test_hotpath holds the hot copies to the baseline bits — and
+#       every decoder of bytes from outside the process: test_plinger (mode
 #       records), test_store (the journal walk and its mutation fuzzer),
 #       test_io (Fortran framing, params), test_transport (the TCP frame
 #       decoder and its fuzzer; its E2E tests fork the instrumented
@@ -23,7 +24,13 @@
 #
 # Both trees are RelWithDebInfo builds at the repository root
 # (git-ignored), so they compile the hot path with the same vectorizer
-# flags as a release build.  ASan and TSan reports go to files under
+# flags as a release build.  On an AVX2 host the asan half runs the AVX2
+# copies of the PLINGER_HOT functions (common/simd.hpp).  The tsan half
+# runs their baseline copy: under ThreadSanitizer the macro adds no
+# clones, because the ifunc resolvers that pick a copy run at load time,
+# before the TSan runtime is up, and crash the program.  Both copies
+# compute the same bits (test_hotpath's SimdDispatch pins), so the tsan
+# half checks the same threading.  ASan and TSan reports go to files under
 # <build>/sanitizer-reports/, child processes included; UBSan errors
 # are fatal and print to the failing test's output.  The script exits
 # non-zero when a test fails or any report was written.  Builds and
@@ -59,7 +66,8 @@ check_reports() {
 run_asan() {
   local dir=$ROOT/build-asan reports=$ROOT/build-asan/sanitizer-reports
   local tests=(test_math test_cosmo test_boltzmann test_integrator test_golden
-               test_plinger test_store test_io test_transport test_serve)
+               test_hotpath test_plinger test_store test_io test_transport
+               test_serve)
   configure_and_build "$dir" \
     "-g -fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -D_GLIBCXX_ASSERTIONS" \
     "${tests[@]}" plinger_worker ||

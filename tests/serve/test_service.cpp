@@ -336,3 +336,45 @@ TEST(SpectrumService, RequestsCannotPlaceJournalsOrTraces) {
 
   fs::remove_all(dir);
 }
+
+TEST(SpectrumService, RunThatLostEveryWorkerAnswersOneErrLine) {
+  // A one-worker run whose worker is settled as lost at once delivers
+  // no mode, so there is no C_2 to normalize.  The answer is one ERR
+  // line with the DEGRADED fields and the delivered count, not the
+  // normalization's internal requirement; nothing is memoized, and the
+  // service answers the next request as usual.
+  const std::string dir = scratch_dir("all_lost");
+  sv::ServeOptions opts;
+  opts.journal_dir = dir;
+  sv::SpectrumService service(opts);
+  rn::RunConfig cfg;
+  cfg.set_preset("lcdm");
+  cfg.solver = "hierarchy";
+  cfg.n_k = 4;
+  cfg.k_max = 0.3;
+  cfg.workers = 1;
+  cfg.fault_timeout = 1e-9;
+  std::string what;
+  try {
+    (void)service.answer(cfg);
+  } catch (const std::exception& e) {
+    what = e.what();
+  }
+  // The lost worker's in-flight mode counts as reassigned (0 or 1).
+  const std::size_t at = what.find("reassigned=") + 11;
+  ASSERT_LT(at, what.size()) << what;
+  EXPECT_TRUE(what[at] == '0' || what[at] == '1') << what;
+  std::string masked = what;
+  masked[at] = 'n';
+  EXPECT_EQ(masked,
+            "DEGRADED workers_lost=1 reassigned=n quarantined=0 failed=0 "
+            "delivered=0/4: no C_2 to normalize");
+  EXPECT_EQ(service.stats().lru_size, 0u);
+  EXPECT_EQ(service.stats().in_flight, 0u);
+
+  const sv::Answer ok = service.answer(fast_config());
+  EXPECT_EQ(ok.tier, sv::Tier::compute);
+  EXPECT_FALSE(ok.body->degraded);
+  EXPECT_EQ(sv::render_response(ok).rfind("OK identity=", 0), 0u);
+  fs::remove_all(dir);
+}

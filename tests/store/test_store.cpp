@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,50 @@ TEST(Crc32, SeedContinuationMatchesOneShot) {
   const auto whole = ps::crc32(all);
   const auto piecewise = ps::crc32(all.subspan(3), ps::crc32(all.first(3)));
   EXPECT_EQ(piecewise, whole);
+}
+
+namespace {
+
+/// The textbook bytewise CRC-32, one table-free bit loop per byte: the
+/// reference the word-at-a-time implementation must reproduce.
+std::uint32_t crc32_bitwise(std::span<const unsigned char> data,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const unsigned char byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+
+TEST(Crc32, MatchesTheBytewiseReference) {
+  // Every length up to a few words at every alignment (the word loop,
+  // the bytewise tail and the empty span), then random long buffers,
+  // each also checksummed in two calls split at a random byte.
+  std::mt19937 rng(20261022);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  const auto check = [&](std::size_t offset, std::size_t len) {
+    const std::span<const unsigned char> s(buf.data() + offset, len);
+    const std::uint32_t want = crc32_bitwise(s, 0);
+    EXPECT_EQ(ps::crc32(s), want) << "offset " << offset << " len " << len;
+    const std::size_t cut = len == 0 ? 0 : rng() % (len + 1);
+    EXPECT_EQ(ps::crc32(s.subspan(cut), ps::crc32(s.first(cut))), want)
+        << "offset " << offset << " len " << len << " cut " << cut;
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+    EXPECT_EQ(ps::crc32(s, seed), crc32_bitwise(s, seed))
+        << "offset " << offset << " len " << len << " seed " << seed;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 40; ++len) check(offset, len);
+  }
+  for (int draw = 0; draw < 200; ++draw) {
+    check(rng() % 8, rng() % 4097);
+  }
 }
 
 TEST(Crc32, DoublesMatchesRawBytes) {
